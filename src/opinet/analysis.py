@@ -6,7 +6,7 @@ the f-weighted RMS distance from it the role of the consensus error, and
 the pairwise potential integral the role of the graph potential energy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,6 +119,8 @@ class RunReport:
     """Time series produced by one experiment run.
 
     Columns missing from the run (variants not requested) hold NaN.
+    continuum_dts maps each continuum variant run to its step sizes, one
+    array per sample interval; it is not part of the TSV.
     """
 
     t: np.ndarray
@@ -129,6 +131,7 @@ class RunReport:
     g_first_moment: np.ndarray
     v_micro: np.ndarray
     lyapunov_tilde: np.ndarray
+    continuum_dts: dict = field(default_factory=dict)
 
     def columns(self):
         return (self.t, self.e_micro, self.e_cont_labeled,

@@ -68,6 +68,12 @@ def _cmd_run(args):
         if finite.any():
             last = np.flatnonzero(finite)[-1]
             print("  %s: %.6g at t=%g" % (name, series[last], report.t[last]))
+    for name, chunks in report.continuum_dts.items():
+        if not chunks:      # continuum.t_end below half a sample interval
+            continue
+        dts = np.concatenate(chunks)
+        print("  %s: %d steps, dt min %.6g max %.6g"
+              % (name, dts.size, dts.min(), dts.max()))
     return 0
 
 

@@ -9,7 +9,8 @@ with mirrored (zero-flux) boundaries, and optional edge birth-death acts
 on g after the transport stage.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,13 +67,18 @@ def eta_discrete(g, dx, cutoff):
     return np.where(keep[..., None], g / safe[..., None], 0.0)
 
 
-def _velocity_values(g4, grid, operator, cutoff):
-    # a[p, i] = sum_{q,j} g[p,q,i,j] D(mid_i - mid_j) / sum_{q,j} g[p,q,i,j]
-    dmat = _d_matrix(grid, operator)
-    den = grid.dx * g4.sum(axis=(1, 3))
-    num = grid.dx * np.einsum("pqij,ij->pi", g4, dmat)
+def _speeds(g4, dmat, dx, cutoff):
+    # a[p, i] = sum_{q,j} g[p,q,i,j] D(mid_i - mid_j) / sum_{q,j} g[p,q,i,j],
+    # returned with the row masses dx sum_{q,j} g[p,q,i,j]
+    rows = g4.sum(axis=1)
+    den = dx * rows.sum(axis=-1)
+    num = dx * np.einsum("pij,ij->pi", rows, dmat)
     keep = den >= cutoff
-    return np.where(keep, num / np.where(keep, den, 1.0), 0.0)
+    return np.where(keep, num / np.where(keep, den, 1.0), 0.0), den
+
+
+def _velocity_values(g4, grid, operator, cutoff):
+    return _speeds(g4, _d_matrix(grid, operator), grid.dx, cutoff)[0]
 
 
 def velocity(g, grid, operator, cutoff=1e-10):
@@ -140,69 +146,168 @@ def _mirrored_laplacian(u):
     return gflux[1:] - gflux[:-1]
 
 
-def cfl_max_dt(grid, operator, params=None):
-    """Strict upper bound on dt: advection, diffusion, and death limits."""
-    span = np.asarray([-2.0, 2.0])
-    d_max = float(np.max(np.abs(operator.d(span))))
-    bound = grid.dx / (2.0 * d_max) if d_max > 0 else np.inf
+def _dt_bound(dx, speed, params):
+    # strict stability limit for transport at the given speed plus the
+    # diffusion and death limits of params
+    bound = dx / (2.0 * speed) if speed > 0 else np.inf
     if params is not None:
         if params.diffusion_sigma > 0:
-            bound = min(bound, grid.dx ** 2 / (4.0 * params.diffusion_sigma))
+            bound = min(bound, dx ** 2 / (4.0 * params.diffusion_sigma))
         if params.death_rate > 0:
             bound = min(bound, 1.0 / params.death_rate)
     return bound
 
 
-def _advance(f, g, grid, operator, params):
-    params.validate()
-    dt = params.dt
-    bound = cfl_max_dt(grid, operator, params)
-    if not (dt > 0 and dt < bound):
-        raise ConfigError("continuum: dt=%g violates 0 < dt < %g" % (dt, bound))
-    k = f.shape[0]
-    dx = grid.dx
-    a = _velocity_values(g, grid, operator, params.eta_cutoff)
-    sigma = params.diffusion_sigma
+def cfl_max_dt(grid, operator, params=None):
+    """Strict upper bound on dt for any state: advection at the worst-case
+    speed max |D(+-2)|, and the diffusion and death limits."""
+    span = np.asarray([-2.0, 2.0])
+    d_max = float(np.max(np.abs(operator.d(span))))
+    return _dt_bound(grid.dx, d_max, params)
 
-    f_new = np.empty_like(f)
-    for p in range(k):
-        flux = _interface_flux(f[p], a[p])
-        f_new[p] = f[p] - (dt / dx) * (flux[1:] - flux[:-1])
-        if sigma > 0:
-            f_new[p] += (dt * sigma / dx ** 2) * _mirrored_laplacian(f[p])
 
-    g_new = np.empty_like(g)
-    for p in range(k):
-        for q in range(k):
-            fw = _interface_flux(g[p, q], a[p])
-            fm = _interface_flux(g[p, q].T, a[q])
-            div = (fw[1:] - fw[:-1]) + (fm[1:] - fm[:-1]).T
-            g_new[p, q] = g[p, q] - (dt / dx) * div
-            if sigma > 0:
-                lap = _mirrored_laplacian(g[p, q]) \
-                    + _mirrored_laplacian(g[p, q].T).T
-                g_new[p, q] += (dt * sigma / dx ** 2) * lap
+def _flux_difference(flux, axis):
+    # F_{i+1/2} - F_{i-1/2} from the interior fluxes along axis; the
+    # boundary fluxes are zero, so the first and last rows are exact copies
+    shape = list(flux.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    o, fl = np.moveaxis(out, axis, 0), np.moveaxis(flux, axis, 0)
+    o[0] = fl[0]
+    np.subtract(fl[1:], fl[:-1], out=o[1:-1])
+    # not np.negative(..., out=o[-1]): numpy 2.4 ignores the input stride
+    # there for some strided lengths (9 cells along axis 1)
+    o[-1] = -fl[-1]
+    return out
 
-    if params.birth_rate > 0 or params.death_rate > 0:
-        # splitting stage on the post-transport state; no renormalization
+
+def _identity(arr):
+    # equal for any two views of one buffer with one layout, such as two
+    # values[None, None] of one PairField
+    return arr.__array_interface__["data"][0], arr.shape, arr.strides
+
+
+class ContinuumStepper:
+    """Local Lax-Friedrichs step for k labels on one grid and operator.
+
+    f is (k, n) and g is (k, k, n, n); the unlabeled model is k = 1.  The
+    parameters are validated and the D matrix built once, when the stepper
+    is built; dt is passed per step.  g must be symmetric, g[q, p] =
+    g[p, q].T: only the p <= q blocks are advanced and the others are their
+    transposes, so the symmetry holds by construction.
+
+    The speeds that max_dt computes for a g are kept for the next advance
+    of the same array, so a caller that checks a state before stepping it
+    pays for one velocity pass, not two.  The array must not change in
+    between.
+    """
+
+    def __init__(self, grid, operator, params):
+        self.grid = grid
+        self.params = params.validate()
+        self.dmat = _d_matrix(grid, operator)
+        self.dmat.flags.writeable = False
+        self._last = None   # (g, its identity, its speeds) from max_dt
+
+    def speeds(self, g):
+        """Per-label speeds a (k, n) and row masses (k, n) of g."""
+        return _speeds(g, self.dmat, self.grid.dx, self.params.eta_cutoff)
+
+    def max_dt(self, f, g):
+        """Realized stability bound of a state, and the state's total mass.
+
+        The bound is dx / (2 max|a|) at the state's own speeds, capped by
+        the diffusion and death limits.  The mass dx sum f + dx^2 sum g
+        reuses the row masses of the speeds, and is not finite whenever f
+        or g holds a value that is not finite.
+        """
+        a, rows = self.speeds(g)
+        # g itself is kept so that its buffer, and with it the key, stays
+        # unique while the entry lives
+        self._last = (g, _identity(g), a)
+        mass = self.grid.dx * f.sum() + self.grid.dx * rows.sum()
+        return _dt_bound(self.grid.dx, float(np.max(np.abs(a))),
+                         self.params), float(mass)
+
+    def advance(self, f, g, dt):
+        """Advance (f, g) by dt; returns new arrays.
+
+        Raises ConfigError unless 0 < dt < the realized bound of max_dt.
+        """
+        params = self.params
+        dx = self.grid.dx
+        k = f.shape[0]
+        last, self._last = self._last, None
+        if last is not None and last[1] == _identity(g):
+            a = last[2]
+        else:
+            a, _ = self.speeds(g)
+        bound = _dt_bound(dx, float(np.max(np.abs(a))), params)
+        if not (dt > 0 and dt < bound):
+            raise ConfigError("continuum: dt=%g violates 0 < dt < %g"
+                              % (dt, bound))
+        # LLF interface flux cl u_left + cr u_right with cl >= 0 >= cr
+        al, ar = a[:, :-1], a[:, 1:]
+        amax = np.maximum(np.abs(al), np.abs(ar))
+        cl = 0.5 * (al + amax)
+        cr = 0.5 * (ar - amax)
+        lam = dt / dx
+        nu = dt * params.diffusion_sigma / dx ** 2
+
+        f_new = f - lam * _flux_difference(cl * f[:, :-1] + cr * f[:, 1:], 1)
+        if nu > 0:
+            f_new += nu * _mirrored_laplacian(f.T).T
+
+        g_new = np.empty_like(g)
         for p in range(k):
-            for q in range(k):
-                source = params.birth_rate * np.outer(f_new[p], f_new[q]) \
-                    - params.death_rate * g_new[p, q]
-                g_new[p, q] = g_new[p, q] + dt * source
-    return f_new, g_new
+            for q in range(p, k):
+                u = g[p, q]
+                div = _flux_difference(cl[p, :, None] * u[:-1]
+                                       + cr[p, :, None] * u[1:], 0)
+                div += _flux_difference(u[:, :-1] * cl[q] + u[:, 1:] * cr[q],
+                                        1)
+                block = g_new[p, q]
+                np.subtract(u, lam * div, out=block)
+                if nu > 0:
+                    block += nu * (_mirrored_laplacian(u)
+                                   + _mirrored_laplacian(u.T).T)
+                if params.birth_rate > 0 or params.death_rate > 0:
+                    # splitting stage on the post-transport state; no
+                    # renormalization
+                    block += dt * (params.birth_rate
+                                   * np.outer(f_new[p], f_new[q])
+                                   - params.death_rate * block)
+                if q != p:
+                    g_new[q, p] = block.T
+        return f_new, g_new
+
+
+# each stepper may hold one state's g for its speed memo, so keep few
+@lru_cache(maxsize=2)
+def _cached_stepper(grid, operator, params):
+    return ContinuumStepper(grid, operator, params)
+
+
+def stepper_for(grid, operator, params):
+    """The ContinuumStepper for grid, operator and params (dt is ignored).
+
+    Steppers are cached, so the step functions validate the parameters and
+    build the D matrix once per grid, operator and parameter set.
+    """
+    return _cached_stepper(grid, operator, replace(params, dt=0.0))
 
 
 def step_unlabeled(f, g, operator, params):
     """Advance (f, g) one step; returns new fields on the same grid."""
     if f.grid is not g.grid and f.grid.n_cells != g.grid.n_cells:
         raise ConfigError("continuum: f and g live on different grids")
-    f_new, g_new = _advance(f.values[None, :], g.values[None, None, :, :],
-                            f.grid, operator, params)
+    f_new, g_new = stepper_for(f.grid, operator, params).advance(
+        f.values[None, :], g.values[None, None, :, :], params.dt)
     return ScalarField(f.grid, f_new[0]), PairField(f.grid, g_new[0, 0])
 
 
 def step_labeled(fields, operator, params):
     """Advance labeled (f, g) one step; label p transports with its own speed."""
-    f_new, g_new = _advance(fields.f, fields.g, fields.grid, operator, params)
+    f_new, g_new = stepper_for(fields.grid, operator, params).advance(
+        fields.f, fields.g, params.dt)
     return LabeledFields(fields.grid, f_new, g_new)

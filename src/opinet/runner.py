@@ -18,8 +18,8 @@ from .micro import (DebateOperator, euler_maruyama_step, consensus_value,
 from .empirical import (Grid, PairField, LabeledFields, empirical_f,
                         empirical_g_kde, split_by_group, bandwidth_select,
                         sample_initial_opinions)
-from .continuum import (ContinuumParams, cfl_max_dt, step_unlabeled,
-                        step_labeled)
+from .continuum import (ContinuumParams, cfl_max_dt, stepper_for,
+                        step_unlabeled, step_labeled)
 from .analysis import RunReport, e_cont, consensus_value_cont, lyapunov_tilde, \
     fit_exponential_rate
 from .config import replace_mixing, save_config
@@ -28,7 +28,9 @@ RATE_COLUMNS = ("mu", "rate_micro", "rate_cont_labeled", "rate_cont_unlabeled",
                 "fit_err_micro", "fit_err_cont_labeled",
                 "fit_err_cont_unlabeled")
 
-# 0.9 of the CFL bound when no continuum step is configured
+# share of the stability bound a step takes when no continuum step is
+# configured: of the worst-case bound in cfl_max_dt for a fixed step, of the
+# realized bound of each state for the adaptive step
 CFL_SAFETY = 0.9
 
 
@@ -40,6 +42,62 @@ def _first_moment(grid, g_vals):
 def _chunked_dt(sample_interval, dt_target):
     steps = max(1, int(np.ceil(sample_interval / dt_target - 1e-12)))
     return sample_interval / steps, steps
+
+
+class _ContinuumVariant:
+    """One continuum closure on the sampling clock: state, steps and dts.
+
+    step(state, params) advances the state by params.dt and arrays(state)
+    gives its (k, n) and (k, k, n, n) arrays; stepper is the
+    ContinuumStepper of params.  With fixed = (dt, steps) each
+    sample interval takes that many steps of that dt; with fixed = None each
+    step takes CFL_SAFETY of the realized bound of the state it advances,
+    shrunk so that the interval ends exactly on the sampling clock.
+    """
+
+    def __init__(self, name, state, step, arrays, params, stepper, fixed):
+        self.name = name
+        self.state = state
+        self._step = step
+        self._arrays = arrays
+        self._params = params
+        self._stepper = stepper
+        self._fixed = fixed
+        self.dts = []      # one array of step sizes per sample interval
+        self._steps = 0
+        self._bound = self._check(0.0)
+
+    def advance(self, t_start, interval):
+        dts = []
+        if self._fixed is not None:
+            dt, steps = self._fixed
+            for i in range(steps):
+                self._take(dt, t_start + (i + 1) * dt, dts)
+        else:
+            t_left = interval
+            while t_left > 0:
+                steps_left = max(1, int(np.ceil(
+                    t_left / (CFL_SAFETY * self._bound))))
+                # the last step (steps_left == 1) takes exactly t_left
+                dt = t_left / steps_left
+                t_left -= dt
+                self._take(dt, t_start + interval - t_left, dts)
+        self.dts.append(np.asarray(dts))
+
+    def _take(self, dt, t, dts):
+        self.state = self._step(self.state, replace(self._params, dt=dt))
+        self._steps += 1
+        dts.append(dt)
+        self._bound = self._check(t)
+
+    def _check(self, t):
+        # the realized bound's reductions double as the finiteness check
+        bound, mass = self._stepper.max_dt(*self._arrays(self.state))
+        if not np.isfinite(mass):
+            raise SimulationError(
+                "%s: step %d returned a non-finite state at t=%.6g"
+                % (self.name, self._steps, t))
+        return bound
 
 
 def _labeled_initial_f(grid, mixture, shares):
@@ -93,32 +151,41 @@ def run_experiment(config, operator=None, write_outputs=True):
 
     # continuum initial data shared by both closures
     f_unl = g_unl = labeled = None
-    cont_params = None
+    cont = {}
     if do_unl or do_lab:
         shares = np.bincount(graph.community - 1,
                              minlength=graph.n_groups) / graph.n_nodes
         bandwidth = bandwidth_select(omega, "silverman")
         cp = config.continuum
-        dt_target = cp.dt
-        base = ContinuumParams(dt=1.0, eta_cutoff=cp.eta_cutoff,
-                               diffusion_sigma=cp.diffusion_sigma,
-                               birth_rate=cp.birth_rate,
-                               death_rate=cp.death_rate)
-        bound = cfl_max_dt(grid, operator, base)
-        if dt_target is None:
-            if not np.isfinite(bound):
-                raise ConfigError("continuum: dt must be given when the CFL "
-                                  "bound is unbounded")
-            dt_target = CFL_SAFETY * bound
-        dt_cont, steps_cont = _chunked_dt(si, dt_target)
-        cont_params = replace(base, dt=dt_cont)
+        cont_params = ContinuumParams(dt=cp.dt, eta_cutoff=cp.eta_cutoff,
+                                      diffusion_sigma=cp.diffusion_sigma,
+                                      birth_rate=cp.birth_rate,
+                                      death_rate=cp.death_rate)
+        stepper = stepper_for(grid, operator, cont_params)
+        fixed = None
+        if cp.dt is not None:
+            # a fixed step must be stable for every state, not only the first
+            fixed = _chunked_dt(si, cp.dt)
+            bound = cfl_max_dt(grid, operator, cont_params)
+            if not fixed[0] < bound:
+                raise ConfigError("continuum: dt=%g violates 0 < dt < %g"
+                                  % (fixed[0], bound))
         if do_unl:
             f_unl = config.mixture.cell_averages(grid, shares)
             g_unl = empirical_g_kde(graph, omega, grid, bandwidth)
+            cont["cont_unlabeled"] = _ContinuumVariant(
+                "cont_unlabeled", (f_unl, g_unl),
+                lambda s, p: step_unlabeled(*s, operator, p),
+                lambda s: (s[0].values[None], s[1].values[None, None]),
+                cont_params, stepper, fixed)
         if do_lab:
             lab0 = split_by_group(graph, omega, grid, bandwidth)
             labeled = LabeledFields(
                 grid, _labeled_initial_f(grid, config.mixture, shares), lab0.g)
+            cont["cont_labeled"] = _ContinuumVariant(
+                "cont_labeled", labeled,
+                lambda s, p: step_labeled(s, operator, p),
+                lambda s: (s.f, s.g), cont_params, stepper, fixed)
 
     # consensus predictions are fixed by the initial data
     omega_inf_micro = consensus_value(graph, omega) if do_micro else np.nan
@@ -156,13 +223,13 @@ def run_experiment(config, operator=None, write_outputs=True):
             for _ in range(steps_micro):
                 omega = euler_maruyama_step(graph, omega, operator, dt_micro,
                                             config.micro.noise_sigma, rng_noise)
-        if (do_unl or do_lab) and k <= chunks_cont:
-            for _ in range(steps_cont):
-                if do_unl:
-                    f_unl, g_unl = step_unlabeled(f_unl, g_unl, operator,
-                                                  cont_params)
-                if do_lab:
-                    labeled = step_labeled(labeled, operator, cont_params)
+        if k <= chunks_cont:
+            for variant in cont.values():
+                variant.advance(times[k - 1], si)
+            if do_unl:
+                f_unl, g_unl = cont["cont_unlabeled"].state
+            if do_lab:
+                labeled = cont["cont_labeled"].state
         record(k)
 
     report = RunReport(
@@ -172,7 +239,8 @@ def run_experiment(config, operator=None, write_outputs=True):
         conserved_micro=series["conserved_micro"],
         g_first_moment=series["g_first_moment"],
         v_micro=series["v_micro"],
-        lyapunov_tilde=series["lyapunov_tilde"])
+        lyapunov_tilde=series["lyapunov_tilde"],
+        continuum_dts={name: v.dts for name, v in cont.items()})
 
     if write_outputs:
         os.makedirs(config.output_dir, exist_ok=True)

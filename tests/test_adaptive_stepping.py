@@ -1,0 +1,139 @@
+"""The runner's continuum step policy: realized-speed steps on the sampling
+clock when continuum.dt is unset, the fixed chunked step when it is set."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from opinet import (ConfigError, ContinuumRunParams, DebateOperator, Grid,
+                    SimulationError, preset_three_communities, run_experiment,
+                    velocity_labeled)
+from opinet import runner
+from opinet.runner import CFL_SAFETY, _chunked_dt
+
+
+def cont_config(t_end=1.0, **continuum):
+    config = preset_three_communities()
+    return replace(config, model_variants=("cont_unlabeled", "cont_labeled"),
+                   continuum=ContinuumRunParams(t_end=t_end, **continuum))
+
+
+def record_steps(monkeypatch):
+    """Wrap the runner's step functions; returns the list of
+    (variant, dt, max|a| of the state the step advances, params) they see."""
+    seen = []
+    step_unlabeled, step_labeled = runner.step_unlabeled, runner.step_labeled
+
+    def speed(g4, grid, operator, params):
+        return velocity_labeled(g4, grid, operator,
+                                params.eta_cutoff).max_speed()
+
+    def unlabeled(f, g, operator, params):
+        seen.append(("cont_unlabeled", params.dt,
+                     speed(g.values[None, None], f.grid, operator, params),
+                     params))
+        return step_unlabeled(f, g, operator, params)
+
+    def labeled(fields, operator, params):
+        seen.append(("cont_labeled", params.dt,
+                     speed(fields.g, fields.grid, operator, params), params))
+        return step_labeled(fields, operator, params)
+
+    monkeypatch.setattr(runner, "step_unlabeled", unlabeled)
+    monkeypatch.setattr(runner, "step_labeled", labeled)
+    return seen
+
+
+def test_chunks_land_on_the_sampling_clock():
+    config = cont_config()
+    si = config.sample_interval
+    report = run_experiment(config, write_outputs=False)
+    n_chunks = int(round(config.continuum.t_end / si))
+    np.testing.assert_array_equal(report.t, np.arange(n_chunks + 1) * si)
+    assert set(report.continuum_dts) == {"cont_unlabeled", "cont_labeled"}
+    for name, chunks in report.continuum_dts.items():
+        assert len(chunks) == n_chunks
+        for dts in chunks:
+            assert np.all(dts > 0)
+            assert abs(np.sum(dts) - si) <= 1e-15, (name, np.sum(dts) - si)
+            # the realized speeds allow far fewer steps than the worst case
+            assert dts.size < _chunked_dt(si, CFL_SAFETY * 0.25 * Grid(
+                config.grid_size).dx)[1]
+
+
+@pytest.mark.parametrize("continuum", [
+    {},
+    {"diffusion_sigma": 0.004},
+    {"birth_rate": 40.0, "death_rate": 40.0},
+])
+def test_every_step_respects_the_realized_bound(monkeypatch, continuum):
+    seen = record_steps(monkeypatch)
+    config = cont_config(**continuum)
+    run_experiment(config, write_outputs=False)
+    dx = Grid(config.grid_size).dx
+    tol = 1.0 + 1e-12
+    binding = 0
+    for name, dt, amax, params in seen:
+        assert 2.0 * dt * amax / dx <= CFL_SAFETY * tol, (name, dt, amax)
+        if params.diffusion_sigma > 0:
+            limit = CFL_SAFETY * dx ** 2 / (4.0 * params.diffusion_sigma)
+            assert dt <= limit * tol
+            binding += dt > 0.5 * limit
+        if params.death_rate > 0:
+            limit = CFL_SAFETY / params.death_rate
+            assert dt <= limit * tol
+            binding += dt > 0.5 * limit
+    assert {name for name, *_ in seen} == {"cont_unlabeled", "cont_labeled"}
+    # the diffusion and death cases do reach their own limits
+    assert binding > 0 or not continuum
+
+
+def test_explicit_dt_keeps_the_chunked_step(monkeypatch):
+    seen = record_steps(monkeypatch)
+    config = cont_config(dt=0.004)
+    report = run_experiment(config, write_outputs=False)
+    dt, steps = _chunked_dt(config.sample_interval, 0.004)
+    for chunks in report.continuum_dts.values():
+        for dts in chunks:
+            assert dts.size == steps and np.all(dts == dt)
+    assert len(seen) == 2 * steps * len(report.t[1:])
+    assert all(s[1] == dt for s in seen)
+    # a fixed step must be stable at the worst-case speed
+    with pytest.raises(ConfigError, match="violates"):
+        run_experiment(cont_config(dt=0.025), write_outputs=False)
+
+
+@pytest.mark.parametrize("continuum, steps", [
+    ({}, 1),
+    ({"diffusion_sigma": 0.01}, int(np.ceil(0.1 / (
+        CFL_SAFETY * (2.0 / 101) ** 2 / (4.0 * 0.01))))),
+    ({"birth_rate": 1.0, "death_rate": 20.0}, int(np.ceil(
+        0.1 / (CFL_SAFETY / 20.0)))),
+])
+def test_zero_speed_takes_the_fewest_steps(continuum, steps):
+    # D = 0 moves nothing, so only the diffusion and death limits bind
+    config = cont_config(**continuum)
+    report = run_experiment(config, operator=DebateOperator.zero(),
+                            write_outputs=False)
+    for chunks in report.continuum_dts.values():
+        assert [dts.size for dts in chunks] == [steps] * len(chunks)
+
+
+def test_non_finite_state_fails_with_its_step_and_time(monkeypatch):
+    step_labeled = runner.step_labeled
+    clock = []
+
+    def poisoned(fields, operator, params):
+        out = step_labeled(fields, operator, params)
+        clock.append(params.dt)
+        if len(clock) == 5:
+            out.g[1, 2, 40, 7] = np.nan
+        return out
+
+    monkeypatch.setattr(runner, "step_labeled", poisoned)
+    with pytest.raises(SimulationError) as err:
+        run_experiment(cont_config(), write_outputs=False)
+    assert str(err.value) == (
+        "cont_labeled: step 5 returned a non-finite state at t=%.6g"
+        % sum(clock))

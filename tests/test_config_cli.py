@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -113,10 +114,15 @@ def test_cli_config_errors_return_1(tmp_path):
     assert main(["sweep", "--preset", "crossing", "--mus", "bad"]) == 1
 
 
-def test_cli_run_and_determinism(tmp_path):
+def test_cli_run_and_determinism(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.ini"
     save_config(small_config(tmp_path / "a"), cfg_path)
     assert main(["run", "--config", str(cfg_path)]) == 0
+    # each continuum variant reports its step count and step range
+    printed = capsys.readouterr().out
+    for name in ("cont_unlabeled", "cont_labeled"):
+        assert re.search(r"\n  %s: \d+ steps, dt min \S+ max \S+\n" % name,
+                         printed), printed
     report_a = tmp_path / "a" / "report.tsv"
     assert report_a.exists()
     assert (tmp_path / "a" / "config.ini").exists()

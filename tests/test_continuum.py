@@ -123,11 +123,15 @@ def test_cfl_bound_values():
 
 
 def test_step_rejects_dt_at_or_above_bound():
+    # the step enforces the realized bound dx / (2 max|a|) of its own state,
+    # which lies above the worst-case bound cfl_max_dt
     _, _, grid, _, f, gk = kde_state()
-    bound = cfl_max_dt(grid, LIN)
+    bound = grid.dx / (2.0 * velocity(gk.values, grid, LIN).max_speed())
+    assert bound > cfl_max_dt(grid, LIN)
     for dt in (bound, 1.5 * bound, 0.0, -0.1):
         with pytest.raises(ConfigError):
             step_unlabeled(f, gk, LIN, ContinuumParams(dt=dt))
+    step_unlabeled(f, gk, LIN, ContinuumParams(dt=0.99 * bound))
 
 
 def test_params_validation():

@@ -1,0 +1,89 @@
+"""Property tests of the continuum step on random symmetric states.
+
+The reference is the k^2 block update assembled from the public flux
+functions llf_flux_f / llf_flux_g and the velocity_labeled speeds.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from opinet import (ContinuumParams, DebateOperator, Grid,  # noqa: E402
+                    LabeledFields, PairField, ScalarField, llf_flux_f,
+                    llf_flux_g, step_labeled, step_unlabeled, velocity_labeled)
+
+OPERATORS = {"linear": DebateOperator.linear(),
+             "quartic": DebateOperator.quartic()}
+
+
+def reference_step(f, g, grid, operator, dt):
+    a = velocity_labeled(g, grid, operator).values
+    lam = dt / grid.dx
+    k = f.shape[0]
+    f_new = np.stack([f[p] - lam * np.diff(llf_flux_f(f[p], a[p]))
+                      for p in range(k)])
+    g_new = np.empty_like(g)
+    for p in range(k):
+        for q in range(k):
+            fw, fm = llf_flux_g(g[p, q], a[p], a[q])
+            g_new[p, q] = g[p, q] - lam * (np.diff(fw, axis=0)
+                                           + np.diff(fm, axis=1))
+    return f_new, g_new, a
+
+
+@st.composite
+def states(draw):
+    k = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(2, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = Grid(n)
+    f = rng.uniform(0.0, 1.0, (k, n))
+    g = rng.uniform(0.0, 1.0, (k, k, n, n))
+    # vacuum cells exercise the eta cutoff and the zero-speed rows
+    empty = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3]))
+    f[:, empty] = 0.0
+    g[:, :, empty, :] = 0.0
+    g[:, :, :, empty] = 0.0
+    g = g + g.transpose(1, 0, 3, 2)
+    f /= max(grid.dx * f.sum(), 1e-300)
+    g /= max(grid.dx ** 2 * g.sum(), 1e-300)
+    return grid, f, g, draw(st.sampled_from(sorted(OPERATORS)))
+
+
+@given(states())
+def test_stepper_matches_the_flux_reference(state):
+    grid, f, g, name = state
+    operator = OPERATORS[name]
+    a = velocity_labeled(g, grid, operator).values
+    amax = float(np.max(np.abs(a)))
+    # 0.9 of the realized CFL bound, or any step when nothing moves
+    dt = 0.9 * grid.dx / (2.0 * amax) if amax > 0 else 0.1
+    params = ContinuumParams(dt=dt)
+    out = step_labeled(LabeledFields(grid, f, g), operator, params)
+    f_ref, g_ref, _ = reference_step(f, g, grid, operator, dt)
+
+    scale_f = max(float(np.max(np.abs(f_ref))), 1e-300)
+    scale_g = max(float(np.max(np.abs(g_ref))), 1e-300)
+    assert np.max(np.abs(out.f - f_ref)) <= 1e-13 * scale_f
+    assert np.max(np.abs(out.g - g_ref)) <= 1e-13 * scale_g
+
+    k = f.shape[0]
+    for p in range(k):
+        for q in range(k):
+            assert np.array_equal(out.g[p, q], out.g[q, p].T)
+
+    mass_f, mass_g = grid.dx * f.sum(axis=1), grid.dx ** 2 * g.sum(axis=(2, 3))
+    assert np.all(np.abs(grid.dx * out.f.sum(axis=1) - mass_f)
+                  <= 1e-12 * max(mass_f.sum(), 1e-300))
+    assert np.all(np.abs(grid.dx ** 2 * out.g.sum(axis=(2, 3)) - mass_g)
+                  <= 1e-12 * max(mass_g.sum(), 1e-300))
+
+    assert out.f.min() >= 0.0 and out.g.min() >= 0.0
+
+    if k == 1:
+        fu, gu = step_unlabeled(ScalarField(grid, f[0]),
+                                PairField(grid, g[0, 0]), operator, params)
+        assert np.array_equal(fu.values, out.f[0])
+        assert np.array_equal(gu.values, out.g[0, 0])
