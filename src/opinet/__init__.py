@@ -9,11 +9,9 @@ from .micro import (DebateOperator, micro_rhs, euler_step, step_size_bound,
                     euler_maruyama_step, conserved_quantity, consensus_value,
                     potential_v, e_micro)
 from .empirical import (Grid, ScalarField, PairField, LabeledFields,
-                        MixtureSpec, sample_initial_opinions,
-                        cell_average_density, empirical_f, empirical_g_kde,
-                        split_by_group, bandwidth_select)
-from .continuum import (ContinuumParams, VelocityField, eta_discrete,
-                        velocity, velocity_labeled, llf_flux_f, llf_flux_g,
+                        MixtureSpec, sample_initial_opinions, empirical_f,
+                        empirical_g_kde, split_by_group, bandwidth_select)
+from .continuum import (ContinuumParams, eta_discrete, llf_flux_f, llf_flux_g,
                         cfl_max_dt, step_unlabeled, step_labeled)
 from .analysis import (RunReport, consensus_value_cont, e_cont,
                        lyapunov_tilde, connectivity_marginal,
@@ -22,6 +20,6 @@ from .config import (ExperimentConfig, MicroParams, ContinuumRunParams,
                      load_config, save_config, config_to_string,
                      config_from_string, PRESETS, preset_three_communities,
                      preset_crossing, replace_mixing)
-from .runner import run_experiment, run_mu_sweep
+from .runner import build_initial_state, run_experiment, run_mu_sweep
 
 __version__ = "0.1.0"

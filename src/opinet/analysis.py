@@ -57,8 +57,6 @@ def lyapunov_tilde(g, operator):
     vals = np.asarray(g.values if hasattr(g, "values") else g.g_total(),
                       dtype=float)
     grid = g.grid
-    if vals.ndim == 4:
-        vals = vals.sum(axis=(0, 1))
     wmat = np.asarray(operator.w(grid.mids[:, None] - grid.mids[None, :]),
                       dtype=float)
     return float(grid.dx ** 2 * np.sum(wmat * vals))

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .empirical import Grid, ScalarField, PairField, LabeledFields
+from .empirical import ScalarField, PairField, LabeledFields
 
 
 @dataclass(frozen=True)
@@ -36,17 +36,6 @@ class ContinuumParams:
         if self.birth_rate < 0 or self.death_rate < 0:
             raise ConfigError("continuum: birth/death rates must be >= 0")
         return self
-
-
-@dataclass(eq=False)
-class VelocityField:
-    """Frozen advection speeds per cell (leading axes index labels)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def max_speed(self):
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
 
 def _d_matrix(grid, operator):
@@ -75,29 +64,6 @@ def _speeds(g4, dmat, dx, cutoff):
     num = dx * np.einsum("pij,ij->pi", rows, dmat)
     keep = den >= cutoff
     return np.where(keep, num / np.where(keep, den, 1.0), 0.0), den
-
-
-def _velocity_values(g4, grid, operator, cutoff):
-    return _speeds(g4, _d_matrix(grid, operator), grid.dx, cutoff)[0]
-
-
-def velocity(g, grid, operator, cutoff=1e-10):
-    """Advection speeds induced by an unlabeled pair density (n, n)."""
-    g = np.asarray(g, dtype=float)
-    n = grid.n_cells
-    if g.shape != (n, n):
-        raise ConfigError("velocity: g must be (n_cells, n_cells)")
-    vals = _velocity_values(g[None, None], grid, operator, cutoff)[0]
-    return VelocityField(grid, vals)
-
-
-def velocity_labeled(g, grid, operator, cutoff=1e-10):
-    """Per-label advection speeds from a labeled pair density (k, k, n, n)."""
-    g = np.asarray(g, dtype=float)
-    n = grid.n_cells
-    if g.ndim != 4 or g.shape[2:] != (n, n) or g.shape[0] != g.shape[1]:
-        raise ConfigError("velocity: g must be (k, k, n_cells, n_cells)")
-    return VelocityField(grid, _velocity_values(g, grid, operator, cutoff))
 
 
 def _interface_flux(u, a):

@@ -12,7 +12,6 @@ plug-in.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
 from .errors import ConfigError, SimulationError
@@ -200,31 +199,23 @@ class MixtureSpec:
             out += w * np.diff(z) / (z[-1] - z[0])
         return ScalarField(grid, out / grid.dx)
 
+    def weighted_cell_averages(self, grid, shares):
+        """Exact cell averages per community, row c scaled by shares[c].
+
+        The (k, n_cells) rows are the labeled one-body density of a
+        population split by the shares; their sum is cell_averages.
+        """
+        shares = np.asarray(shares, dtype=float)
+        if shares.shape != (self.n_groups,):
+            raise ConfigError("mixture: one share per community")
+        return np.asarray([shares[c]
+                           * self.community_cell_averages(grid, c).values
+                           for c in range(self.n_groups)])
+
     def cell_averages(self, grid, shares):
         """Exact cell averages of the share-blended population density."""
-        shares = np.asarray(shares, dtype=float)
-        if shares.shape != (self.n_groups,):
-            raise ConfigError("mixture: one share per community")
-        out = np.zeros(grid.n_cells)
-        for c in range(self.n_groups):
-            out += shares[c] * self.community_cell_averages(grid, c).values
-        return ScalarField(grid, out)
-
-    def blended_pdf(self, shares):
-        """Population density: community pdfs weighted by the given shares."""
-        shares = np.asarray(shares, dtype=float)
-        if shares.shape != (self.n_groups,):
-            raise ConfigError("mixture: one share per community")
-        pdfs = [self.community_pdf(c) for c in range(self.n_groups)]
-
-        def pdf(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for s, p in zip(shares, pdfs):
-                out = out + s * p(x)
-            return out
-
-        return pdf
+        return ScalarField(grid,
+                           self.weighted_cell_averages(grid, shares).sum(axis=0))
 
 
 def sample_initial_opinions(graph, mixture, rng):
@@ -250,15 +241,6 @@ def sample_initial_opinions(graph, mixture, rng):
                     omega[node] = x
                     break
     return omega
-
-
-def cell_average_density(grid, pdf):
-    """Cell averages of an analytic density via 5-point Gauss-Legendre."""
-    nodes, weights = leggauss(5)
-    half = 0.5 * grid.dx
-    pts = grid.mids[:, None] + half * nodes[None, :]
-    vals = pdf(pts)
-    return ScalarField(grid, 0.5 * vals @ weights)
 
 
 def empirical_f(omega, grid):

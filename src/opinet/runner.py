@@ -13,11 +13,11 @@ import numpy as np
 
 from .errors import ConfigError, SimulationError
 from .graph import generate_community_graph, ensure_connected
-from .micro import (DebateOperator, euler_maruyama_step, consensus_value,
-                    conserved_quantity, potential_v, e_micro)
-from .empirical import (Grid, PairField, LabeledFields, empirical_f,
-                        empirical_g_kde, split_by_group, bandwidth_select,
-                        sample_initial_opinions)
+from .micro import (DebateOperator, euler_maruyama_step, conserved_quantity,
+                    potential_v, e_micro)
+from .empirical import (Grid, ScalarField, PairField, LabeledFields,
+                        empirical_f, empirical_g_kde, split_by_group,
+                        bandwidth_select, sample_initial_opinions)
 from .continuum import (ContinuumParams, cfl_max_dt, stepper_for,
                         step_unlabeled, step_labeled)
 from .analysis import RunReport, e_cont, consensus_value_cont, lyapunov_tilde, \
@@ -35,8 +35,7 @@ CFL_SAFETY = 0.9
 
 
 def _first_moment(grid, g_vals):
-    vals = g_vals.sum(axis=(0, 1)) if g_vals.ndim == 4 else g_vals
-    return float(grid.dx ** 2 * np.sum(grid.mids[:, None] * vals))
+    return float(grid.dx ** 2 * np.sum(grid.mids[:, None] * g_vals))
 
 
 def _chunked_dt(sample_interval, dt_target):
@@ -44,28 +43,101 @@ def _chunked_dt(sample_interval, dt_target):
     return sample_interval / steps, steps
 
 
+def _one_group(f, g):
+    # the unlabeled fields as labeled ones with k = 1; the [None, None] view
+    # keeps the identity that the stepper's speed memo keys on
+    return LabeledFields(f.grid, f.values[None], g.values[None, None])
+
+
+def build_initial_state(config):
+    """The initial state of a run: (graph, omega, grid, fields).
+
+    The graph and the opinions come from the config's derived seeds.
+    fields maps each requested continuum variant to its LabeledFields, the
+    unlabeled closure as one group: f from the exact cell averages of the
+    mixture at the realized community shares, g from a KDE over the edges
+    with Silverman's bandwidth.
+    """
+    seeds = config.seeds()
+    graph = ensure_connected(generate_community_graph(
+        replace(config.graph, seed=seeds["graph"])))
+    omega = sample_initial_opinions(graph, config.mixture,
+                                    np.random.default_rng(seeds["sample"]))
+    grid = Grid(config.grid_size)
+    variants = config.model_variants
+    fields = {}
+    if "cont_unlabeled" in variants or "cont_labeled" in variants:
+        shares = np.bincount(graph.community - 1,
+                             minlength=graph.n_groups) / graph.n_nodes
+        bandwidth = bandwidth_select(omega, "silverman")
+        if "cont_unlabeled" in variants:
+            fields["cont_unlabeled"] = _one_group(
+                config.mixture.cell_averages(grid, shares),
+                empirical_g_kde(graph, omega, grid, bandwidth))
+        if "cont_labeled" in variants:
+            fields["cont_labeled"] = LabeledFields(
+                grid, config.mixture.weighted_cell_averages(grid, shares),
+                split_by_group(graph, omega, grid, bandwidth).g)
+    return graph, omega, grid, fields
+
+
+class _MicroVariant:
+    """The agent-based model: a fixed Euler-Maruyama step per interval."""
+
+    def __init__(self, config, graph, omega, grid, operator):
+        self.t_end = config.micro.t_end
+        self._graph, self._omega, self._grid = graph, omega, grid
+        self._operator = operator
+        self._sigma = config.micro.noise_sigma
+        self._dt, self._steps = _chunked_dt(config.sample_interval,
+                                            config.micro.dt)
+        self._rng = np.random.default_rng(config.seeds()["noise"])
+
+    def advance(self, t_start, interval):
+        for _ in range(self._steps):
+            self._omega = euler_maruyama_step(
+                self._graph, self._omega, self._operator, self._dt,
+                self._sigma, self._rng)
+
+    def record(self, k, series):
+        graph, omega = self._graph, self._omega
+        series["e_micro"][k] = e_micro(graph, omega)
+        series["conserved_micro"][k] = conserved_quantity(graph, omega)
+        series["v_micro"][k] = potential_v(graph, omega, self._operator)
+
+    def snapshot(self, cols):
+        cols["f_micro"] = empirical_f(self._omega, self._grid).values
+
+
 class _ContinuumVariant:
     """One continuum closure on the sampling clock: state, steps and dts.
 
-    step(state, params) advances the state by params.dt and arrays(state)
-    gives its (k, n) and (k, k, n, n) arrays; stepper is the
-    ContinuumStepper of params.  With fixed = (dt, steps) each
-    sample interval takes that many steps of that dt; with fixed = None each
-    step takes CFL_SAFETY of the realized bound of the state it advances,
-    shrunk so that the interval ends exactly on the sampling clock.
+    The state is a LabeledFields, with the unlabeled closure as k = 1.
+    step(state, params) advances it by params.dt; stepper is the
+    ContinuumStepper of params.  With fixed = (dt, steps) each sample
+    interval takes that many steps of that dt; with fixed = None each step
+    takes CFL_SAFETY of the realized bound of the state it advances, shrunk
+    so that the interval ends exactly on the sampling clock.  The variant
+    with moments set also records the pair-density moments.
     """
 
-    def __init__(self, name, state, step, arrays, params, stepper, fixed):
+    def __init__(self, name, state, step, operator, params, stepper, fixed,
+                 t_end, moments):
         self.name = name
         self.state = state
+        self.t_end = t_end
         self._step = step
-        self._arrays = arrays
+        self._operator = operator
         self._params = params
         self._stepper = stepper
         self._fixed = fixed
+        self._moments = moments
         self.dts = []      # one array of step sizes per sample interval
         self._steps = 0
         self._bound = self._check(0.0)
+        # the consensus prediction is fixed by the initial data
+        self._omega_inf = consensus_value_cont(
+            PairField(state.grid, state.g_total()))
 
     def advance(self, t_start, interval):
         dts = []
@@ -92,18 +164,54 @@ class _ContinuumVariant:
 
     def _check(self, t):
         # the realized bound's reductions double as the finiteness check
-        bound, mass = self._stepper.max_dt(*self._arrays(self.state))
+        bound, mass = self._stepper.max_dt(self.state.f, self.state.g)
         if not np.isfinite(mass):
             raise SimulationError(
                 "%s: step %d returned a non-finite state at t=%.6g"
                 % (self.name, self._steps, t))
         return bound
 
+    def record(self, k, series):
+        series["e_" + self.name][k] = e_cont(self.state, self._omega_inf)
+        if self._moments:
+            g = PairField(self.state.grid, self.state.g_total())
+            series["g_first_moment"][k] = _first_moment(g.grid, g.values)
+            series["lyapunov_tilde"][k] = lyapunov_tilde(g, self._operator)
 
-def _labeled_initial_f(grid, mixture, shares):
-    rows = [shares[c] * mixture.community_cell_averages(grid, c).values
-            for c in range(mixture.n_groups)]
-    return np.asarray(rows)
+    def snapshot(self, cols):
+        cols["f_" + self.name] = self.state.f_total()
+        if self.name == "cont_labeled":
+            for p in range(self.state.n_groups):
+                cols["f_cont_labeled_%d" % (p + 1)] = self.state.f[p].copy()
+
+
+def _continuum_variants(config, grid, operator, fields):
+    if not fields:
+        return []
+    cp = config.continuum
+    params = ContinuumParams(dt=cp.dt, eta_cutoff=cp.eta_cutoff,
+                             diffusion_sigma=cp.diffusion_sigma,
+                             birth_rate=cp.birth_rate,
+                             death_rate=cp.death_rate)
+    stepper = stepper_for(grid, operator, params)
+    fixed = None
+    if cp.dt is not None:
+        # a fixed step must be stable for every state, not only the first
+        fixed = _chunked_dt(config.sample_interval, cp.dt)
+        bound = cfl_max_dt(grid, operator, params)
+        if not fixed[0] < bound:
+            raise ConfigError("continuum: dt=%g violates 0 < dt < %g"
+                              % (fixed[0], bound))
+    steps = {
+        "cont_unlabeled": lambda s, p: _one_group(*step_unlabeled(
+            ScalarField(grid, s.f[0]), PairField(grid, s.g[0, 0]),
+            operator, p)),
+        "cont_labeled": lambda s, p: step_labeled(s, operator, p),
+    }
+    # the unlabeled closure, when it runs, gives the pair-density moments
+    return [_ContinuumVariant(name, state, steps[name], operator, params,
+                              stepper, fixed, cp.t_end, i == 0)
+            for i, (name, state) in enumerate(fields.items())]
 
 
 def run_experiment(config, operator=None, write_outputs=True):
@@ -115,155 +223,48 @@ def run_experiment(config, operator=None, write_outputs=True):
     config.validate()
     if operator is None:
         operator = DebateOperator.linear()
-    seeds = config.seeds()
-    graph = ensure_connected(generate_community_graph(
-        replace(config.graph, seed=seeds["graph"])))
-    omega = sample_initial_opinions(graph, config.mixture,
-                                    np.random.default_rng(seeds["sample"]))
-    grid = Grid(config.grid_size)
-    variants = config.model_variants
+    graph, omega, grid, fields = build_initial_state(config)
+    micro = ([_MicroVariant(config, graph, omega, grid, operator)]
+             if "micro" in config.model_variants else [])
+    cont = _continuum_variants(config, grid, operator, fields)
+    variants = micro + cont
 
-    do_micro = "micro" in variants
-    do_unl = "cont_unlabeled" in variants
-    do_lab = "cont_labeled" in variants
-
-    t_ends = []
-    if do_micro:
-        t_ends.append(config.micro.t_end)
-    if do_unl or do_lab:
-        t_ends.append(config.continuum.t_end)
     si = config.sample_interval
-    n_chunks = max(1, int(round(max(t_ends) / si)))
+    n_chunks = max(1, int(round(max(v.t_end for v in variants) / si)))
     times = np.arange(n_chunks + 1) * si
-
-    chunks_micro = min(n_chunks, int(round(config.micro.t_end / si)))
-    chunks_cont = min(n_chunks, int(round(config.continuum.t_end / si)))
-
-    nan = np.full(n_chunks + 1, np.nan)
-    series = {name: nan.copy() for name in
+    ends = [min(n_chunks, int(round(v.t_end / si))) for v in variants]
+    series = {name: np.full(n_chunks + 1, np.nan) for name in
               ("e_micro", "e_cont_labeled", "e_cont_unlabeled",
                "conserved_micro", "g_first_moment", "v_micro",
                "lyapunov_tilde")}
-
-    snap_idx = sorted({min(n_chunks, max(0, int(round(t / si))))
-                       for t in config.snapshot_times})
+    snap_idx = {min(n_chunks, max(0, int(round(t / si))))
+                for t in config.snapshot_times}
     snapshots = {}
 
-    # continuum initial data shared by both closures
-    f_unl = g_unl = labeled = None
-    cont = {}
-    if do_unl or do_lab:
-        shares = np.bincount(graph.community - 1,
-                             minlength=graph.n_groups) / graph.n_nodes
-        bandwidth = bandwidth_select(omega, "silverman")
-        cp = config.continuum
-        cont_params = ContinuumParams(dt=cp.dt, eta_cutoff=cp.eta_cutoff,
-                                      diffusion_sigma=cp.diffusion_sigma,
-                                      birth_rate=cp.birth_rate,
-                                      death_rate=cp.death_rate)
-        stepper = stepper_for(grid, operator, cont_params)
-        fixed = None
-        if cp.dt is not None:
-            # a fixed step must be stable for every state, not only the first
-            fixed = _chunked_dt(si, cp.dt)
-            bound = cfl_max_dt(grid, operator, cont_params)
-            if not fixed[0] < bound:
-                raise ConfigError("continuum: dt=%g violates 0 < dt < %g"
-                                  % (fixed[0], bound))
-        if do_unl:
-            f_unl = config.mixture.cell_averages(grid, shares)
-            g_unl = empirical_g_kde(graph, omega, grid, bandwidth)
-            cont["cont_unlabeled"] = _ContinuumVariant(
-                "cont_unlabeled", (f_unl, g_unl),
-                lambda s, p: step_unlabeled(*s, operator, p),
-                lambda s: (s[0].values[None], s[1].values[None, None]),
-                cont_params, stepper, fixed)
-        if do_lab:
-            lab0 = split_by_group(graph, omega, grid, bandwidth)
-            labeled = LabeledFields(
-                grid, _labeled_initial_f(grid, config.mixture, shares), lab0.g)
-            cont["cont_labeled"] = _ContinuumVariant(
-                "cont_labeled", labeled,
-                lambda s, p: step_labeled(s, operator, p),
-                lambda s: (s.f, s.g), cont_params, stepper, fixed)
-
-    # consensus predictions are fixed by the initial data
-    omega_inf_micro = consensus_value(graph, omega) if do_micro else np.nan
-    omega_inf_unl = consensus_value_cont(g_unl) if do_unl else np.nan
-    if do_lab:
-        g_tot = PairField(grid, labeled.g.sum(axis=(0, 1)))
-        omega_inf_lab = consensus_value_cont(g_tot)
-    else:
-        omega_inf_lab = np.nan
-
-    dt_micro, steps_micro = _chunked_dt(si, config.micro.dt)
-    rng_noise = np.random.default_rng(seeds["noise"])
-
-    def record(k):
-        if do_micro and k <= chunks_micro:
-            series["e_micro"][k] = e_micro(graph, omega)
-            series["conserved_micro"][k] = conserved_quantity(graph, omega)
-            series["v_micro"][k] = potential_v(graph, omega, operator)
-        if do_unl and k <= chunks_cont:
-            series["e_cont_unlabeled"][k] = e_cont(f_unl, omega_inf_unl)
-        if do_lab and k <= chunks_cont:
-            series["e_cont_labeled"][k] = e_cont(labeled, omega_inf_lab)
-        if k <= chunks_cont and (do_unl or do_lab):
-            g_vals = g_unl.values if do_unl else labeled.g
-            series["g_first_moment"][k] = _first_moment(grid, g_vals)
-            holder = g_unl if do_unl else labeled
-            series["lyapunov_tilde"][k] = lyapunov_tilde(holder, operator)
-        if k in snap_idx:
-            snapshots[k] = _snapshot_row(graph, omega, grid, f_unl, labeled,
-                                         do_micro, do_unl, do_lab)
-
-    record(0)
-    for k in range(1, n_chunks + 1):
-        if do_micro and k <= chunks_micro:
-            for _ in range(steps_micro):
-                omega = euler_maruyama_step(graph, omega, operator, dt_micro,
-                                            config.micro.noise_sigma, rng_noise)
-        if k <= chunks_cont:
-            for variant in cont.values():
+    for k in range(n_chunks + 1):
+        for variant, end in zip(variants, ends):
+            if 0 < k <= end:
                 variant.advance(times[k - 1], si)
-            if do_unl:
-                f_unl, g_unl = cont["cont_unlabeled"].state
-            if do_lab:
-                labeled = cont["cont_labeled"].state
-        record(k)
+        for variant, end in zip(variants, ends):
+            if k <= end:
+                variant.record(k, series)
+        if k in snap_idx:
+            snapshots[k] = {"mid": grid.mids.copy()}
+            for variant in variants:
+                variant.snapshot(snapshots[k])
 
-    report = RunReport(
-        t=times, e_micro=series["e_micro"],
-        e_cont_labeled=series["e_cont_labeled"],
-        e_cont_unlabeled=series["e_cont_unlabeled"],
-        conserved_micro=series["conserved_micro"],
-        g_first_moment=series["g_first_moment"],
-        v_micro=series["v_micro"],
-        lyapunov_tilde=series["lyapunov_tilde"],
-        continuum_dts={name: v.dts for name, v in cont.items()})
+    report = RunReport(t=times, **series,
+                       continuum_dts={v.name: v.dts for v in cont})
 
     if write_outputs:
         os.makedirs(config.output_dir, exist_ok=True)
         report.write_tsv(os.path.join(config.output_dir, "report.tsv"))
         save_config(config, os.path.join(config.output_dir, "config.ini"))
-        for k, rows in snapshots.items():
+        for k, cols in snapshots.items():
             path = os.path.join(config.output_dir,
                                 "snapshot_t%g.tsv" % times[k])
-            _write_snapshot(path, rows)
+            _write_snapshot(path, cols)
     return report
-
-
-def _snapshot_row(graph, omega, grid, f_unl, labeled, do_micro, do_unl, do_lab):
-    cols = {"mid": grid.mids.copy()}
-    if do_micro:
-        cols["f_micro"] = empirical_f(omega, grid).values
-    if do_unl:
-        cols["f_cont_unlabeled"] = f_unl.values.copy()
-    if do_lab:
-        cols["f_cont_labeled"] = labeled.f_total()
-        for p in range(labeled.n_groups):
-            cols["f_cont_labeled_%d" % (p + 1)] = labeled.f[p].copy()
-    return cols
 
 
 def _write_snapshot(path, cols):

@@ -10,15 +10,17 @@ import pytest
 from dataclasses import replace
 
 from opinet import (ContinuumParams, DebateOperator, GraphConfig, Grid,
-                    LabeledFields, MixtureSpec, PairField, bandwidth_select,
-                    cfl_max_dt, consensus_value, consensus_value_cont,
-                    conserved_quantity, e_micro, empirical_f, empirical_g_kde,
-                    ensure_connected, eta_discrete, euler_maruyama_step,
-                    euler_step, fit_exponential_rate, generate_community_graph,
+                    LabeledFields, MixtureSpec, PairField, ScalarField,
+                    bandwidth_select, build_initial_state, cfl_max_dt,
+                    consensus_value, consensus_value_cont, conserved_quantity,
+                    e_micro, empirical_f, empirical_g_kde, ensure_connected,
+                    eta_discrete, euler_maruyama_step, euler_step,
+                    fit_exponential_rate, generate_community_graph,
                     graph_from_pairs, lyapunov_tilde, micro_rhs,
                     preset_crossing, preset_three_communities, run_experiment,
                     sample_initial_opinions, spectral_gap, split_by_group,
-                    step_labeled, step_unlabeled, velocity)
+                    step_labeled, step_unlabeled)
+from opinet.continuum import stepper_for
 
 LIN = DebateOperator.linear()
 
@@ -47,24 +49,17 @@ def first_moment(grid, g_vals):
     return float(grid.dx ** 2 * np.sum(grid.mids[:, None] * g_vals))
 
 
-def preset_state(config):
-    """Graph, opinions, and continuum initial data the way a run builds them."""
-    seeds = config.seeds()
-    graph = ensure_connected(generate_community_graph(
-        replace(config.graph, seed=seeds["graph"])))
-    omega = sample_initial_opinions(graph, config.mixture,
-                                    np.random.default_rng(seeds["sample"]))
-    grid = Grid(config.grid_size)
-    shares = np.bincount(graph.community - 1,
-                         minlength=graph.n_groups) / graph.n_nodes
-    h = bandwidth_select(omega)
-    return graph, omega, grid, shares, h
+def unlabeled_state(config):
+    """A run's grid and its unlabeled initial (f, g)."""
+    _, _, grid, fields = build_initial_state(config)
+    lab = fields["cont_unlabeled"]
+    return grid, ScalarField(grid, lab.f[0]), PairField(grid, lab.g[0, 0])
 
 
 def test_a01_micro_conservation():
     # degree-weighted opinion sum drifts below 1e-9 relative over T=30
     config = preset_three_communities()
-    graph, omega, _, _, _ = preset_state(config)
+    graph, omega, _, _ = build_initial_state(config)
     c0 = conserved_quantity(graph, omega)
     for _ in range(3000):
         omega = euler_step(graph, omega, LIN, 0.01)
@@ -78,7 +73,7 @@ def test_a02_micro_consensus_all_mu():
     misses = []
     for mu in (1e-3, 1e-2, 1e-1, 0.5):
         cfg = replace(config, graph=replace(config.graph, mixing_mu=mu))
-        graph, omega, _, _, _ = preset_state(cfg)
+        graph, omega, _, _ = build_initial_state(cfg)
         target = consensus_value(graph, omega)
         for _ in range(3000):
             omega = euler_step(graph, omega, LIN, 0.01)
@@ -144,10 +139,7 @@ def test_a04_hull_property_and_power():
 @pytest.fixture(scope="module")
 def scheme_trajectory():
     """10^4 unlabeled steps at dt = 0.9 dx / (2 ||D||) shared by a05-a07."""
-    config = preset_three_communities()
-    graph, omega, grid, shares, h = preset_state(config)
-    f = config.mixture.cell_averages(grid, shares)
-    g = empirical_g_kde(graph, omega, grid, h)
+    grid, f, g = unlabeled_state(preset_three_communities())
     params = ContinuumParams(dt=0.9 * cfl_max_dt(grid, LIN))
     mf0, mg0 = f.mass(), g.mass()
     min_f = min_g = np.inf
@@ -184,10 +176,7 @@ def test_a07_scheme_positivity(scheme_trajectory):
 
 def test_a08_scaling_invariance():
     # doubling g leaves the f-trajectory unchanged to 1e-13 per step
-    config = preset_crossing()
-    graph, omega, grid, shares, h = preset_state(config)
-    f = config.mixture.cell_averages(grid, shares)
-    g = empirical_g_kde(graph, omega, grid, h)
+    grid, f, g = unlabeled_state(preset_crossing())
     params = ContinuumParams(dt=0.9 * cfl_max_dt(grid, LIN))
     fa, ga = f, g
     fb, gb = f, PairField(grid, 2.0 * g.values)
@@ -233,12 +222,8 @@ def test_a09_moment_defect_halving():
 def test_a10_lyapunov_slack():
     # labeled three-community run: V never rises by more than 10 dx dt
     config = preset_three_communities()
-    graph, omega, grid, shares, h = preset_state(config)
-    lab0 = split_by_group(graph, omega, grid, h)
-    fvals = np.stack([shares[c]
-                      * config.mixture.community_cell_averages(grid, c).values
-                      for c in range(3)])
-    lab = LabeledFields(grid, fvals, lab0.g)
+    _, _, grid, fields = build_initial_state(config)
+    lab = fields["cont_labeled"]
     dt = 0.9 * cfl_max_dt(grid, LIN)
     params = ContinuumParams(dt=dt)
     slack = 10.0 * grid.dx * dt
@@ -310,11 +295,9 @@ def test_a12_labeling_matters():
         h = bandwidth_select(omega)
         f_unl = base.mixture.cell_averages(grid, shares)
         g_unl = empirical_g_kde(graph, omega, grid, h)
-        lab0 = split_by_group(graph, omega, grid, h)
-        fvals = np.stack([shares[c]
-                          * base.mixture.community_cell_averages(grid, c).values
-                          for c in range(2)])
-        lab = LabeledFields(grid, fvals, lab0.g)
+        lab = LabeledFields(
+            grid, base.mixture.weighted_cell_averages(grid, shares),
+            split_by_group(graph, omega, grid, h).g)
         dt_bound = 0.9 * cfl_max_dt(grid, LIN)
         steps = int(np.ceil(2.5 / dt_bound))
         params = ContinuumParams(dt=2.5 / steps)
@@ -401,10 +384,11 @@ def test_a15_three_node_oracle():
         vals[i, j] = 0.25 / grid.dx ** 2
     eta = eta_discrete(vals, grid.dx, 1e-10)
     assert abs(eta[3, 1] - 2.0) < tol and abs(eta[3, 6] - 2.0) < tol
-    a = velocity(vals, grid, LIN)
+    a, _ = stepper_for(grid, LIN, ContinuumParams(dt=1.0)).speeds(
+        vals[None, None])
     expect_a = np.zeros(8)
     expect_a[1], expect_a[3], expect_a[6] = 0.5, 0.125, -0.75
-    assert np.max(np.abs(a.values - expect_a)) < tol
+    assert np.max(np.abs(a[0] - expect_a)) < tol
 
     # consensus values: micro and continuum predictions coincide
     assert abs(consensus_value(graph, np.array([-0.5, 0.0, 0.5]))) < tol

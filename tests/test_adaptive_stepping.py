@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from opinet import (ConfigError, ContinuumRunParams, DebateOperator, Grid,
-                    SimulationError, preset_three_communities, run_experiment,
-                    velocity_labeled)
+                    SimulationError, preset_three_communities, run_experiment)
 from opinet import runner
+from opinet.continuum import stepper_for
 from opinet.runner import CFL_SAFETY, _chunked_dt
 
 
@@ -26,8 +26,8 @@ def record_steps(monkeypatch):
     step_unlabeled, step_labeled = runner.step_unlabeled, runner.step_labeled
 
     def speed(g4, grid, operator, params):
-        return velocity_labeled(g4, grid, operator,
-                                params.eta_cutoff).max_speed()
+        a, _ = stepper_for(grid, operator, params).speeds(g4)
+        return float(np.max(np.abs(a)))
 
     def unlabeled(f, g, operator, params):
         seen.append(("cont_unlabeled", params.dt,

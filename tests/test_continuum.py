@@ -7,9 +7,16 @@ from opinet import (ConfigError, ContinuumParams, DebateOperator, GraphConfig,
                     ensure_connected, eta_discrete, generate_community_graph,
                     graph_from_pairs, llf_flux_f, llf_flux_g,
                     sample_initial_opinions, split_by_group, step_labeled,
-                    step_unlabeled, velocity, velocity_labeled)
+                    step_unlabeled)
+from opinet.continuum import stepper_for
 
 LIN = DebateOperator.linear()
+
+
+def speeds(g, grid):
+    """Advection speeds of an unlabeled pair density (n, n)."""
+    stepper = stepper_for(grid, LIN, ContinuumParams(dt=1.0))
+    return stepper.speeds(np.asarray(g)[None, None])[0][0]
 
 
 def kde_state(n_cells=48, seed=3):
@@ -44,40 +51,29 @@ def test_velocity_hand_value():
     vals = np.zeros((8, 8))
     for i, j in ((1, 3), (3, 1), (3, 6), (6, 3)):
         vals[i, j] = 0.25 / grid.dx ** 2
-    a = velocity(vals, grid, LIN)
+    a = speeds(vals, grid)
     expect = np.zeros(8)
     expect[1], expect[3], expect[6] = 0.5, 0.125, -0.75
-    np.testing.assert_allclose(a.values, expect, atol=1e-12)
-    assert a.max_speed() == pytest.approx(0.75)
+    np.testing.assert_allclose(a, expect, atol=1e-12)
 
 
 def test_velocity_vanishes_on_diagonal_mass():
     # opinions only meet equal opinions, so nothing moves
     grid = Grid(16)
     vals = np.diag(np.linspace(0.5, 1.5, 16))
-    a = velocity(vals, grid, LIN)
-    np.testing.assert_allclose(a.values, 0.0, atol=1e-14)
+    np.testing.assert_allclose(speeds(vals, grid), 0.0, atol=1e-14)
 
 
 def test_velocity_scaling_invariance_is_exact():
     _, _, grid, _, _, gk = kde_state()
-    a1 = velocity(gk.values, grid, LIN)
-    a2 = velocity(2.0 * gk.values, grid, LIN)
-    np.testing.assert_array_equal(a1.values, a2.values)
+    np.testing.assert_array_equal(speeds(gk.values, grid),
+                                  speeds(2.0 * gk.values, grid))
 
 
 def test_velocity_is_bounded_by_operator_range():
     _, _, grid, _, _, gk = kde_state(seed=5)
-    a = velocity(gk.values, grid, LIN)
-    assert a.max_speed() <= np.max(np.abs(LIN.d(np.array([-2.0, 2.0]))))
-
-
-def test_velocity_shape_checks():
-    grid = Grid(8)
-    with pytest.raises(ConfigError):
-        velocity(np.zeros((8, 7)), grid, LIN)
-    with pytest.raises(ConfigError):
-        velocity_labeled(np.zeros((2, 3, 8, 8)), grid, LIN)
+    assert np.max(np.abs(speeds(gk.values, grid))) <= np.max(
+        np.abs(LIN.d(np.array([-2.0, 2.0]))))
 
 
 def test_llf_flux_hand_value():
@@ -126,7 +122,7 @@ def test_step_rejects_dt_at_or_above_bound():
     # the step enforces the realized bound dx / (2 max|a|) of its own state,
     # which lies above the worst-case bound cfl_max_dt
     _, _, grid, _, f, gk = kde_state()
-    bound = grid.dx / (2.0 * velocity(gk.values, grid, LIN).max_speed())
+    bound = grid.dx / (2.0 * np.max(np.abs(speeds(gk.values, grid))))
     assert bound > cfl_max_dt(grid, LIN)
     for dt in (bound, 1.5 * bound, 0.0, -0.1):
         with pytest.raises(ConfigError):

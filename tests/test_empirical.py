@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from opinet import (ConfigError, GraphConfig, Grid, MixtureSpec,
-                    bandwidth_select, cell_average_density, empirical_f,
-                    empirical_g_kde, ensure_connected, generate_community_graph,
+from opinet import (ConfigError, GraphConfig, Grid, LabeledFields, MixtureSpec,
+                    PairField, bandwidth_select, empirical_f, empirical_g_kde,
+                    ensure_connected, generate_community_graph,
                     graph_from_pairs, sample_initial_opinions, split_by_group)
 
 
@@ -65,22 +65,28 @@ def test_cell_averages_exact_mass():
         assert f.values.min() >= 0.0
     blend = mix.cell_averages(grid, [0.2, 0.5, 0.3])
     assert blend.mass() == pytest.approx(1.0, abs=1e-13)
+    rows = mix.weighted_cell_averages(grid, [0.2, 0.5, 0.3])
+    np.testing.assert_allclose(grid.dx * rows.sum(axis=1), [0.2, 0.5, 0.3])
+    np.testing.assert_array_equal(rows.sum(axis=0), blend.values)
 
 
-def test_cell_average_density_constant():
+def test_cell_averages_match_quadrature():
+    # per-cell quadrature of the truncated pdf, leaking past both ends
+    grid = Grid(40)
+    mix = MixtureSpec((((0.7, -0.9, 0.3), (0.2, 0.5, 0.05)),))
+    pdf = mix.community_pdf(0)
+    quadrature = [quad(pdf, lo, hi)[0] / grid.dx
+                  for lo, hi in zip(grid.edges[:-1], grid.edges[1:])]
+    np.testing.assert_allclose(mix.community_cell_averages(grid, 0).values,
+                               quadrature, rtol=1e-9, atol=1e-12)
+
+
+def test_fields_reject_bad_shapes():
     grid = Grid(8)
-    f = cell_average_density(grid, lambda x: np.full_like(x, 0.5))
-    np.testing.assert_allclose(f.values, 0.5)
-
-
-def test_cell_average_density_matches_smooth_pdf():
-    # quadrature cell averages agree with the exact ones on resolved pdfs
-    grid = Grid(200)
-    mix = MixtureSpec((((1.0, 0.1, 0.3),),))
-    f = cell_average_density(grid, mix.community_pdf(0))
-    exact = mix.community_cell_averages(grid, 0)
-    assert f.mass() == pytest.approx(1.0, abs=1e-10)
-    np.testing.assert_allclose(f.values, exact.values, rtol=1e-9)
+    with pytest.raises(ConfigError):
+        PairField(grid, np.zeros((8, 7)))
+    with pytest.raises(ConfigError):
+        LabeledFields(grid, np.zeros((2, 8)), np.zeros((2, 3, 8, 8)))
 
 
 def test_sampling_respects_communities():

@@ -1,0 +1,83 @@
+"""run_experiment over every subset of model variants: which report columns
+each variant fills, and the snapshot files and columns it writes."""
+
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from opinet import (ContinuumRunParams, Grid, MicroParams,
+                    preset_three_communities, run_experiment)
+
+MICRO_T_END, CONT_T_END = 3.0, 4.0
+SNAPSHOT_TIMES = (0.0, 2.5, 10.0, 99.0)
+# report column -> (variants that fill it, t_end of its clock)
+OWNERS = {
+    "e_micro": (("micro",), MICRO_T_END),
+    "conserved_micro": (("micro",), MICRO_T_END),
+    "v_micro": (("micro",), MICRO_T_END),
+    "e_cont_unlabeled": (("cont_unlabeled",), CONT_T_END),
+    "e_cont_labeled": (("cont_labeled",), CONT_T_END),
+    "g_first_moment": (("cont_unlabeled", "cont_labeled"), CONT_T_END),
+    "lyapunov_tilde": (("cont_unlabeled", "cont_labeled"), CONT_T_END),
+}
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    runs = {}
+
+    def run(variants):
+        if variants not in runs:
+            out = str(tmp_path_factory.mktemp("_".join(variants)))
+            config = replace(
+                preset_three_communities(), model_variants=variants,
+                micro=MicroParams(dt=0.01, t_end=MICRO_T_END),
+                continuum=ContinuumRunParams(t_end=CONT_T_END),
+                snapshot_times=SNAPSHOT_TIMES, sample_interval=0.5,
+                output_dir=out)
+            runs[variants] = out, run_experiment(config)
+        return runs[variants]
+    return run
+
+
+@pytest.mark.parametrize("variants", [
+    ("micro",), ("cont_unlabeled",), ("cont_labeled",),
+    ("cont_unlabeled", "cont_labeled"),
+    ("micro", "cont_unlabeled", "cont_labeled"),
+], ids="+".join)
+def test_each_variant_fills_its_own_columns_and_snapshots(run, variants):
+    out, report = run(variants)
+    for column, (owners, t_end) in OWNERS.items():
+        series = getattr(report, column)
+        filled = report.t <= t_end + 1e-9 if set(owners) & set(variants) \
+            else np.zeros(report.t.size, dtype=bool)
+        assert np.all(np.isfinite(series[filled])), column
+        assert np.all(np.isnan(series[~filled])), column
+    if set(OWNERS["g_first_moment"][0]) <= set(variants):
+        _, unlabeled = run(("cont_unlabeled",))
+        for column in ("g_first_moment", "lyapunov_tilde"):
+            np.testing.assert_array_equal(getattr(report, column),
+                                          getattr(unlabeled, column))
+
+    t_last = report.t[-1]
+    names = {"snapshot_t%g.tsv" % min(t, t_last) for t in SNAPSHOT_TIMES}
+    assert {n for n in os.listdir(out) if n.startswith("snapshot")} == names
+    expect = ["mid"] + ["f_" + v for v in
+                        ("micro", "cont_unlabeled", "cont_labeled")
+                        if v in variants]
+    if "cont_labeled" in variants:
+        expect += ["f_cont_labeled_%d" % p for p in (1, 2, 3)]
+    dx = Grid(101).dx
+    for name in names:
+        path = os.path.join(out, name)
+        with open(path) as fh:
+            assert fh.readline().rstrip("\n").split("\t") == expect
+        data = np.loadtxt(path, skiprows=1, ndmin=2)
+        masses = dict(zip(expect[1:], dx * data[:, 1:].sum(axis=0)))
+        if "cont_labeled" in variants:
+            # the per-group columns carry the group shares, which sum to 1
+            masses["groups"] = sum(masses.pop(c) for c in expect[-3:])
+        for column, mass in masses.items():
+            assert abs(mass - 1.0) <= 1e-12, (name, column, mass)

@@ -1,7 +1,7 @@
 """Property tests of the continuum step on random symmetric states.
 
 The reference is the k^2 block update assembled from the public flux
-functions llf_flux_f / llf_flux_g and the velocity_labeled speeds.
+functions llf_flux_f / llf_flux_g and the stepper's speeds.
 """
 
 import numpy as np
@@ -12,14 +12,19 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from opinet import (ContinuumParams, DebateOperator, Grid,  # noqa: E402
                     LabeledFields, PairField, ScalarField, llf_flux_f,
-                    llf_flux_g, step_labeled, step_unlabeled, velocity_labeled)
+                    llf_flux_g, step_labeled, step_unlabeled)
+from opinet.continuum import stepper_for  # noqa: E402
 
 OPERATORS = {"linear": DebateOperator.linear(),
              "quartic": DebateOperator.quartic()}
 
 
+def speeds(g, grid, operator):
+    return stepper_for(grid, operator, ContinuumParams(dt=1.0)).speeds(g)[0]
+
+
 def reference_step(f, g, grid, operator, dt):
-    a = velocity_labeled(g, grid, operator).values
+    a = speeds(g, grid, operator)
     lam = dt / grid.dx
     k = f.shape[0]
     f_new = np.stack([f[p] - lam * np.diff(llf_flux_f(f[p], a[p]))
@@ -56,8 +61,7 @@ def states(draw):
 def test_stepper_matches_the_flux_reference(state):
     grid, f, g, name = state
     operator = OPERATORS[name]
-    a = velocity_labeled(g, grid, operator).values
-    amax = float(np.max(np.abs(a)))
+    amax = float(np.max(np.abs(speeds(g, grid, operator))))
     # 0.9 of the realized CFL bound, or any step when nothing moves
     dt = 0.9 * grid.dx / (2.0 * amax) if amax > 0 else 0.1
     params = ContinuumParams(dt=dt)
