@@ -3,8 +3,7 @@
 from .errors import ConfigError, SimulationError
 from .graph import (GraphConfig, CommunityGraph, generate_community_graph,
                     graph_from_pairs, ensure_connected, is_connected,
-                    measured_mixing, laplacian, spectral_gap, save_graph,
-                    load_graph)
+                    measured_mixing, laplacian, spectral_gap)
 from .micro import (DebateOperator, micro_rhs, euler_step, step_size_bound,
                     euler_maruyama_step, conserved_quantity, consensus_value,
                     potential_v, e_micro)
@@ -14,12 +13,11 @@ from .empirical import (Grid, ScalarField, PairField, LabeledFields,
 from .continuum import (ContinuumParams, eta_discrete, llf_flux_f, llf_flux_g,
                         cfl_max_dt, step_unlabeled, step_labeled)
 from .analysis import (RunReport, consensus_value_cont, e_cont,
-                       lyapunov_tilde, connectivity_marginal,
-                       fit_exponential_rate)
+                       lyapunov_tilde, fit_exponential_rate)
 from .config import (ExperimentConfig, MicroParams, ContinuumRunParams,
-                     load_config, save_config, config_to_string,
-                     config_from_string, PRESETS, preset_three_communities,
-                     preset_crossing, replace_mixing)
+                     load_config, save_config, PRESETS,
+                     preset_three_communities, preset_crossing,
+                     replace_mixing)
 from .runner import build_initial_state, run_experiment, run_mu_sweep
 
 __version__ = "0.1.0"

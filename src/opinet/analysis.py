@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SimulationError
-from .empirical import ScalarField
 
 REPORT_COLUMNS = ("t", "E_micro", "E_cont_labeled", "E_cont_unlabeled",
                   "conserved_micro", "g_first_moment", "V_micro",
@@ -60,16 +59,6 @@ def lyapunov_tilde(g, operator):
     wmat = np.asarray(operator.w(grid.mids[:, None] - grid.mids[None, :]),
                       dtype=float)
     return float(grid.dx ** 2 * np.sum(wmat * vals))
-
-
-def connectivity_marginal(g):
-    """Connectivity-weighted opinion marginal: dx sum_j g_ij per cell.
-
-    This is the m-integral of the pair density; it matches the one-body
-    density only when connectivity is uncorrelated with opinion.
-    """
-    vals = np.asarray(g.values, dtype=float)
-    return ScalarField(g.grid, g.grid.dx * vals.sum(axis=1))
 
 
 def fit_exponential_rate(times, values, t_lo=None, t_hi=None, floor_factor=3.0):
@@ -142,14 +131,3 @@ class RunReport:
             fh.write("\t".join(REPORT_COLUMNS) + "\n")
             for row in zip(*cols):
                 fh.write("\t".join("%.17g" % x for x in row) + "\n")
-
-    @classmethod
-    def read_tsv(cls, path):
-        with open(path) as fh:
-            header = fh.readline().strip().split("\t")
-            if tuple(header) != REPORT_COLUMNS:
-                raise ConfigError("report: unexpected TSV header %r" % (header,))
-            rows = [[float(x) for x in line.split("\t")]
-                    for line in fh if line.strip()]
-        data = np.asarray(rows, dtype=float).reshape(-1, len(REPORT_COLUMNS))
-        return cls(*[data[:, i] for i in range(len(REPORT_COLUMNS))])

@@ -6,8 +6,7 @@ ignored; a config file that parses is a config file that runs.
 """
 
 import configparser
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .graph import GraphConfig
@@ -107,15 +106,59 @@ class ExperimentConfig:
                 "noise": noise}
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _floats(text):
+    return tuple(float(s) for s in text.split(",") if s.strip())
 
 
-def _float_list(text):
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    return tuple(float(s) for s in items)
+def _names(text):
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# (parser, writer) per key type; floats are written with repr so a
+# save/load cycle reproduces them exactly
+_INT = (int, str)
+_FLOAT = (float, lambda v: repr(float(v)))
+_TEXT = (str, str)
+_FLOATS = (_floats, lambda v: ", ".join(repr(float(x)) for x in v))
+_NAMES = (_names, ", ".join)
+
+# One ordered table per section, key -> (parser, writer).  Each key names
+# an attribute of the section's dataclass; save_config writes the keys in
+# this order and leaves out those whose value is None or ().  [mixture]
+# holds community_1..community_k instead.
+_KEYS = {
+    "graph": {"n_nodes": _INT, "n_groups": _INT, "mean_degree": _FLOAT,
+              "mixing_mu": _FLOAT, "proportions": _FLOATS},
+    "micro": {"dt": _FLOAT, "t_end": _FLOAT, "noise_sigma": _FLOAT,
+              "seed": _INT},
+    "continuum": {"t_end": _FLOAT, "eta_cutoff": _FLOAT,
+                  "diffusion_sigma": _FLOAT, "birth_rate": _FLOAT,
+                  "death_rate": _FLOAT, "dt": _FLOAT},
+    "run": {"grid_size": _INT, "model_variants": _NAMES,
+            "sample_interval": _FLOAT, "output_dir": _TEXT, "seed": _INT,
+            "mu_sweep": _FLOATS, "snapshot_times": _FLOATS},
+}
+
+
+def _encode(name, obj):
+    out = {}
+    for key, (_, write) in _KEYS[name].items():
+        value = getattr(obj, key)
+        if value is None or isinstance(value, tuple) and not value:
+            continue
+        out[key] = write(value)
+    return out
+
+
+def _decode(parser, name, cls, **given):
+    section = parser[name] if name in parser else {}
+    values = {key: parse(section[key])
+              for key, (parse, _) in _KEYS[name].items() if key in section}
+    for f in fields(cls):
+        if (f.name not in values and f.name not in given
+                and f.default is MISSING and f.default_factory is MISSING):
+            raise ConfigError("config: missing key %s.%s" % (name, f.name))
+    return cls(**values, **given)
 
 
 def _encode_mixture(mixture):
@@ -135,56 +178,36 @@ def _decode_component(text):
     return tuple(float(p) for p in parts)
 
 
-def save_config(config, path_or_file):
+def _decode_mixture(section):
+    communities = []
+    for c in range(len(section)):
+        key = "community_%d" % (c + 1)
+        if key not in section:
+            raise ConfigError("mixture: communities must be numbered 1..k")
+        communities.append(tuple(_decode_component(part.strip())
+                                 for part in section[key].split(",")
+                                 if part.strip()))
+    return MixtureSpec(tuple(communities))
+
+
+def _parser():
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    g = config.graph
-    parser["graph"] = {"n_nodes": str(g.n_nodes), "n_groups": str(g.n_groups),
-                       "mean_degree": _fmt(g.mean_degree),
-                       "mixing_mu": _fmt(g.mixing_mu)}
-    if g.proportions:
-        parser["graph"]["proportions"] = ", ".join(
-            repr(float(p)) for p in g.proportions)
+    return parser
+
+
+def save_config(config, path_or_file):
+    parser = _parser()
+    parser["graph"] = _encode("graph", config.graph)
     parser["mixture"] = _encode_mixture(config.mixture)
-    m = config.micro
-    parser["micro"] = {"dt": _fmt(m.dt), "t_end": _fmt(m.t_end),
-                       "noise_sigma": _fmt(m.noise_sigma)}
-    if m.seed is not None:
-        parser["micro"]["seed"] = str(m.seed)
-    c = config.continuum
-    parser["continuum"] = {"t_end": _fmt(c.t_end),
-                           "eta_cutoff": _fmt(c.eta_cutoff),
-                           "diffusion_sigma": _fmt(c.diffusion_sigma),
-                           "birth_rate": _fmt(c.birth_rate),
-                           "death_rate": _fmt(c.death_rate)}
-    if c.dt is not None:
-        parser["continuum"]["dt"] = _fmt(c.dt)
-    parser["run"] = {"grid_size": str(config.grid_size),
-                     "model_variants": ", ".join(config.model_variants),
-                     "sample_interval": _fmt(config.sample_interval),
-                     "output_dir": config.output_dir,
-                     "seed": str(config.seed)}
-    if config.mu_sweep:
-        parser["run"]["mu_sweep"] = ", ".join(
-            repr(float(x)) for x in config.mu_sweep)
-    if config.snapshot_times:
-        parser["run"]["snapshot_times"] = ", ".join(
-            repr(float(x)) for x in config.snapshot_times)
+    parser["micro"] = _encode("micro", config.micro)
+    parser["continuum"] = _encode("continuum", config.continuum)
+    parser["run"] = _encode("run", config)
     if hasattr(path_or_file, "write"):
         parser.write(path_or_file)
     else:
         with open(path_or_file, "w") as fh:
             parser.write(fh)
-
-
-_SECTION_KEYS = {
-    "graph": {"n_nodes", "n_groups", "proportions", "mean_degree", "mixing_mu"},
-    "micro": {"dt", "t_end", "noise_sigma", "seed"},
-    "continuum": {"dt", "t_end", "eta_cutoff", "diffusion_sigma", "birth_rate",
-                  "death_rate"},
-    "run": {"grid_size", "model_variants", "mu_sweep", "snapshot_times",
-            "sample_interval", "output_dir", "seed"},
-}
 
 
 def _check_keys(parser):
@@ -194,16 +217,15 @@ def _check_keys(parser):
                 if not key.startswith("community_"):
                     raise ConfigError("config: unknown key mixture.%s" % key)
             continue
-        if section not in _SECTION_KEYS:
+        if section not in _KEYS:
             raise ConfigError("config: unknown section [%s]" % section)
         for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError("config: unknown key %s.%s" % (section, key))
 
 
 def load_config(path_or_file):
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
+    parser = _parser()
     try:
         if hasattr(path_or_file, "read"):
             parser.read_file(path_or_file)
@@ -217,69 +239,15 @@ def load_config(path_or_file):
         if needed not in parser:
             raise ConfigError("config: missing section [%s]" % needed)
     try:
-        gsec = parser["graph"]
-        graph = GraphConfig(
-            n_nodes=gsec.getint("n_nodes"),
-            n_groups=gsec.getint("n_groups", fallback=1),
-            proportions=_float_list(gsec.get("proportions", fallback="")),
-            mean_degree=gsec.getfloat("mean_degree", fallback=10.0),
-            mixing_mu=gsec.getfloat("mixing_mu", fallback=0.1))
-        communities = []
-        for c in range(len(parser["mixture"])):
-            key = "community_%d" % (c + 1)
-            if key not in parser["mixture"]:
-                raise ConfigError("mixture: communities must be numbered 1..k")
-            text = parser["mixture"][key]
-            communities.append(tuple(_decode_component(part.strip())
-                                     for part in text.split(",") if part.strip()))
-        mixture = MixtureSpec(tuple(communities))
-        msec = parser["micro"] if "micro" in parser else {}
-        micro = MicroParams()
-        if msec:
-            micro = MicroParams(
-                dt=msec.getfloat("dt", fallback=micro.dt),
-                t_end=msec.getfloat("t_end", fallback=micro.t_end),
-                noise_sigma=msec.getfloat("noise_sigma",
-                                          fallback=micro.noise_sigma),
-                seed=msec.getint("seed", fallback=None))
-        csec = parser["continuum"] if "continuum" in parser else {}
-        continuum = ContinuumRunParams()
-        if csec:
-            continuum = ContinuumRunParams(
-                dt=csec.getfloat("dt", fallback=None),
-                t_end=csec.getfloat("t_end", fallback=continuum.t_end),
-                eta_cutoff=csec.getfloat("eta_cutoff",
-                                         fallback=continuum.eta_cutoff),
-                diffusion_sigma=csec.getfloat("diffusion_sigma", fallback=0.0),
-                birth_rate=csec.getfloat("birth_rate", fallback=0.0),
-                death_rate=csec.getfloat("death_rate", fallback=0.0))
-        rsec = parser["run"]
-        variants = tuple(s.strip() for s in
-                         rsec.get("model_variants",
-                                  fallback=", ".join(MODEL_VARIANTS)).split(",")
-                         if s.strip())
-        config = ExperimentConfig(
-            graph=graph, mixture=mixture, micro=micro, continuum=continuum,
-            grid_size=rsec.getint("grid_size", fallback=101),
-            model_variants=variants,
-            mu_sweep=_float_list(rsec.get("mu_sweep", fallback="")),
-            snapshot_times=_float_list(rsec.get("snapshot_times", fallback="")),
-            sample_interval=rsec.getfloat("sample_interval", fallback=0.1),
-            output_dir=rsec.get("output_dir", fallback="out"),
-            seed=rsec.getint("seed", fallback=0))
+        config = _decode(
+            parser, "run", ExperimentConfig,
+            graph=_decode(parser, "graph", GraphConfig),
+            mixture=_decode_mixture(parser["mixture"]),
+            micro=_decode(parser, "micro", MicroParams),
+            continuum=_decode(parser, "continuum", ContinuumRunParams))
     except ValueError as exc:
         raise ConfigError("config: bad value: %s" % exc)
     return config.validate()
-
-
-def config_to_string(config):
-    buf = io.StringIO()
-    save_config(config, buf)
-    return buf.getvalue()
-
-
-def config_from_string(text):
-    return load_config(io.StringIO(text))
 
 
 def preset_three_communities():

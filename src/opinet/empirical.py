@@ -4,9 +4,8 @@ The continuum solvers work with cell averages on a uniform grid over
 [-1, 1].  This module builds that grid, turns analytic mixture densities
 into cell averages, and lifts a microscopic state (opinions on a graph)
 into the one-body density f and the two-body edge density g, the latter by
-Gaussian product-kernel density estimation over the edge set.  Bandwidths
-come from Silverman's rule or the Sheather-Jones solve-the-equation
-plug-in.
+Gaussian product-kernel density estimation over the edge set, with the
+bandwidth from Silverman's normal-reference rule.
 """
 
 from dataclasses import dataclass, field
@@ -288,14 +287,14 @@ def empirical_g_kde(graph, omega, grid, bandwidth, exact=False):
     return PairField(grid, raw / total)
 
 
-def split_by_group(graph, omega, grid, bandwidth, exact=False):
+def split_by_group(graph, omega, grid, bandwidth):
     """Community-resolved f and g from a microscopic state.
 
     f[p] is the histogram density of community p's opinions against the
     full population count, so the label sum recovers empirical_f.  g[p, q]
     collects the product kernels of the p-q edges; the blocks share one
     normalization, giving the labeled array total mass 1, and cross blocks
-    are exact transposes of each other.
+    are exact transposes of each other.  Cell values use the midpoint rule.
     """
     if graph.n_edges == 0:
         raise ConfigError("kde: graph has no edges")
@@ -310,7 +309,7 @@ def split_by_group(graph, omega, grid, bandwidth, exact=False):
         counts, _ = np.histogram(vals, bins=grid.edges)
         f[p] = counts / (omega.size * grid.dx)
 
-    kern = _kernel_matrix(omega, grid, bandwidth, exact)
+    kern = _kernel_matrix(omega, grid, bandwidth, exact=False)
     comm = graph.community
     g = np.zeros((k, k, n, n))
     ca = comm[graph.edges[:, 0]]
@@ -349,85 +348,15 @@ def _silverman(data):
     return 1.06 * sd * data.size ** (-0.2)
 
 
-def _phi4(x):
-    x2 = np.square(x)
-    return (np.square(x2) - 6.0 * x2 + 3.0) * _phi(x)
-
-
-def _phi6(x):
-    x2 = np.square(x)
-    return (x2 * np.square(x2) - 15.0 * np.square(x2) + 45.0 * x2 - 15.0) * _phi(x)
-
-
-def _sheather_jones(data):
-    """Solve-the-equation plug-in bandwidth (Sheather & Jones 1991).
-
-    The pilot functionals use normal-reference bandwidths a and b built
-    from the smaller of the standard deviation and the normalized IQR; the
-    fixed point of h = (R(K) / (n SD(alpha2(h))))^(1/5) is found by
-    bisection.  Pairwise sums include the diagonal terms.
-    """
-    n = data.size
-    sd = float(np.std(data, ddof=1))
-    q75, q25 = np.percentile(data, [75.0, 25.0])
-    iqr = float(q75 - q25)
-    lam = min(sd, iqr / 1.349) if iqr > 0 else sd
-    if lam <= 0:
-        raise ConfigError("bandwidth: sample is degenerate")
-    a = 0.920 * lam * n ** (-1.0 / 7.0)
-    b = 0.912 * lam * n ** (-1.0 / 9.0)
-    diffs = data[:, None] - data[None, :]
-
-    def sd_func(h):
-        return float(np.sum(_phi4(diffs / h))) / (n * (n - 1) * h ** 5)
-
-    def td_func(h):
-        return -float(np.sum(_phi6(diffs / h))) / (n * (n - 1) * h ** 7)
-
-    sda = sd_func(a)
-    tdb = td_func(b)
-    if sda <= 0 or tdb <= 0:
-        raise SimulationError("bandwidth: plug-in functionals are nonpositive")
-    ratio = (sda / tdb) ** (1.0 / 7.0)
-    rk = 1.0 / (2.0 * np.sqrt(np.pi))
-
-    def objective(h):
-        alpha2 = 1.357 * ratio * h ** (5.0 / 7.0)
-        sdh = sd_func(alpha2)
-        if sdh <= 0:
-            raise SimulationError("bandwidth: plug-in functionals are nonpositive")
-        return (rk / (n * sdh)) ** 0.2 - h
-
-    lo, hi = 1e-4 * lam, 2.0 * lam
-    f_lo, f_hi = objective(lo), objective(hi)
-    tries = 0
-    while f_hi > 0 and tries < 60:
-        hi *= 2.0
-        f_hi = objective(hi)
-        tries += 1
-    if f_lo < 0 or f_hi > 0:
-        raise SimulationError("bandwidth: no bracket for the plug-in equation")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if objective(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def bandwidth_select(data, method="silverman"):
     """Gaussian-KDE bandwidth for a 1-D sample.
 
-    method 'silverman' is the normal-reference rule 1.06 sd n^(-1/5);
-    'sheather_jones' is the solve-the-equation plug-in.  Needs at least two
-    samples with spread.
+    The only method is 'silverman', the normal-reference rule
+    1.06 sd n^(-1/5).  Needs at least two samples with spread.
     """
+    if method != "silverman":
+        raise ConfigError("bandwidth: unknown method %r" % (method,))
     data = np.asarray(data, dtype=float).ravel()
     if data.size < 2:
         raise ConfigError("bandwidth: need at least two samples")
-    if method == "silverman":
-        return _silverman(data)
-    if method == "sheather_jones":
-        return _sheather_jones(data)
-    raise ConfigError("bandwidth: unknown method %r" % (method,))
+    return _silverman(data)

@@ -251,12 +251,12 @@ def measured_mixing(graph):
     return float(np.mean(inter))
 
 
-def laplacian(graph, max_nodes=LAPLACIAN_NODE_CAP):
+def laplacian(graph):
     """Dense combinatorial Laplacian: diag(degrees) minus adjacency."""
     n = graph.n_nodes
-    if n > max_nodes:
-        raise ConfigError(
-            "graph: %d nodes exceeds the dense Laplacian cap %d" % (n, max_nodes))
+    if n > LAPLACIAN_NODE_CAP:
+        raise ConfigError("graph: %d nodes exceeds the dense Laplacian cap %d"
+                          % (n, LAPLACIAN_NODE_CAP))
     lap = np.zeros((n, n))
     e = graph.edges
     lap[e[:, 0], e[:, 1]] = -1.0
@@ -285,40 +285,3 @@ def spectral_gap(graph):
     if resid > 1e-10 * scale:
         raise SimulationError("graph: constant vector is not in the kernel")
     return float(vals[1])
-
-
-def save_graph(graph, edges_path, labels_path):
-    """Edge list as 'i<TAB>j' (0-based, i<j); labels as 'node<TAB>label'."""
-    with open(edges_path, "w") as fh:
-        for i, j in graph.edges:
-            fh.write("%d\t%d\n" % (i, j))
-    with open(labels_path, "w") as fh:
-        for i, c in enumerate(graph.community):
-            fh.write("%d\t%d\n" % (i, c))
-
-
-def load_graph(edges_path, labels_path):
-    nodes = []
-    labels = []
-    with open(labels_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split("\t")
-            nodes.append(int(a))
-            labels.append(int(b))
-    n = len(nodes)
-    if sorted(nodes) != list(range(n)):
-        raise ConfigError("graph file: node ids must be 0..N-1")
-    community = np.empty(n, dtype=np.int64)
-    community[np.asarray(nodes)] = labels
-    pairs = []
-    with open(edges_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split("\t")
-            pairs.append((int(a), int(b)))
-    return graph_from_pairs(n, pairs, community)

@@ -111,14 +111,10 @@ def euler_maruyama_step(graph, omega, operator, dt, sigma, rng):
     """
     if sigma < 0:
         raise ConfigError("micro: noise sigma must be >= 0")
+    drifted = euler_step(graph, omega, operator, dt)
     if sigma == 0.0:
-        return euler_step(graph, omega, operator, dt)
-    if not (0.0 < dt <= step_size_bound(operator)):
-        raise ConfigError(
-            "micro: dt=%g violates 0 < dt <= %g" % (dt, step_size_bound(operator)))
-    omega = np.asarray(omega, dtype=float)
-    drifted = omega + dt * micro_rhs(graph, omega, operator)
-    kicked = drifted + np.sqrt(2.0 * sigma * dt) * rng.standard_normal(omega.size)
+        return drifted
+    kicked = drifted + np.sqrt(2.0 * sigma * dt) * rng.standard_normal(drifted.size)
     return _reflect_unit(kicked)
 
 

@@ -223,6 +223,7 @@ def run_experiment(config, operator=None, write_outputs=True):
     config.validate()
     if operator is None:
         operator = DebateOperator.linear()
+    operator.validate()
     graph, omega, grid, fields = build_initial_state(config)
     micro = ([_MicroVariant(config, graph, omega, grid, operator)]
              if "micro" in config.model_variants else [])
@@ -249,9 +250,11 @@ def run_experiment(config, operator=None, write_outputs=True):
             if k <= end:
                 variant.record(k, series)
         if k in snap_idx:
+            # a variant past its t_end has no state at this time
             snapshots[k] = {"mid": grid.mids.copy()}
-            for variant in variants:
-                variant.snapshot(snapshots[k])
+            for variant, end in zip(variants, ends):
+                if k <= end:
+                    variant.snapshot(snapshots[k])
 
     report = RunReport(t=times, **series,
                        continuum_dts={v.name: v.dts for v in cont})

@@ -3,8 +3,9 @@ import pytest
 
 from opinet import (ConfigError, DebateOperator, Grid, LabeledFields,
                     PairField, RunReport, ScalarField, SimulationError,
-                    connectivity_marginal, consensus_value_cont, e_cont,
-                    fit_exponential_rate, lyapunov_tilde)
+                    consensus_value_cont, e_cont, fit_exponential_rate,
+                    lyapunov_tilde)
+from opinet.analysis import REPORT_COLUMNS
 
 LIN = DebateOperator.linear()
 
@@ -72,16 +73,6 @@ def test_lyapunov_labeled_sums_blocks():
     assert lyapunov_tilde(lab, LIN) == pytest.approx(0.5)
 
 
-def test_connectivity_marginal():
-    pf = four_cell_pair()
-    h = connectivity_marginal(pf)
-    assert isinstance(h, ScalarField)
-    expect = np.zeros(8)
-    expect[1], expect[3], expect[6] = 0.25, 0.5, 0.25
-    np.testing.assert_allclose(h.values * pf.grid.dx, expect, atol=1e-14)
-    assert h.mass() == pytest.approx(1.0)
-
-
 def test_fit_exact_exponential():
     t = np.linspace(0.0, 5.0, 51)
     rate, err = fit_exponential_rate(t, 3.0 * np.exp(-2.0 * t))
@@ -130,16 +121,10 @@ def test_report_roundtrip(tmp_path):
     report = RunReport(*cols)
     path = tmp_path / "report.tsv"
     report.write_tsv(path)
-    back = RunReport.read_tsv(path)
-    for a, b in zip(report.columns(), back.columns()):
+    with open(path) as fh:
+        assert tuple(fh.readline().rstrip("\n").split("\t")) == REPORT_COLUMNS
+    # %.17g keeps every bit of each value
+    back = np.loadtxt(path, skiprows=1, ndmin=2)
+    assert back.shape == (7, len(REPORT_COLUMNS))
+    for a, b in zip(report.columns(), back.T):
         np.testing.assert_array_equal(a, b)
-
-
-def test_report_rejects_foreign_header(tmp_path):
-    report = RunReport(*[np.arange(3.0)] * 8)
-    path = tmp_path / "report.tsv"
-    report.write_tsv(path)
-    text = path.read_text().replace("E_micro", "E_mic")
-    path.write_text(text)
-    with pytest.raises(ConfigError):
-        RunReport.read_tsv(path)

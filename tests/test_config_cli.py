@@ -1,3 +1,4 @@
+import io
 import os
 import re
 from dataclasses import replace
@@ -7,9 +8,8 @@ import pytest
 
 from opinet import (ConfigError, ContinuumRunParams, ExperimentConfig,
                     GraphConfig, MicroParams, MixtureSpec, PRESETS,
-                    config_from_string, config_to_string, load_config,
-                    preset_crossing, preset_three_communities, replace_mixing,
-                    save_config)
+                    load_config, preset_crossing, preset_three_communities,
+                    replace_mixing, save_config)
 from opinet.cli import main
 
 
@@ -26,12 +26,122 @@ def small_config(out, seed=5):
         seed=seed)
 
 
+def saved_text(config):
+    buf = io.StringIO()
+    save_config(config, buf)
+    return buf.getvalue()
+
+
+def loaded(text):
+    return load_config(io.StringIO(text))
+
+
+THREE_COMMUNITIES_INI = """\
+[graph]
+n_nodes = 200
+n_groups = 3
+mean_degree = 10.0
+mixing_mu = 0.05
+
+[mixture]
+community_1 = 0.6:-0.5:0.05, 0.4:0.25:0.012
+community_2 = 1.0:0.0:0.012
+community_3 = 0.4:-0.25:0.012, 0.6:0.5:0.05
+
+[micro]
+dt = 0.01
+t_end = 10.0
+noise_sigma = 0.0
+
+[continuum]
+t_end = 10.0
+eta_cutoff = 1e-10
+diffusion_sigma = 0.0
+birth_rate = 0.0
+death_rate = 0.0
+
+[run]
+grid_size = 101
+model_variants = micro, cont_unlabeled, cont_labeled
+sample_interval = 0.1
+output_dir = out_three_communities
+seed = 1
+mu_sweep = 0.001, 0.01, 0.1, 0.5
+
+"""
+
+CROSSING_INI = """\
+[graph]
+n_nodes = 200
+n_groups = 2
+mean_degree = 10.0
+mixing_mu = 0.001
+
+[mixture]
+community_1 = 0.6:-0.5:0.05, 0.4:0.25:0.012
+community_2 = 0.4:-0.25:0.012, 0.6:0.5:0.05
+
+[micro]
+dt = 0.01
+t_end = 8.0
+noise_sigma = 0.0
+
+[continuum]
+t_end = 8.0
+eta_cutoff = 1e-10
+diffusion_sigma = 0.0
+birth_rate = 0.0
+death_rate = 0.0
+
+[run]
+grid_size = 101
+model_variants = micro, cont_unlabeled, cont_labeled
+sample_interval = 0.1
+output_dir = out_crossing
+seed = 2
+mu_sweep = 0.001, 0.01, 0.1, 0.5
+
+"""
+
+
+def every_optional_key():
+    cfg = preset_crossing()
+    return replace(
+        cfg, graph=replace(cfg.graph, proportions=(0.25, 0.75)),
+        micro=replace(cfg.micro, noise_sigma=0.01, seed=7),
+        continuum=replace(cfg.continuum, dt=0.005),
+        model_variants=("micro", "cont_labeled"), snapshot_times=(0.0, 2.5))
+
+
+# the optional keys follow the ones that are always written
+EVERY_OPTIONAL_KEY_INI = (
+    CROSSING_INI
+    .replace("mixing_mu = 0.001\n", "mixing_mu = 0.001\nproportions = 0.25, 0.75\n")
+    .replace("noise_sigma = 0.0\n", "noise_sigma = 0.01\nseed = 7\n")
+    .replace("death_rate = 0.0\n", "death_rate = 0.0\ndt = 0.005\n")
+    .replace("cont_unlabeled, cont_labeled", "cont_labeled")
+    .replace("0.1, 0.5\n", "0.1, 0.5\nsnapshot_times = 0.0, 2.5\n"))
+
+
+@pytest.mark.parametrize("config, text", [
+    (preset_three_communities(), THREE_COMMUNITIES_INI),
+    (preset_crossing(), CROSSING_INI),
+    (every_optional_key(), EVERY_OPTIONAL_KEY_INI),
+], ids=["three_communities", "crossing", "every_optional_key"])
+def test_saved_text_is_pinned(config, text):
+    assert saved_text(config) == text
+    assert loaded(text) == config
+
+
 def test_string_roundtrip_is_exact():
     cfg = small_config("somewhere")
-    # floats that do not have short decimal forms must survive the trip
+    # floats that do not have short decimal forms, and numpy floats, must
+    # survive the trip
     cfg = replace(cfg, micro=MicroParams(dt=1 / 3, t_end=0.7,
-                                         noise_sigma=np.pi / 10, seed=42))
-    back = config_from_string(config_to_string(cfg))
+                                         noise_sigma=np.pi / 10, seed=42),
+                  graph=replace(cfg.graph, mean_degree=np.float64(6.5)),
+                  mu_sweep=(np.float64(0.1), 0.2))
+    back = loaded(saved_text(cfg))
     assert back == cfg
 
 
@@ -52,22 +162,32 @@ def test_presets_are_valid():
 
 
 def test_unknown_key_rejected():
-    text = config_to_string(small_config("x"))
+    text = saved_text(small_config("x"))
     with pytest.raises(ConfigError):
-        config_from_string(text + "\n[graph]\nbogus = 1\n")
+        loaded(text + "\n[graph]\nbogus = 1\n")
 
 
 def test_bad_value_type_rejected():
-    text = config_to_string(small_config("x"))
+    text = saved_text(small_config("x"))
     with pytest.raises(ConfigError):
-        config_from_string(text.replace("n_nodes = 60", "n_nodes = sixty"))
+        loaded(text.replace("n_nodes = 60", "n_nodes = sixty"))
 
 
 def test_missing_section_rejected():
-    text = config_to_string(small_config("x"))
+    text = saved_text(small_config("x"))
     head = text.split("[micro]")[0]
     with pytest.raises(ConfigError):
-        config_from_string(head)
+        loaded(head)
+
+
+def test_missing_required_key_is_named(tmp_path, capsys):
+    text = saved_text(small_config("x")).replace("n_nodes = 60\n", "")
+    with pytest.raises(ConfigError, match=r"graph\.n_nodes"):
+        loaded(text)
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 1
+    assert "graph.n_nodes" in capsys.readouterr().err
 
 
 def test_group_count_must_match_mixture():

@@ -169,25 +169,6 @@ def test_silverman_formula_and_equivariance():
     assert bandwidth_select(3.0 * x, "silverman") == pytest.approx(3.0 * h)
 
 
-def test_sheather_jones_near_silverman_on_gaussian_data():
-    """Both selectors target the same AMISE-optimal bandwidth for a
-    Gaussian sample, so they must agree within a modest factor there."""
-    for seed in range(3):
-        rng = np.random.default_rng(60 + seed)
-        x = rng.normal(0.0, 0.15, 400)
-        hs = bandwidth_select(x, "silverman")
-        hj = bandwidth_select(x, "sheather_jones")
-        assert 0.5 * hs < hj < 1.5 * hs
-
-
-def test_sheather_jones_shrinks_on_multimodal_data():
-    # solve-the-equation bandwidths resolve well-separated modes
-    rng = np.random.default_rng(77)
-    x = np.concatenate([rng.normal(-0.5, 0.03, 300),
-                        rng.normal(0.5, 0.03, 300)])
-    assert bandwidth_select(x, "sheather_jones") < 0.5 * bandwidth_select(x, "silverman")
-
-
 def test_bandwidth_select_rejects_unknown_method():
     with pytest.raises(ConfigError):
         bandwidth_select(np.zeros(10) + np.arange(10), "amise")

@@ -3,8 +3,8 @@ import pytest
 
 from opinet import (CommunityGraph, ConfigError, GraphConfig, ensure_connected,
                     generate_community_graph, graph_from_pairs, is_connected,
-                    laplacian, load_graph, measured_mixing, save_graph,
-                    spectral_gap)
+                    laplacian, measured_mixing, spectral_gap)
+from opinet.graph import LAPLACIAN_NODE_CAP
 
 
 def path3():
@@ -158,19 +158,8 @@ def test_laplacian_rows_sum_to_zero():
 
 
 def test_laplacian_size_cap():
-    g = generate_community_graph(GraphConfig(
-        n_nodes=64, n_groups=1, mean_degree=4.0, seed=0))
-    with pytest.raises(ConfigError):
-        laplacian(g, max_nodes=32)
-
-
-def test_save_load_roundtrip(tmp_path):
-    g = ensure_connected(generate_community_graph(GraphConfig(
-        n_nodes=80, n_groups=3, mean_degree=6.0, mixing_mu=0.15, seed=9)))
-    ep, lp = tmp_path / "edges.tsv", tmp_path / "labels.tsv"
-    save_graph(g, ep, lp)
-    h = load_graph(ep, lp)
-    assert h.n_nodes == g.n_nodes
-    np.testing.assert_array_equal(h.edges, g.edges)
-    np.testing.assert_array_equal(h.community, g.community)
-    np.testing.assert_array_equal(h.degrees, g.degrees)
+    n = LAPLACIAN_NODE_CAP + 1
+    g = graph_from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    with pytest.raises(ConfigError, match="cap 2048"):
+        laplacian(g)
+    assert laplacian(graph_from_pairs(n - 1, [(0, 1)])).shape == (n - 1, n - 1)

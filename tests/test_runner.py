@@ -1,5 +1,6 @@
 """run_experiment over every subset of model variants: which report columns
-each variant fills, and the snapshot files and columns it writes."""
+each variant fills, and the snapshot files and columns it writes; and the
+operator check that comes before any set-up."""
 
 import os
 from dataclasses import replace
@@ -7,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opinet import (ContinuumRunParams, Grid, MicroParams,
-                    preset_three_communities, run_experiment)
+import opinet.runner
+from opinet import (ConfigError, ContinuumRunParams, DebateOperator, Grid,
+                    MicroParams, preset_three_communities, run_experiment)
 
 MICRO_T_END, CONT_T_END = 3.0, 4.0
 SNAPSHOT_TIMES = (0.0, 2.5, 10.0, 99.0)
@@ -64,20 +66,40 @@ def test_each_variant_fills_its_own_columns_and_snapshots(run, variants):
     t_last = report.t[-1]
     names = {"snapshot_t%g.tsv" % min(t, t_last) for t in SNAPSHOT_TIMES}
     assert {n for n in os.listdir(out) if n.startswith("snapshot")} == names
-    expect = ["mid"] + ["f_" + v for v in
-                        ("micro", "cont_unlabeled", "cont_labeled")
-                        if v in variants]
-    if "cont_labeled" in variants:
-        expect += ["f_cont_labeled_%d" % p for p in (1, 2, 3)]
     dx = Grid(101).dx
-    for name in names:
-        path = os.path.join(out, name)
+    for t in {min(t, t_last) for t in SNAPSHOT_TIMES}:
+        # a variant past its own t_end leaves its columns out
+        live = [v for v in variants
+                if t <= (MICRO_T_END if v == "micro" else CONT_T_END)]
+        expect = ["mid"] + ["f_" + v for v in
+                            ("micro", "cont_unlabeled", "cont_labeled")
+                            if v in live]
+        if "cont_labeled" in live:
+            expect += ["f_cont_labeled_%d" % p for p in (1, 2, 3)]
+        path = os.path.join(out, "snapshot_t%g.tsv" % t)
         with open(path) as fh:
             assert fh.readline().rstrip("\n").split("\t") == expect
         data = np.loadtxt(path, skiprows=1, ndmin=2)
         masses = dict(zip(expect[1:], dx * data[:, 1:].sum(axis=0)))
-        if "cont_labeled" in variants:
+        if "cont_labeled" in live:
             # the per-group columns carry the group shares, which sum to 1
             masses["groups"] = sum(masses.pop(c) for c in expect[-3:])
         for column, mass in masses.items():
-            assert abs(mass - 1.0) <= 1e-12, (name, column, mass)
+            assert abs(mass - 1.0) <= 1e-12, (path, column, mass)
+
+
+def test_bad_operator_is_refused_before_set_up(monkeypatch):
+    def no_set_up(config):
+        raise AssertionError("set-up ran before the operator check")
+
+    monkeypatch.setattr(opinet.runner, "build_initial_state", no_set_up)
+    config = replace(preset_three_communities(), output_dir="unused")
+    even = DebateOperator(d=lambda z: np.abs(np.asarray(z, dtype=float)),
+                          w=lambda z: np.abs(z), lipschitz=1.0)
+    increasing = DebateOperator(d=lambda z: np.asarray(z, dtype=float),
+                                w=lambda z: -0.5 * np.square(z),
+                                lipschitz=1.0)
+    with pytest.raises(ConfigError, match="odd"):
+        run_experiment(config, operator=even, write_outputs=False)
+    with pytest.raises(ConfigError, match="nonincreasing"):
+        run_experiment(config, operator=increasing, write_outputs=False)
