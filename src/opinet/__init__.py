@@ -14,10 +14,9 @@ from .continuum import (ContinuumParams, eta_discrete, llf_flux_f, llf_flux_g,
                         cfl_max_dt, step_unlabeled, step_labeled)
 from .analysis import (RunReport, consensus_value_cont, e_cont,
                        lyapunov_tilde, fit_exponential_rate)
-from .config import (ExperimentConfig, MicroParams, ContinuumRunParams,
-                     load_config, save_config, PRESETS,
-                     preset_three_communities, preset_crossing,
-                     replace_mixing)
+from .config import (ExperimentConfig, MicroParams, load_config,
+                     save_config, PRESETS, preset_three_communities,
+                     preset_crossing, replace_mixing)
 from .runner import build_initial_state, run_experiment, run_mu_sweep
 
 __version__ = "0.1.0"

@@ -23,12 +23,16 @@ def consensus_value_cont(g):
     Requires g normalized to mass 1 (tolerance 1e-10); the moment is only
     the consensus predictor for a probability pair density.
     """
-    vals = np.asarray(g.values, dtype=float)
-    grid = g.grid
-    mass = grid.dx ** 2 * vals.sum()
+    mass = g.mass()
     if abs(mass - 1.0) > 1e-10:
         raise ConfigError("analysis: pair density mass %.3e is not 1" % mass)
-    return float(grid.dx ** 2 * np.sum(grid.mids[:, None] * vals))
+    return first_moment(g)
+
+
+def first_moment(g):
+    """dx^2 sum_ij mid_i g_ij of a PairField, whatever its mass."""
+    grid = g.grid
+    return float(grid.dx ** 2 * np.sum(grid.mids[:, None] * g.values))
 
 
 def e_cont(field, omega_inf):
@@ -126,8 +130,13 @@ class RunReport:
                 self.g_first_moment, self.v_micro, self.lyapunov_tilde)
 
     def write_tsv(self, path):
-        cols = self.columns()
-        with open(path, "w") as fh:
-            fh.write("\t".join(REPORT_COLUMNS) + "\n")
-            for row in zip(*cols):
-                fh.write("\t".join("%.17g" % x for x in row) + "\n")
+        write_table(path, REPORT_COLUMNS, self.columns())
+
+
+def write_table(path, names, columns):
+    """Write equal-length columns as tab-separated text under a header of
+    names, each value as %.17g so that it reads back exactly."""
+    with open(path, "w") as fh:
+        fh.write("\t".join(names) + "\n")
+        for row in zip(*columns):
+            fh.write("\t".join("%.17g" % x for x in row) + "\n")

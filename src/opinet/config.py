@@ -11,6 +11,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from .errors import ConfigError
 from .graph import GraphConfig
 from .empirical import MixtureSpec
+from .continuum import ContinuumParams
 
 MODEL_VARIANTS = ("micro", "cont_unlabeled", "cont_labeled")
 
@@ -38,34 +39,11 @@ class MicroParams:
 
 
 @dataclass
-class ContinuumRunParams:
-    dt: float = None
-    t_end: float = 10.0
-    eta_cutoff: float = 1e-10
-    diffusion_sigma: float = 0.0
-    birth_rate: float = 0.0
-    death_rate: float = 0.0
-
-    def validate(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("continuum.dt: must be positive when given")
-        if self.t_end <= 0:
-            raise ConfigError("continuum.t_end: must be positive")
-        if self.eta_cutoff <= 0:
-            raise ConfigError("continuum.eta_cutoff: must be positive")
-        if self.diffusion_sigma < 0:
-            raise ConfigError("continuum.diffusion_sigma: must be >= 0")
-        if self.birth_rate < 0 or self.death_rate < 0:
-            raise ConfigError("continuum: birth/death rates must be >= 0")
-        return self
-
-
-@dataclass
 class ExperimentConfig:
     graph: GraphConfig
     mixture: MixtureSpec
     micro: MicroParams = field(default_factory=MicroParams)
-    continuum: ContinuumRunParams = field(default_factory=ContinuumRunParams)
+    continuum: ContinuumParams = field(default_factory=ContinuumParams)
     grid_size: int = 101
     model_variants: tuple = MODEL_VARIANTS
     mu_sweep: tuple = ()
@@ -244,7 +222,7 @@ def load_config(path_or_file):
             graph=_decode(parser, "graph", GraphConfig),
             mixture=_decode_mixture(parser["mixture"]),
             micro=_decode(parser, "micro", MicroParams),
-            continuum=_decode(parser, "continuum", ContinuumRunParams))
+            continuum=_decode(parser, "continuum", ContinuumParams))
     except ValueError as exc:
         raise ConfigError("config: bad value: %s" % exc)
     return config.validate()
@@ -257,7 +235,7 @@ def preset_three_communities():
                           mixing_mu=0.05),
         mixture=MixtureSpec.three_communities(),
         micro=MicroParams(dt=0.01, t_end=10.0),
-        continuum=ContinuumRunParams(t_end=10.0),
+        continuum=ContinuumParams(t_end=10.0),
         grid_size=101,
         mu_sweep=(0.001, 0.01, 0.1, 0.5),
         output_dir="out_three_communities",
@@ -271,7 +249,7 @@ def preset_crossing():
                           mixing_mu=0.001),
         mixture=MixtureSpec.crossing(),
         micro=MicroParams(dt=0.01, t_end=8.0),
-        continuum=ContinuumRunParams(t_end=8.0),
+        continuum=ContinuumParams(t_end=8.0),
         grid_size=101,
         mu_sweep=(0.001, 0.01, 0.1, 0.5),
         output_dir="out_crossing",

@@ -20,19 +20,28 @@ from .empirical import ScalarField, PairField, LabeledFields
 
 @dataclass(frozen=True)
 class ContinuumParams:
-    """Step parameters for the continuum solvers."""
+    """The [continuum] section of a run, and the step parameters.
 
-    dt: float
+    dt is the step a step function takes; in a run config, None lets the
+    runner choose each step from the realized stability bound.
+    """
+
+    dt: float = None
+    t_end: float = 10.0
     eta_cutoff: float = 1e-10
     diffusion_sigma: float = 0.0
     birth_rate: float = 0.0
     death_rate: float = 0.0
 
     def validate(self):
+        if self.dt is not None and self.dt <= 0:
+            raise ConfigError("continuum.dt: must be positive when given")
+        if self.t_end <= 0:
+            raise ConfigError("continuum.t_end: must be positive")
         if self.eta_cutoff <= 0:
-            raise ConfigError("continuum: eta_cutoff must be positive")
+            raise ConfigError("continuum.eta_cutoff: must be positive")
         if self.diffusion_sigma < 0:
-            raise ConfigError("continuum: diffusion_sigma must be >= 0")
+            raise ConfigError("continuum.diffusion_sigma: must be >= 0")
         if self.birth_rate < 0 or self.death_rate < 0:
             raise ConfigError("continuum: birth/death rates must be >= 0")
         return self
@@ -200,6 +209,8 @@ class ContinuumStepper:
 
         Raises ConfigError unless 0 < dt < the realized bound of max_dt.
         """
+        if dt is None:
+            raise ConfigError("continuum: dt must be given for a step")
         params = self.params
         dx = self.grid.dx
         k = f.shape[0]
@@ -260,7 +271,7 @@ def stepper_for(grid, operator, params):
     Steppers are cached, so the step functions validate the parameters and
     build the D matrix once per grid, operator and parameter set.
     """
-    return _cached_stepper(grid, operator, replace(params, dt=0.0))
+    return _cached_stepper(grid, operator, replace(params, dt=None))
 
 
 def step_unlabeled(f, g, operator, params):

@@ -5,7 +5,8 @@ The continuum solvers work with cell averages on a uniform grid over
 into cell averages, and lifts a microscopic state (opinions on a graph)
 into the one-body density f and the two-body edge density g, the latter by
 Gaussian product-kernel density estimation over the edge set, with the
-bandwidth from Silverman's normal-reference rule.
+bandwidth from Silverman's normal-reference rule.  The edge density has
+one lift, by community blocks g[p, q]; the unlabeled g is its k = 1 case.
 """
 
 from dataclasses import dataclass, field
@@ -162,13 +163,16 @@ class MixtureSpec:
             ((0.4, -0.25, 0.012), (0.6, 0.5, 0.05)),
         ))
 
+    def components(self, c):
+        """Community c's (weights, centers, sigmas) as arrays; the weights
+        are normalized to sum to 1."""
+        weights, centers, sigmas = np.array(self.communities[c],
+                                            dtype=float).T
+        return weights / weights.sum(), centers, sigmas
+
     def community_pdf(self, c):
         """Density of community c as a callable on arrays in [-1, 1]."""
-        comps = self.communities[c]
-        weights = np.array([w for w, _, _ in comps], dtype=float)
-        weights = weights / weights.sum()
-        centers = np.array([m for _, m, _ in comps], dtype=float)
-        sigmas = np.array([s for _, _, s in comps], dtype=float)
+        weights, centers, sigmas = self.components(c)
         # truncation renormalizer per component
         z = ndtr((1.0 - centers) / sigmas) - ndtr((-1.0 - centers) / sigmas)
 
@@ -188,12 +192,8 @@ class MixtureSpec:
         components keep their mass even when sigma is below the cell width,
         where fixed-order quadrature would not.
         """
-        comps = self.communities[c]
-        weights = np.array([w for w, _, _ in comps], dtype=float)
-        weights = weights / weights.sum()
         out = np.zeros(grid.n_cells)
-        for w, m, s in zip(weights, (c[1] for c in comps),
-                           (c[2] for c in comps)):
+        for w, m, s in zip(*self.components(c)):
             z = ndtr((grid.edges - m) / s)
             out += w * np.diff(z) / (z[-1] - z[0])
         return ScalarField(grid, out / grid.dx)
@@ -228,14 +228,11 @@ def sample_initial_opinions(graph, mixture, rng):
     omega = np.empty(graph.n_nodes, dtype=float)
     for c in range(mixture.n_groups):
         members = np.flatnonzero(graph.community == c + 1)
-        comps = mixture.communities[c]
-        weights = np.array([w for w, _, _ in comps], dtype=float)
-        weights = weights / weights.sum()
-        picks = rng.choice(len(comps), size=members.size, p=weights)
+        weights, centers, sigmas = mixture.components(c)
+        picks = rng.choice(weights.size, size=members.size, p=weights)
         for node, k in zip(members, picks):
-            _, center, sigma = comps[k]
             while True:
-                x = rng.normal(center, sigma)
+                x = rng.normal(centers[k], sigmas[k])
                 if -1.0 <= x <= 1.0:
                     omega[node] = x
                     break
@@ -265,26 +262,41 @@ def _kernel_matrix(omega, grid, bandwidth, exact):
     return _phi((grid.mids[None, :] - omega) / bandwidth) / bandwidth
 
 
+def _lift_g(graph, kern, grid, labels, k):
+    # g[p, q] sums the product kernels of the edges from label p to label q
+    # in both orientations, with one normalization to total mass 1.  The
+    # edges are stably sorted by their (label, label) pair, and each
+    # segment adds K[i]^T K[j] to one block s[p, q]; g = s + s^T over the
+    # (omega, m) axes is then bit-symmetric: g[q, p] == g[p, q].T.
+    if graph.n_edges == 0:
+        raise ConfigError("kde: graph has no edges")
+    n = grid.n_cells
+    keys = labels[graph.edges[:, 0]] * k + labels[graph.edges[:, 1]]
+    edges = graph.edges[np.argsort(keys, kind="stable")]
+    counts = np.bincount(keys, minlength=k * k)
+    ends = np.cumsum(counts)
+    s = np.zeros((k, k, n, n))
+    for key in np.flatnonzero(counts):
+        seg = edges[ends[key] - counts[key]:ends[key]]
+        s[divmod(key, k)] = kern[seg[:, 0], :].T @ kern[seg[:, 1], :]
+    g = s + s.transpose(1, 0, 3, 2)
+    total = grid.dx ** 2 * g.sum()
+    if total <= 0:
+        raise SimulationError("kde: estimate has no mass on the grid")
+    return g / total
+
+
 def empirical_g_kde(graph, omega, grid, bandwidth, exact=False):
     """Edge density by product-Gaussian KDE, renormalized to mass 1.
 
     Every undirected edge (i, j) contributes kernels at (omega_i, omega_j)
     and at the mirrored point, so the estimate is symmetric bit for bit.
     Cell values use the midpoint rule by default; exact=True integrates the
-    kernels over the cells instead.
+    kernels over the cells instead.  This is the labeled lift with k = 1.
     """
-    if graph.n_edges == 0:
-        raise ConfigError("kde: graph has no edges")
-    omega = np.asarray(omega, dtype=float)
     kern = _kernel_matrix(omega, grid, bandwidth, exact)
-    ka = kern[graph.edges[:, 0], :]
-    kb = kern[graph.edges[:, 1], :]
-    s = ka.T @ kb
-    raw = s + s.T
-    total = grid.dx ** 2 * raw.sum()
-    if total <= 0:
-        raise SimulationError("kde: estimate has no mass on the grid")
-    return PairField(grid, raw / total)
+    labels = np.zeros(graph.n_nodes, dtype=np.int64)
+    return PairField(grid, _lift_g(graph, kern, grid, labels, 1)[0, 0])
 
 
 def split_by_group(graph, omega, grid, bandwidth):
@@ -296,49 +308,18 @@ def split_by_group(graph, omega, grid, bandwidth):
     normalization, giving the labeled array total mass 1, and cross blocks
     are exact transposes of each other.  Cell values use the midpoint rule.
     """
-    if graph.n_edges == 0:
-        raise ConfigError("kde: graph has no edges")
     omega = np.asarray(omega, dtype=float)
     if omega.min() < -1.0 or omega.max() > 1.0:
         raise ConfigError("empirical: opinions must lie in [-1, 1]")
     k = graph.n_groups
-    n = grid.n_cells
-    f = np.empty((k, n))
+    f = np.empty((k, grid.n_cells))
     for p in range(k):
-        vals = omega[graph.community == p + 1]
-        counts, _ = np.histogram(vals, bins=grid.edges)
+        counts, _ = np.histogram(omega[graph.community == p + 1],
+                                 bins=grid.edges)
         f[p] = counts / (omega.size * grid.dx)
-
     kern = _kernel_matrix(omega, grid, bandwidth, exact=False)
-    comm = graph.community
-    g = np.zeros((k, k, n, n))
-    ca = comm[graph.edges[:, 0]]
-    cb = comm[graph.edges[:, 1]]
-    for p in range(1, k + 1):
-        for q in range(p, k + 1):
-            if p == q:
-                mask = (ca == p) & (cb == p)
-                if not mask.any():
-                    continue
-                ka = kern[graph.edges[mask, 0], :]
-                kb = kern[graph.edges[mask, 1], :]
-                s = ka.T @ kb
-                g[p - 1, p - 1] = s + s.T
-            else:
-                fwd = (ca == p) & (cb == q)
-                rev = (ca == q) & (cb == p)
-                heads = np.concatenate([graph.edges[fwd, 0], graph.edges[rev, 1]])
-                tails = np.concatenate([graph.edges[fwd, 1], graph.edges[rev, 0]])
-                if heads.size == 0:
-                    continue
-                s = kern[heads, :].T @ kern[tails, :]
-                g[p - 1, q - 1] = s
-                g[q - 1, p - 1] = s.T.copy()
-    total = grid.dx ** 2 * g.sum()
-    if total <= 0:
-        raise SimulationError("kde: estimate has no mass on the grid")
-    g /= total
-    return LabeledFields(grid, f, g)
+    return LabeledFields(grid, f,
+                         _lift_g(graph, kern, grid, graph.community - 1, k))
 
 
 def _silverman(data):

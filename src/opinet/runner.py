@@ -18,10 +18,9 @@ from .micro import (DebateOperator, euler_maruyama_step, conserved_quantity,
 from .empirical import (Grid, ScalarField, PairField, LabeledFields,
                         empirical_f, empirical_g_kde, split_by_group,
                         bandwidth_select, sample_initial_opinions)
-from .continuum import (ContinuumParams, cfl_max_dt, stepper_for,
-                        step_unlabeled, step_labeled)
-from .analysis import RunReport, e_cont, consensus_value_cont, lyapunov_tilde, \
-    fit_exponential_rate
+from .continuum import cfl_max_dt, stepper_for, step_unlabeled, step_labeled
+from .analysis import (RunReport, e_cont, consensus_value_cont, first_moment,
+                       lyapunov_tilde, fit_exponential_rate, write_table)
 from .config import replace_mixing, save_config
 
 RATE_COLUMNS = ("mu", "rate_micro", "rate_cont_labeled", "rate_cont_unlabeled",
@@ -32,10 +31,6 @@ RATE_COLUMNS = ("mu", "rate_micro", "rate_cont_labeled", "rate_cont_unlabeled",
 # configured: of the worst-case bound in cfl_max_dt for a fixed step, of the
 # realized bound of each state for the adaptive step
 CFL_SAFETY = 0.9
-
-
-def _first_moment(grid, g_vals):
-    return float(grid.dx ** 2 * np.sum(grid.mids[:, None] * g_vals))
 
 
 def _chunked_dt(sample_interval, dt_target):
@@ -122,10 +117,10 @@ class _ContinuumVariant:
     """
 
     def __init__(self, name, state, step, operator, params, stepper, fixed,
-                 t_end, moments):
+                 moments):
         self.name = name
         self.state = state
-        self.t_end = t_end
+        self.t_end = params.t_end
         self._step = step
         self._operator = operator
         self._params = params
@@ -175,7 +170,7 @@ class _ContinuumVariant:
         series["e_" + self.name][k] = e_cont(self.state, self._omega_inf)
         if self._moments:
             g = PairField(self.state.grid, self.state.g_total())
-            series["g_first_moment"][k] = _first_moment(g.grid, g.values)
+            series["g_first_moment"][k] = first_moment(g)
             series["lyapunov_tilde"][k] = lyapunov_tilde(g, self._operator)
 
     def snapshot(self, cols):
@@ -188,16 +183,12 @@ class _ContinuumVariant:
 def _continuum_variants(config, grid, operator, fields):
     if not fields:
         return []
-    cp = config.continuum
-    params = ContinuumParams(dt=cp.dt, eta_cutoff=cp.eta_cutoff,
-                             diffusion_sigma=cp.diffusion_sigma,
-                             birth_rate=cp.birth_rate,
-                             death_rate=cp.death_rate)
+    params = config.continuum
     stepper = stepper_for(grid, operator, params)
     fixed = None
-    if cp.dt is not None:
+    if params.dt is not None:
         # a fixed step must be stable for every state, not only the first
-        fixed = _chunked_dt(config.sample_interval, cp.dt)
+        fixed = _chunked_dt(config.sample_interval, params.dt)
         bound = cfl_max_dt(grid, operator, params)
         if not fixed[0] < bound:
             raise ConfigError("continuum: dt=%g violates 0 < dt < %g"
@@ -210,7 +201,7 @@ def _continuum_variants(config, grid, operator, fields):
     }
     # the unlabeled closure, when it runs, gives the pair-density moments
     return [_ContinuumVariant(name, state, steps[name], operator, params,
-                              stepper, fixed, cp.t_end, i == 0)
+                              stepper, fixed, i == 0)
             for i, (name, state) in enumerate(fields.items())]
 
 
@@ -266,17 +257,8 @@ def run_experiment(config, operator=None, write_outputs=True):
         for k, cols in snapshots.items():
             path = os.path.join(config.output_dir,
                                 "snapshot_t%g.tsv" % times[k])
-            _write_snapshot(path, cols)
+            write_table(path, cols.keys(), cols.values())
     return report
-
-
-def _write_snapshot(path, cols):
-    names = list(cols)
-    data = np.column_stack([cols[n] for n in names])
-    with open(path, "w") as fh:
-        fh.write("\t".join(names) + "\n")
-        for row in data:
-            fh.write("\t".join("%.17g" % x for x in row) + "\n")
 
 
 def _fit_or_nan(times, values, t_lo):
@@ -292,14 +274,18 @@ def _fit_or_nan(times, values, t_lo):
 def run_mu_sweep(config, operator=None, write_outputs=True):
     """Run the experiment per mixing value; fit decay rates per variant.
 
-    Each mixing value gets its own derived seed.  A failing value is
-    reported with NaN rates and the sweep continues.  Returns (rows,
+    The operator is checked once, before the first value.  Each mixing
+    value gets its own derived seed.  A failing value is reported with NaN
+    rates and the sweep continues.  Returns (rows,
     failures): rows are dicts keyed by RATE_COLUMNS, failures (mu, message)
     pairs.
     """
     config.validate()
     if not config.mu_sweep:
         raise ConfigError("sweep: config.mu_sweep is empty")
+    if operator is None:
+        operator = DebateOperator.linear()
+    operator.validate()
     rows = []
     failures = []
     for i, mu in enumerate(config.mu_sweep):
@@ -324,12 +310,9 @@ def run_mu_sweep(config, operator=None, write_outputs=True):
         rows.append(row)
     if write_outputs:
         os.makedirs(config.output_dir, exist_ok=True)
-        rates_path = os.path.join(config.output_dir, "rates.tsv")
-        with open(rates_path, "w") as fh:
-            fh.write("\t".join(RATE_COLUMNS) + "\n")
-            for row in rows:
-                fh.write("\t".join("%.17g" % row[c] for c in RATE_COLUMNS)
-                         + "\n")
+        write_table(os.path.join(config.output_dir, "rates.tsv"),
+                    RATE_COLUMNS, [[row[c] for row in rows]
+                                   for c in RATE_COLUMNS])
         _write_gnuplot(os.path.join(config.output_dir, "rates.gp"))
     return rows, failures
 

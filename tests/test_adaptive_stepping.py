@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opinet import (ConfigError, ContinuumRunParams, DebateOperator, Grid,
+from opinet import (ConfigError, ContinuumParams, DebateOperator, Grid,
                     SimulationError, preset_three_communities, run_experiment)
 from opinet import runner
 from opinet.continuum import stepper_for
@@ -16,7 +16,7 @@ from opinet.runner import CFL_SAFETY, _chunked_dt
 def cont_config(t_end=1.0, **continuum):
     config = preset_three_communities()
     return replace(config, model_variants=("cont_unlabeled", "cont_labeled"),
-                   continuum=ContinuumRunParams(t_end=t_end, **continuum))
+                   continuum=ContinuumParams(t_end=t_end, **continuum))
 
 
 def record_steps(monkeypatch):

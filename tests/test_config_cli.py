@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opinet import (ConfigError, ContinuumRunParams, ExperimentConfig,
+from opinet import (ConfigError, ContinuumParams, ExperimentConfig,
                     GraphConfig, MicroParams, MixtureSpec, PRESETS,
                     load_config, preset_crossing, preset_three_communities,
                     replace_mixing, save_config)
@@ -19,7 +19,7 @@ def small_config(out, seed=5):
                           mixing_mu=0.2),
         mixture=MixtureSpec.crossing(),
         micro=MicroParams(dt=0.01, t_end=1.0),
-        continuum=ContinuumRunParams(t_end=1.0),
+        continuum=ContinuumParams(t_end=1.0),
         grid_size=41,
         sample_interval=0.25,
         output_dir=str(out),

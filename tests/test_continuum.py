@@ -124,8 +124,8 @@ def test_step_rejects_dt_at_or_above_bound():
     _, _, grid, _, f, gk = kde_state()
     bound = grid.dx / (2.0 * np.max(np.abs(speeds(gk.values, grid))))
     assert bound > cfl_max_dt(grid, LIN)
-    for dt in (bound, 1.5 * bound, 0.0, -0.1):
-        with pytest.raises(ConfigError):
+    for dt in (bound, 1.5 * bound, 0.0, -0.1, None):
+        with pytest.raises(ConfigError, match="dt"):
             step_unlabeled(f, gk, LIN, ContinuumParams(dt=dt))
     step_unlabeled(f, gk, LIN, ContinuumParams(dt=0.99 * bound))
 

@@ -192,3 +192,36 @@ def test_split_by_group_reductions():
     for p in range(2):
         for q in range(2):
             np.testing.assert_array_equal(lab.g[p, q], lab.g[q, p].T)
+
+
+def test_split_by_group_with_interleaved_labels():
+    # labels alternate along the node index, so the canonical i < j edges
+    # run from label q to label p as well as from p to q
+    rng = np.random.default_rng(9)
+    n_nodes, k = 60, 3
+    community = 1 + np.arange(n_nodes) % k
+    pairs = {tuple(sorted(rng.choice(n_nodes, size=2, replace=False)))
+             for _ in range(240)}
+    g = graph_from_pairs(n_nodes, sorted(pairs), community=community)
+    ca, cb = community[g.edges[:, 0]], community[g.edges[:, 1]]
+    assert np.any(ca < cb) and np.any(ca > cb) and np.any(ca == cb)
+    om = rng.uniform(-0.95, 0.95, n_nodes)
+    grid = Grid(24)
+    h = 0.1
+    lab = split_by_group(g, om, grid, h)
+    kern = np.exp(-0.5 * ((grid.mids[None, :] - om[:, None]) / h) ** 2) \
+        / (np.sqrt(2.0 * np.pi) * h)
+    brute = np.zeros((k, k, grid.n_cells, grid.n_cells))
+    for i, j in g.edges:
+        p, q = community[i] - 1, community[j] - 1
+        brute[p, q] += np.outer(kern[i], kern[j])
+        brute[q, p] += np.outer(kern[j], kern[i])
+    brute /= grid.dx ** 2 * brute.sum()
+    for p in range(k):
+        for q in range(k):
+            np.testing.assert_allclose(lab.g[p, q], brute[p, q], rtol=1e-13,
+                                       atol=1e-13 * brute.max())
+            np.testing.assert_array_equal(lab.g[q, p], lab.g[p, q].T)
+    np.testing.assert_allclose(lab.g_total(),
+                               empirical_g_kde(g, om, grid, h).values,
+                               rtol=0, atol=1e-13 * brute.max())

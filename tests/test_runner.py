@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import opinet.runner
-from opinet import (ConfigError, ContinuumRunParams, DebateOperator, Grid,
-                    MicroParams, preset_three_communities, run_experiment)
+from opinet import (ConfigError, ContinuumParams, DebateOperator, Grid,
+                    MicroParams, preset_three_communities, run_experiment,
+                    run_mu_sweep)
 
 MICRO_T_END, CONT_T_END = 3.0, 4.0
 SNAPSHOT_TIMES = (0.0, 2.5, 10.0, 99.0)
@@ -36,7 +37,7 @@ def run(tmp_path_factory):
             config = replace(
                 preset_three_communities(), model_variants=variants,
                 micro=MicroParams(dt=0.01, t_end=MICRO_T_END),
-                continuum=ContinuumRunParams(t_end=CONT_T_END),
+                continuum=ContinuumParams(t_end=CONT_T_END),
                 snapshot_times=SNAPSHOT_TIMES, sample_interval=0.5,
                 output_dir=out)
             runs[variants] = out, run_experiment(config)
@@ -99,7 +100,8 @@ def test_bad_operator_is_refused_before_set_up(monkeypatch):
     increasing = DebateOperator(d=lambda z: np.asarray(z, dtype=float),
                                 w=lambda z: -0.5 * np.square(z),
                                 lipschitz=1.0)
-    with pytest.raises(ConfigError, match="odd"):
-        run_experiment(config, operator=even, write_outputs=False)
-    with pytest.raises(ConfigError, match="nonincreasing"):
-        run_experiment(config, operator=increasing, write_outputs=False)
+    for entry in (run_experiment, run_mu_sweep):
+        with pytest.raises(ConfigError, match="odd"):
+            entry(config, operator=even, write_outputs=False)
+        with pytest.raises(ConfigError, match="nonincreasing"):
+            entry(config, operator=increasing, write_outputs=False)
