@@ -156,6 +156,10 @@ def _flux_difference(flux, axis):
     return out
 
 
+# states a stepper keeps speeds for; a run steps at most two (its closures)
+_MEMO_ENTRIES = 4
+
+
 def _identity(arr):
     # equal for any two views of one buffer with one layout, such as two
     # values[None, None] of one PairField
@@ -171,9 +175,10 @@ class ContinuumStepper:
     g[p, q].T: only the p <= q blocks are advanced and the others are their
     transposes, so the symmetry holds by construction.
 
-    The speeds that max_dt computes for a g are kept for the next advance
-    of the same array, so a caller that checks a state before stepping it
-    pays for one velocity pass, not two.  The array must not change in
+    The speeds that max_dt computes for a g are kept, one entry per
+    array, until the next advance of that array, so a caller that checks a
+    state before stepping it pays for one velocity pass, not two, even when
+    several states share the stepper.  The array must not change in
     between.
     """
 
@@ -182,7 +187,7 @@ class ContinuumStepper:
         self.params = params.validate()
         self.dmat = _d_matrix(grid, operator)
         self.dmat.flags.writeable = False
-        self._last = None   # (g, its identity, its speeds) from max_dt
+        self._memo = {}     # identity of g -> (g, its speeds) from max_dt
 
     def speeds(self, g):
         """Per-label speeds a (k, n) and row masses (k, n) of g."""
@@ -197,9 +202,11 @@ class ContinuumStepper:
         or g holds a value that is not finite.
         """
         a, rows = self.speeds(g)
+        if len(self._memo) >= _MEMO_ENTRIES:
+            del self._memo[next(iter(self._memo))]
         # g itself is kept so that its buffer, and with it the key, stays
         # unique while the entry lives
-        self._last = (g, _identity(g), a)
+        self._memo[_identity(g)] = (g, a)
         mass = self.grid.dx * f.sum() + self.grid.dx * rows.sum()
         return _dt_bound(self.grid.dx, float(np.max(np.abs(a))),
                          self.params), float(mass)
@@ -214,11 +221,8 @@ class ContinuumStepper:
         params = self.params
         dx = self.grid.dx
         k = f.shape[0]
-        last, self._last = self._last, None
-        if last is not None and last[1] == _identity(g):
-            a = last[2]
-        else:
-            a, _ = self.speeds(g)
+        memo = self._memo.pop(_identity(g), None)
+        a = memo[1] if memo is not None else self.speeds(g)[0]
         bound = _dt_bound(dx, float(np.max(np.abs(a))), params)
         if not (dt > 0 and dt < bound):
             raise ConfigError("continuum: dt=%g violates 0 < dt < %g"
@@ -259,7 +263,7 @@ class ContinuumStepper:
         return f_new, g_new
 
 
-# each stepper may hold one state's g for its speed memo, so keep few
+# each stepper may hold a few states' g for its speed memo, so keep few
 @lru_cache(maxsize=2)
 def _cached_stepper(grid, operator, params):
     return ContinuumStepper(grid, operator, params)

@@ -7,6 +7,9 @@ into the one-body density f and the two-body edge density g, the latter by
 Gaussian product-kernel density estimation over the edge set, with the
 bandwidth from Silverman's normal-reference rule.  The edge density has
 one lift, by community blocks g[p, q]; the unlabeled g is its k = 1 case.
+The lift sums each node's neighbour kernels over chunks of edges, so its
+working set is the N x n kernel matrix plus one chunk of gathered rows,
+O(N n + chunk n), never one row per edge, O(E n).
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +20,10 @@ from scipy.special import ndtr
 from .errors import ConfigError, SimulationError
 
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
+
+# kernel-matrix cells gathered per chunk of edges in the lift: 2**19
+# float64 cells are 4 MiB, max(1, 2**19 // n) edges per chunk
+_CHUNK_CELLS = 2 ** 19
 
 
 def _phi(x):
@@ -259,26 +266,42 @@ def _kernel_matrix(omega, grid, bandwidth, exact):
         upper = ndtr((grid.edges[None, 1:] - omega) / bandwidth)
         lower = ndtr((grid.edges[None, :-1] - omega) / bandwidth)
         return (upper - lower) / grid.dx
-    return _phi((grid.mids[None, :] - omega) / bandwidth) / bandwidth
+    # _phi(x) / bandwidth in one N x n buffer, operation for operation
+    kern = grid.mids[None, :] - omega
+    kern /= bandwidth
+    np.square(kern, out=kern)
+    kern *= -0.5
+    np.exp(kern, out=kern)
+    kern /= _SQRT2PI
+    kern /= bandwidth
+    return kern
 
 
 def _lift_g(graph, kern, grid, labels, k):
     # g[p, q] sums the product kernels of the edges from label p to label q
     # in both orientations, with one normalization to total mass 1.  The
-    # edges are stably sorted by their (label, label) pair, and each
-    # segment adds K[i]^T K[j] to one block s[p, q]; g = s + s^T over the
-    # (omega, m) axes is then bit-symmetric: g[q, p] == g[p, q].T.
+    # edges are stably sorted by their (label, label) pair, so within each
+    # segment they stay sorted by head i.  Each chunk of a segment gathers
+    # only its tails' rows K[j], sums them per head (a head whose neighbours
+    # straddle two chunks contributes from both) and adds K[heads]^T sums
+    # to one block s[p, q], so no array holds a row per edge.  g = s + s^T
+    # over the (omega, m) axes is then bit-symmetric: g[q, p] == g[p, q].T.
     if graph.n_edges == 0:
         raise ConfigError("kde: graph has no edges")
     n = grid.n_cells
+    chunk = max(1, _CHUNK_CELLS // n)
     keys = labels[graph.edges[:, 0]] * k + labels[graph.edges[:, 1]]
     edges = graph.edges[np.argsort(keys, kind="stable")]
-    counts = np.bincount(keys, minlength=k * k)
-    ends = np.cumsum(counts)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(keys,
+                                                        minlength=k * k))])
     s = np.zeros((k, k, n, n))
-    for key in np.flatnonzero(counts):
-        seg = edges[ends[key] - counts[key]:ends[key]]
-        s[divmod(key, k)] = kern[seg[:, 0], :].T @ kern[seg[:, 1], :]
+    for key in range(k * k):
+        block, end = s[divmod(key, k)], bounds[key + 1]
+        for start in range(bounds[key], end, chunk):
+            heads, tails = edges[start:min(start + chunk, end)].T
+            first = np.flatnonzero(np.diff(heads, prepend=-1))
+            sums = np.add.reduceat(kern[tails], first, axis=0)
+            block += kern[heads[first]].T @ sums
     g = s + s.transpose(1, 0, 3, 2)
     total = grid.dx ** 2 * g.sum()
     if total <= 0:

@@ -134,16 +134,18 @@ class CommunityGraph:
 
 def graph_from_pairs(n_nodes, pairs, community=None):
     """Build a CommunityGraph from arbitrary (i, j) pairs, canonicalizing."""
-    seen = set()
-    for i, j in pairs:
-        i, j = int(i), int(j)
-        if i == j:
-            raise ConfigError("graph: self loop (%d, %d)" % (i, j))
-        seen.add((i, j) if i < j else (j, i))
-    e = np.asarray(sorted(seen), dtype=np.int64).reshape(-1, 2)
+    n = int(n_nodes)
+    p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    loops = np.flatnonzero(p[:, 0] == p[:, 1])
+    if loops.size:
+        raise ConfigError("graph: self loop (%d, %d)" % tuple(p[loops[0]]))
+    if p.size and (p.min() < 0 or p.max() >= n):
+        raise ConfigError("graph: edge endpoint out of range")
+    keys = np.unique(p.min(axis=1) * n + p.max(axis=1))
+    e = np.stack([keys // n, keys % n], axis=1)
     if community is None:
-        community = np.ones(n_nodes, dtype=np.int64)
-    return CommunityGraph(n_nodes, e, community)
+        community = np.ones(n, dtype=np.int64)
+    return CommunityGraph(n, e, community)
 
 
 def _greedy_match(stubs, rng, ok_pair, edge_set, rounds=_MATCH_ROUNDS):
@@ -231,15 +233,16 @@ def ensure_connected(graph, rng=None):
     sizes = np.bincount(label)
     main = int(np.argmax(sizes))
     pool = np.flatnonzero(label == main)
-    pairs = [tuple(row) for row in graph.edges]
+    bridges = []
     for c in range(count):
         if c == main:
             continue
         members = np.flatnonzero(label == c)
-        u = int(members[rng.integers(members.size)])
-        v = int(pool[rng.integers(pool.size)])
-        pairs.append((u, v))
-    return graph_from_pairs(graph.n_nodes, pairs, graph.community)
+        bridges.append((members[rng.integers(members.size)],
+                        pool[rng.integers(pool.size)]))
+    return graph_from_pairs(graph.n_nodes,
+                            np.concatenate([graph.edges, bridges]),
+                            graph.community)
 
 
 def measured_mixing(graph):

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import opinet
 from opinet import (ConfigError, GraphConfig, Grid, LabeledFields, MixtureSpec,
                     PairField, bandwidth_select, empirical_f, empirical_g_kde,
                     ensure_connected, generate_community_graph,
                     graph_from_pairs, sample_initial_opinions, split_by_group)
+from opinet.empirical import _CHUNK_CELLS
 
 
 def crossing_graph(seed=0, n=120):
@@ -225,3 +232,37 @@ def test_split_by_group_with_interleaved_labels():
     np.testing.assert_allclose(lab.g_total(),
                                empirical_g_kde(g, om, grid, h).values,
                                rtol=0, atol=1e-13 * brute.max())
+
+
+def test_lift_working_set_does_not_grow_with_the_edges():
+    # N = 2000, mean degree ~40, n = 202: two E x n gathers would take
+    # 2 E n 8 bytes, ~129 MB; the kernel matrix is N n 8 bytes, ~3.2 MB
+    rng = np.random.default_rng(5)
+    n_nodes, grid = 2000, Grid(202)
+    pairs = rng.integers(0, n_nodes, size=(40000, 2))
+    g = graph_from_pairs(n_nodes, pairs[pairs[:, 0] != pairs[:, 1]])
+    om = rng.uniform(-0.95, 0.95, n_nodes)
+    budget = 3 * n_nodes * grid.n_cells * 8 + _CHUNK_CELLS * 8
+    assert 2 * g.n_edges * grid.n_cells * 8 > 8 * budget
+    tracemalloc.start()
+    try:
+        empirical_g_kde(g, om, grid, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
+
+
+def test_building_the_preset_state_leaves_scipy_sparse_unloaded():
+    # scipy.sparse alone adds ~3% to the preset run's peak RSS
+    src = os.path.dirname(os.path.dirname(opinet.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys\n"
+            "from opinet import build_initial_state, preset_three_communities\n"
+            "build_initial_state(preset_three_communities())\n"
+            "print('scipy.sparse' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -35,6 +35,28 @@ def test_pairs_deduplicate_and_reject_self_loops():
         graph_from_pairs(3, [(1, 1)])
 
 
+def test_pairs_match_a_python_set_reference():
+    # duplicates and both orientations of a pair collapse to one i < j row
+    rng = np.random.default_rng(3)
+    n = 30
+    pairs = rng.integers(0, n, size=(400, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    pairs = np.concatenate([pairs, pairs[:50, ::-1], pairs[50:80]])
+    reference = sorted({(min(i, j), max(i, j)) for i, j in pairs.tolist()})
+    np.testing.assert_array_equal(graph_from_pairs(n, pairs).edges, reference)
+    np.testing.assert_array_equal(
+        graph_from_pairs(n, [tuple(p) for p in pairs]).edges, reference)
+
+
+def test_pair_errors_name_the_pair():
+    with pytest.raises(ConfigError, match=r"self loop \(2, 2\)"):
+        graph_from_pairs(4, [(0, 1), (2, 2), (3, 3)])
+    with pytest.raises(ConfigError, match="out of range"):
+        graph_from_pairs(4, [(0, 4)])
+    with pytest.raises(ConfigError, match="out of range"):
+        graph_from_pairs(4, [(-1, 2)])
+
+
 def test_direct_construction_rejects_duplicates():
     edges = np.array([[0, 1], [0, 1]])
     with pytest.raises(ConfigError):
