@@ -10,8 +10,8 @@ from .micro import (DebateOperator, micro_rhs, euler_step, step_size_bound,
 from .empirical import (Grid, ScalarField, PairField, LabeledFields,
                         MixtureSpec, sample_initial_opinions, empirical_f,
                         empirical_g_kde, split_by_group, bandwidth_select)
-from .continuum import (ContinuumParams, eta_discrete, llf_flux_f, llf_flux_g,
-                        cfl_max_dt, step_unlabeled, step_labeled)
+from .continuum import (ContinuumParams, cfl_max_dt, step_unlabeled,
+                        step_labeled)
 from .analysis import (RunReport, consensus_value_cont, e_cont,
                        lyapunov_tilde, fit_exponential_rate)
 from .config import (ExperimentConfig, MicroParams, load_config,

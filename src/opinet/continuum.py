@@ -52,19 +52,6 @@ def _d_matrix(grid, operator):
                       dtype=float)
 
 
-def eta_discrete(g, dx, cutoff):
-    """Row-normalized pair density: g_ij / (dx sum_k g_ik).
-
-    Rows whose integral falls below cutoff are zeroed instead of divided,
-    so vacuum regions produce no spurious velocity.
-    """
-    g = np.asarray(g, dtype=float)
-    den = dx * g.sum(axis=-1)
-    keep = den >= cutoff
-    safe = np.where(keep, den, 1.0)
-    return np.where(keep[..., None], g / safe[..., None], 0.0)
-
-
 def _speeds(g4, dmat, dx, cutoff):
     # a[p, i] = sum_{q,j} g[p,q,i,j] D(mid_i - mid_j) / sum_{q,j} g[p,q,i,j],
     # returned with the row masses dx sum_{q,j} g[p,q,i,j]
@@ -73,52 +60,6 @@ def _speeds(g4, dmat, dx, cutoff):
     num = dx * np.einsum("pij,ij->pi", rows, dmat)
     keep = den >= cutoff
     return np.where(keep, num / np.where(keep, den, 1.0), 0.0), den
-
-
-def _interface_flux(u, a):
-    # local Lax-Friedrichs along axis 0, zero flux at the domain boundary
-    a_col = a.reshape((a.size,) + (1,) * (u.ndim - 1))
-    al, ar = a_col[:-1], a_col[1:]
-    ul, ur = u[:-1], u[1:]
-    amax = np.maximum(np.abs(al), np.abs(ar))
-    inner = 0.5 * (al * ul + ar * ur - (ur - ul) * amax)
-    pad = np.zeros((1,) + u.shape[1:])
-    return np.concatenate([pad, inner, pad], axis=0)
-
-
-def llf_flux_f(f, a):
-    """Interface fluxes for the one-body transport, shape (n_cells + 1,)."""
-    f = np.asarray(f, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if f.shape != a.shape or f.ndim != 1:
-        raise ConfigError("flux: f and a must be matching 1-D arrays")
-    return _interface_flux(f, a)
-
-
-def llf_flux_g(g, a_omega, a_m):
-    """Interface fluxes for the pair transport.
-
-    Returns (F_omega, F_m) with shapes (n+1, n) and (n, n+1); the m-axis
-    fluxes are built by transposing, so a symmetric g with a_omega == a_m
-    yields exactly mirrored flux arrays.
-    """
-    g = np.asarray(g, dtype=float)
-    a_omega = np.asarray(a_omega, dtype=float)
-    a_m = np.asarray(a_m, dtype=float)
-    n = g.shape[0]
-    if g.shape != (n, n) or a_omega.shape != (n,) or a_m.shape != (n,):
-        raise ConfigError("flux: g must be (n, n) with matching velocities")
-    fw = _interface_flux(g, a_omega)
-    fm = _interface_flux(g.T, a_m).T
-    return fw, fm
-
-
-def _mirrored_laplacian(u):
-    # zero-flux second difference along axis 0 (units of 1/dx^2 applied later)
-    grad = np.diff(u, axis=0)
-    pad = np.zeros((1,) + u.shape[1:])
-    gflux = np.concatenate([pad, grad, pad], axis=0)
-    return gflux[1:] - gflux[:-1]
 
 
 def _dt_bound(dx, speed, params):
@@ -147,12 +88,13 @@ def _flux_difference(flux, axis):
     shape = list(flux.shape)
     shape[axis] += 1
     out = np.empty(shape)
-    o, fl = np.moveaxis(out, axis, 0), np.moveaxis(flux, axis, 0)
-    o[0] = fl[0]
-    np.subtract(fl[1:], fl[:-1], out=o[1:-1])
-    # not np.negative(..., out=o[-1]): numpy 2.4 ignores the input stride
+    lead = (slice(None),) * axis
+    out[lead + (0,)] = flux[lead + (0,)]
+    np.subtract(flux[lead + (slice(1, None),)], flux[lead + (slice(-1),)],
+                out=out[lead + (slice(1, -1),)])
+    # not np.negative(..., out=...): numpy 2.4 ignores the input stride
     # there for some strided lengths (9 cells along axis 1)
-    o[-1] = -fl[-1]
+    out[lead + (-1,)] = -flux[lead + (-1,)]
     return out
 
 
@@ -237,7 +179,8 @@ class ContinuumStepper:
 
         f_new = f - lam * _flux_difference(cl * f[:, :-1] + cr * f[:, 1:], 1)
         if nu > 0:
-            f_new += nu * _mirrored_laplacian(f.T).T
+            # zero-flux diffusion: the flux difference of the gradient
+            f_new += nu * _flux_difference(np.diff(f, axis=1), 1)
 
         g_new = np.empty_like(g)
         for p in range(k):
@@ -250,8 +193,8 @@ class ContinuumStepper:
                 block = g_new[p, q]
                 np.subtract(u, lam * div, out=block)
                 if nu > 0:
-                    block += nu * (_mirrored_laplacian(u)
-                                   + _mirrored_laplacian(u.T).T)
+                    block += nu * (_flux_difference(np.diff(u, axis=0), 0)
+                                   + _flux_difference(np.diff(u, axis=1), 1))
                 if params.birth_rate > 0 or params.death_rate > 0:
                     # splitting stage on the post-transport state; no
                     # renormalization

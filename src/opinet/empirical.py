@@ -26,10 +26,6 @@ _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 _CHUNK_CELLS = 2 ** 19
 
 
-def _phi(x):
-    return np.exp(-0.5 * np.square(x)) / _SQRT2PI
-
-
 @dataclass(eq=False)
 class Grid:
     """Uniform cell grid on [-1, 1].
@@ -177,21 +173,6 @@ class MixtureSpec:
                                             dtype=float).T
         return weights / weights.sum(), centers, sigmas
 
-    def community_pdf(self, c):
-        """Density of community c as a callable on arrays in [-1, 1]."""
-        weights, centers, sigmas = self.components(c)
-        # truncation renormalizer per component
-        z = ndtr((1.0 - centers) / sigmas) - ndtr((-1.0 - centers) / sigmas)
-
-        def pdf(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for w, m, s, zz in zip(weights, centers, sigmas, z):
-                out = out + w * _phi((x - m) / s) / (s * zz)
-            return np.where((x >= -1.0) & (x <= 1.0), out, 0.0)
-
-        return pdf
-
     def community_cell_averages(self, grid, c):
         """Exact cell averages of community c's density (unit mass).
 
@@ -257,16 +238,13 @@ def empirical_f(omega, grid):
     return ScalarField(grid, counts / (omega.size * grid.dx))
 
 
-def _kernel_matrix(omega, grid, bandwidth, exact):
-    # rows: one normalized 1-D Gaussian kernel per node, as cell values
+def _kernel_matrix(omega, grid, bandwidth):
+    # rows: one normalized 1-D Gaussian kernel per node at the cell
+    # midpoints, exp(-x^2 / 2) / (sqrt(2 pi) bandwidth) with
+    # x = (mid - omega) / bandwidth, built in one N x n buffer
     if bandwidth <= 0 or not np.isfinite(bandwidth):
         raise ConfigError("kde: bandwidth must be positive and finite")
     omega = np.asarray(omega, dtype=float)[:, None]
-    if exact:
-        upper = ndtr((grid.edges[None, 1:] - omega) / bandwidth)
-        lower = ndtr((grid.edges[None, :-1] - omega) / bandwidth)
-        return (upper - lower) / grid.dx
-    # _phi(x) / bandwidth in one N x n buffer, operation for operation
     kern = grid.mids[None, :] - omega
     kern /= bandwidth
     np.square(kern, out=kern)
@@ -309,15 +287,14 @@ def _lift_g(graph, kern, grid, labels, k):
     return g / total
 
 
-def empirical_g_kde(graph, omega, grid, bandwidth, exact=False):
+def empirical_g_kde(graph, omega, grid, bandwidth):
     """Edge density by product-Gaussian KDE, renormalized to mass 1.
 
     Every undirected edge (i, j) contributes kernels at (omega_i, omega_j)
     and at the mirrored point, so the estimate is symmetric bit for bit.
-    Cell values use the midpoint rule by default; exact=True integrates the
-    kernels over the cells instead.  This is the labeled lift with k = 1.
+    Cell values use the midpoint rule.  This is the labeled lift with k = 1.
     """
-    kern = _kernel_matrix(omega, grid, bandwidth, exact)
+    kern = _kernel_matrix(omega, grid, bandwidth)
     labels = np.zeros(graph.n_nodes, dtype=np.int64)
     return PairField(grid, _lift_g(graph, kern, grid, labels, 1)[0, 0])
 
@@ -340,7 +317,7 @@ def split_by_group(graph, omega, grid, bandwidth):
         counts, _ = np.histogram(omega[graph.community == p + 1],
                                  bins=grid.edges)
         f[p] = counts / (omega.size * grid.dx)
-    kern = _kernel_matrix(omega, grid, bandwidth, exact=False)
+    kern = _kernel_matrix(omega, grid, bandwidth)
     return LabeledFields(grid, f,
                          _lift_g(graph, kern, grid, graph.community - 1, k))
 

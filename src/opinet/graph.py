@@ -106,17 +106,20 @@ class CommunityGraph:
                 raise ConfigError("graph: edge endpoint out of range")
             if np.any(e[:, 0] >= e[:, 1]):
                 raise ConfigError("graph: edges must satisfy i < j")
-            order = np.lexsort((e[:, 1], e[:, 0]))
-            if not np.array_equal(order, np.arange(e.shape[0])):
+            # i N + j orders the rows lexicographically, so consecutive
+            # keys must strictly increase
+            step = np.diff(e[:, 0] * n + e[:, 1])
+            if np.any(step < 0):
                 raise ConfigError("graph: edges must be lexicographically sorted")
-            if np.any(np.all(e[1:] == e[:-1], axis=1)):
+            if np.any(step == 0):
                 raise ConfigError("graph: duplicate edge")
-        heads = np.concatenate([e[:, 0], e[:, 1]])
-        tails = np.concatenate([e[:, 1], e[:, 0]])
-        deg = np.bincount(heads, minlength=n).astype(np.int64)
-        order = np.lexsort((tails, heads))
-        self.adj_heads = heads[order]
-        self.adj_indices = tails[order]
+        # each head sees its lower neighbours (rows ending at it) before its
+        # upper ones (rows starting at it), both ascending, so one stable
+        # sort by head lists every neighbour list in ascending order
+        deg = np.bincount(e.ravel(), minlength=n).astype(np.int64)
+        order = np.argsort(np.concatenate([e[:, 1], e[:, 0]]), kind="stable")
+        self.adj_heads = np.repeat(np.arange(n, dtype=np.int64), deg)
+        self.adj_indices = np.concatenate([e[:, 0], e[:, 1]])[order]
         self.adj_offsets = np.concatenate([[0], np.cumsum(deg)]).astype(np.int64)
         self.degrees = deg
 
@@ -232,12 +235,15 @@ def ensure_connected(graph, rng=None):
         rng = np.random.default_rng(graph.n_nodes)
     sizes = np.bincount(label)
     main = int(np.argmax(sizes))
-    pool = np.flatnonzero(label == main)
+    # the nodes grouped by component, each group ascending
+    by_label = np.argsort(label, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    pool = by_label[starts[main]:starts[main + 1]]
     bridges = []
     for c in range(count):
         if c == main:
             continue
-        members = np.flatnonzero(label == c)
+        members = by_label[starts[c]:starts[c + 1]]
         bridges.append((members[rng.integers(members.size)],
                         pool[rng.integers(pool.size)]))
     return graph_from_pairs(graph.n_nodes,

@@ -1,0 +1,141 @@
+"""Reference formulas the tests compare the package against.
+
+Each one computes, by a separate and plainer route, something the package
+computes for its workflows: the local Lax-Friedrichs interface fluxes and
+the padded zero-flux second difference of the continuum step, the
+row-normalized pair density eta, the cell-integrated Gaussian KDE, the
+truncated mixture pdf, the lexsorted CSR adjacency and the per-component
+bridging of ensure_connected.  No workflow calls them.
+"""
+
+import numpy as np
+from scipy.special import ndtr
+
+from opinet import ConfigError, PairField, graph_from_pairs
+from opinet.empirical import _lift_g
+from opinet.graph import _component_labels
+
+_SQRT2PI = float(np.sqrt(2.0 * np.pi))
+
+
+def _interface_flux(u, a):
+    # local Lax-Friedrichs along axis 0, zero flux at the domain boundary
+    a_col = a.reshape((a.size,) + (1,) * (u.ndim - 1))
+    al, ar = a_col[:-1], a_col[1:]
+    ul, ur = u[:-1], u[1:]
+    amax = np.maximum(np.abs(al), np.abs(ar))
+    inner = 0.5 * (al * ul + ar * ur - (ur - ul) * amax)
+    pad = np.zeros((1,) + u.shape[1:])
+    return np.concatenate([pad, inner, pad], axis=0)
+
+
+def llf_flux_f(f, a):
+    """Interface fluxes for the one-body transport, shape (n_cells + 1,)."""
+    f = np.asarray(f, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if f.shape != a.shape or f.ndim != 1:
+        raise ConfigError("flux: f and a must be matching 1-D arrays")
+    return _interface_flux(f, a)
+
+
+def llf_flux_g(g, a_omega, a_m):
+    """Interface fluxes for the pair transport.
+
+    Returns (F_omega, F_m) with shapes (n+1, n) and (n, n+1); the m-axis
+    fluxes are built by transposing, so a symmetric g with a_omega == a_m
+    yields exactly mirrored flux arrays.
+    """
+    g = np.asarray(g, dtype=float)
+    a_omega = np.asarray(a_omega, dtype=float)
+    a_m = np.asarray(a_m, dtype=float)
+    n = g.shape[0]
+    if g.shape != (n, n) or a_omega.shape != (n,) or a_m.shape != (n,):
+        raise ConfigError("flux: g must be (n, n) with matching velocities")
+    fw = _interface_flux(g, a_omega)
+    fm = _interface_flux(g.T, a_m).T
+    return fw, fm
+
+
+def mirrored_laplacian(u):
+    """Zero-flux second difference along axis 0, in units of 1/dx^2."""
+    grad = np.diff(u, axis=0)
+    pad = np.zeros((1,) + u.shape[1:])
+    gflux = np.concatenate([pad, grad, pad], axis=0)
+    return gflux[1:] - gflux[:-1]
+
+
+def eta_discrete(g, dx, cutoff):
+    """Row-normalized pair density: g_ij / (dx sum_k g_ik).
+
+    Rows whose integral falls below cutoff are zeroed instead of divided,
+    so vacuum regions produce no spurious velocity.
+    """
+    g = np.asarray(g, dtype=float)
+    den = dx * g.sum(axis=-1)
+    keep = den >= cutoff
+    safe = np.where(keep, den, 1.0)
+    return np.where(keep[..., None], g / safe[..., None], 0.0)
+
+
+def exact_g_kde(graph, omega, grid, bandwidth):
+    """empirical_g_kde with the kernels integrated over the cells instead
+    of sampled at the midpoints."""
+    omega = np.asarray(omega, dtype=float)[:, None]
+    upper = ndtr((grid.edges[None, 1:] - omega) / bandwidth)
+    lower = ndtr((grid.edges[None, :-1] - omega) / bandwidth)
+    kern = (upper - lower) / grid.dx
+    labels = np.zeros(graph.n_nodes, dtype=np.int64)
+    return PairField(grid, _lift_g(graph, kern, grid, labels, 1)[0, 0])
+
+
+def _phi(x):
+    return np.exp(-0.5 * np.square(x)) / _SQRT2PI
+
+
+def community_pdf(mixture, c):
+    """Density of community c as a callable on arrays in [-1, 1]."""
+    weights, centers, sigmas = mixture.components(c)
+    # truncation renormalizer per component
+    z = ndtr((1.0 - centers) / sigmas) - ndtr((-1.0 - centers) / sigmas)
+
+    def pdf(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for w, m, s, zz in zip(weights, centers, sigmas, z):
+            out = out + w * _phi((x - m) / s) / (s * zz)
+        return np.where((x >= -1.0) & (x <= 1.0), out, 0.0)
+
+    return pdf
+
+
+def csr_adjacency(edges, n_nodes):
+    """(heads, indices, offsets) of the half-edges, lexsorted by head and
+    then by neighbour."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    heads = np.concatenate([e[:, 0], e[:, 1]])
+    tails = np.concatenate([e[:, 1], e[:, 0]])
+    order = np.lexsort((tails, heads))
+    deg = np.bincount(heads, minlength=n_nodes)
+    return heads[order], tails[order], np.concatenate([[0], np.cumsum(deg)])
+
+
+def ensure_connected(graph, rng=None):
+    """opinet.ensure_connected with a flatnonzero scan per component."""
+    label, count = _component_labels(graph)
+    if count <= 1:
+        return graph
+    if rng is None:
+        rng = np.random.default_rng(graph.n_nodes)
+    sizes = np.bincount(label)
+    main = int(np.argmax(sizes))
+    pool = np.flatnonzero(label == main)
+    bridges = []
+    for c in range(count):
+        if c == main:
+            continue
+        members = np.flatnonzero(label == c)
+        bridges.append((members[rng.integers(members.size)],
+                        pool[rng.integers(pool.size)]))
+    return graph_from_pairs(graph.n_nodes,
+                            np.concatenate([graph.edges, bridges]),
+                            graph.community)

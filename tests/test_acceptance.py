@@ -14,13 +14,14 @@ from opinet import (ContinuumParams, DebateOperator, GraphConfig, Grid,
                     bandwidth_select, build_initial_state, cfl_max_dt,
                     consensus_value, consensus_value_cont, conserved_quantity,
                     e_micro, empirical_f, empirical_g_kde, ensure_connected,
-                    eta_discrete, euler_maruyama_step, euler_step,
-                    fit_exponential_rate, generate_community_graph,
-                    graph_from_pairs, lyapunov_tilde, micro_rhs,
-                    preset_crossing, preset_three_communities, run_experiment,
+                    euler_maruyama_step, euler_step, fit_exponential_rate,
+                    generate_community_graph, graph_from_pairs,
+                    lyapunov_tilde, micro_rhs, preset_crossing,
+                    preset_three_communities, run_experiment,
                     sample_initial_opinions, spectral_gap, split_by_group,
                     step_labeled, step_unlabeled)
 from opinet.continuum import stepper_for
+from oracles import eta_discrete
 
 LIN = DebateOperator.linear()
 

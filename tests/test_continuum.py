@@ -4,11 +4,11 @@ import pytest
 from opinet import (ConfigError, ContinuumParams, DebateOperator, GraphConfig,
                     Grid, LabeledFields, MixtureSpec, PairField, ScalarField,
                     bandwidth_select, cfl_max_dt, empirical_g_kde,
-                    ensure_connected, eta_discrete, generate_community_graph,
-                    graph_from_pairs, llf_flux_f, llf_flux_g,
-                    sample_initial_opinions, split_by_group, step_labeled,
-                    step_unlabeled)
+                    ensure_connected, generate_community_graph,
+                    graph_from_pairs, sample_initial_opinions, split_by_group,
+                    step_labeled, step_unlabeled)
 from opinet.continuum import stepper_for
+from oracles import eta_discrete, llf_flux_f, llf_flux_g
 
 LIN = DebateOperator.linear()
 
@@ -43,6 +43,25 @@ def test_eta_cutoff_zeroes_vacuum_rows():
     eta = eta_discrete(g, 1.0, 1e-10)
     np.testing.assert_allclose(eta[1], 0.0)
     assert eta[0].sum() == pytest.approx(1.0)
+
+
+def test_speeds_apply_the_eta_cutoff():
+    # a row of label 0 with mass 1e-14 below the cutoff gets speed 0; every
+    # other row is the eta-weighted mean of D over its label's blocks
+    grid = Grid(12)
+    params = ContinuumParams(eta_cutoff=1e-10)
+    stepper = stepper_for(grid, DebateOperator.quartic(), params)
+    rng = np.random.default_rng(4)
+    g = rng.uniform(0.0, 1.0, (2, 2, 12, 12))
+    g = g + g.transpose(1, 0, 3, 2)
+    g[0, :, 5, :] *= 1e-14 / (grid.dx * g[0, :, 5, :].sum())
+    a, rows = stepper.speeds(g)
+    assert rows[0, 5] < params.eta_cutoff
+    assert a[0, 5] == 0.0
+    eta = eta_discrete(g.sum(axis=1), grid.dx, params.eta_cutoff)
+    expect = grid.dx * np.einsum("pij,ij->pi", eta, stepper.dmat)
+    np.testing.assert_allclose(a, expect, rtol=1e-13,
+                               atol=1e-15 * np.max(np.abs(expect)))
 
 
 def test_velocity_hand_value():

@@ -13,6 +13,7 @@ from opinet import (ConfigError, GraphConfig, Grid, LabeledFields, MixtureSpec,
                     ensure_connected, generate_community_graph,
                     graph_from_pairs, sample_initial_opinions, split_by_group)
 from opinet.empirical import _CHUNK_CELLS
+from oracles import community_pdf, exact_g_kde
 
 
 def crossing_graph(seed=0, n=120):
@@ -58,7 +59,7 @@ def test_community_pdf_normalized():
     integrates to one even when a component leaks past the boundary, and
     component weights are normalized within the community."""
     mix = MixtureSpec((((0.7, -0.9, 0.3), (0.2, 0.5, 0.05)),))
-    total, _ = quad(mix.community_pdf(0), -1.0, 1.0, limit=200)
+    total, _ = quad(community_pdf(mix, 0), -1.0, 1.0, limit=200)
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -81,7 +82,7 @@ def test_cell_averages_match_quadrature():
     # per-cell quadrature of the truncated pdf, leaking past both ends
     grid = Grid(40)
     mix = MixtureSpec((((0.7, -0.9, 0.3), (0.2, 0.5, 0.05)),))
-    pdf = mix.community_pdf(0)
+    pdf = community_pdf(mix, 0)
     quadrature = [quad(pdf, lo, hi)[0] / grid.dx
                   for lo, hi in zip(grid.edges[:-1], grid.edges[1:])]
     np.testing.assert_allclose(mix.community_cell_averages(grid, 0).values,
@@ -136,8 +137,8 @@ def test_kde_mass_and_symmetry():
     om = sample_initial_opinions(g, MixtureSpec.crossing(),
                                  np.random.default_rng(2))
     grid = Grid(64)
-    for exact in (False, True):
-        pf = empirical_g_kde(g, om, grid, 0.08, exact=exact)
+    for kde in (empirical_g_kde, exact_g_kde):
+        pf = kde(g, om, grid, 0.08)
         assert pf.mass() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(pf.values, pf.values.T)
         assert pf.values.min() >= 0.0
@@ -148,8 +149,8 @@ def test_kde_modes_agree_at_moderate_bandwidth():
     om = sample_initial_opinions(g, MixtureSpec.crossing(),
                                  np.random.default_rng(4))
     grid = Grid(64)
-    a = empirical_g_kde(g, om, grid, 0.1, exact=False)
-    b = empirical_g_kde(g, om, grid, 0.1, exact=True)
+    a = empirical_g_kde(g, om, grid, 0.1)
+    b = exact_g_kde(g, om, grid, 0.1)
     assert np.max(np.abs(a.values - b.values)) < 2e-2 * np.max(a.values)
 
 

@@ -4,7 +4,8 @@ import pytest
 from opinet import (CommunityGraph, ConfigError, GraphConfig, ensure_connected,
                     generate_community_graph, graph_from_pairs, is_connected,
                     laplacian, measured_mixing, spectral_gap)
-from opinet.graph import LAPLACIAN_NODE_CAP
+from opinet.graph import LAPLACIAN_NODE_CAP, _component_labels
+import oracles
 
 
 def path3():
@@ -58,15 +59,48 @@ def test_pair_errors_name_the_pair():
 
 
 def test_direct_construction_rejects_duplicates():
-    edges = np.array([[0, 1], [0, 1]])
-    with pytest.raises(ConfigError):
-        CommunityGraph(n_nodes=3, edges=edges, community=np.ones(3, dtype=int))
+    for edges in ([[0, 1], [0, 1]], [[0, 2], [1, 2], [1, 2]]):
+        with pytest.raises(ConfigError, match="duplicate edge"):
+            CommunityGraph(n_nodes=3, edges=np.array(edges),
+                           community=np.ones(3, dtype=int))
 
 
 def test_direct_construction_requires_canonical_order():
-    edges = np.array([[1, 2], [0, 1]])
-    with pytest.raises(ConfigError):
-        CommunityGraph(n_nodes=3, edges=edges, community=np.ones(3, dtype=int))
+    # an unsorted list is named as such even when it also repeats a row
+    for edges, message in (([[1, 2], [0, 1]], "lexicographically sorted"),
+                           ([[0, 1], [0, 2], [0, 1]], "lexicographically"),
+                           ([[0, 1], [2, 1]], "i < j")):
+        with pytest.raises(ConfigError, match=message):
+            CommunityGraph(n_nodes=3, edges=np.array(edges),
+                           community=np.ones(3, dtype=int))
+
+
+def test_csr_matches_a_lexsort_reference():
+    rng = np.random.default_rng(12)
+    graphs = [generate_community_graph(GraphConfig(
+        n_nodes=300, n_groups=3, mean_degree=8.0, mixing_mu=0.2, seed=1))]
+    for _ in range(50):
+        n = int(rng.integers(2, 80))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        graphs.append(graph_from_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]]))
+    for g in graphs:
+        heads, indices, offsets = oracles.csr_adjacency(g.edges, g.n_nodes)
+        np.testing.assert_array_equal(g.adj_heads, heads)
+        np.testing.assert_array_equal(g.adj_indices, indices)
+        np.testing.assert_array_equal(g.adj_offsets, offsets)
+
+
+def test_ensure_connected_matches_the_per_component_reference():
+    rng = np.random.default_rng(6)
+    pairs = rng.integers(0, 6000, size=(2000, 2))
+    g = graph_from_pairs(6000, pairs[pairs[:, 0] != pairs[:, 1]])
+    assert _component_labels(g)[1] > 3000
+    np.testing.assert_array_equal(ensure_connected(g).edges,
+                                  oracles.ensure_connected(g).edges)
+    new = ensure_connected(g, np.random.default_rng(5))
+    ref = oracles.ensure_connected(g, np.random.default_rng(5))
+    np.testing.assert_array_equal(new.edges, ref.edges)
+    assert is_connected(new)
 
 
 def test_config_validation():

@@ -1,0 +1,41 @@
+"""The names opinet exports, pinned.
+
+Submodules are left out: which of them are attributes of the package
+depends on what else has been imported.
+"""
+
+import types
+
+import opinet
+
+EXPORTS = {
+    "CommunityGraph", "ConfigError", "ContinuumParams", "DebateOperator",
+    "ExperimentConfig", "GraphConfig", "Grid", "LabeledFields", "MicroParams",
+    "MixtureSpec", "PRESETS", "PairField", "RunReport", "ScalarField",
+    "SimulationError", "bandwidth_select", "build_initial_state",
+    "cfl_max_dt", "consensus_value", "consensus_value_cont",
+    "conserved_quantity", "e_cont", "e_micro", "empirical_f",
+    "empirical_g_kde", "ensure_connected", "euler_maruyama_step",
+    "euler_step", "fit_exponential_rate", "generate_community_graph",
+    "graph_from_pairs", "is_connected", "laplacian", "load_config",
+    "lyapunov_tilde", "measured_mixing", "micro_rhs", "potential_v",
+    "preset_crossing", "preset_three_communities", "replace_mixing",
+    "run_experiment", "run_mu_sweep", "sample_initial_opinions",
+    "save_config", "spectral_gap", "split_by_group", "step_labeled",
+    "step_size_bound", "step_unlabeled",
+}
+
+# references the tests compare against, kept in tests/oracles.py
+ORACLES = {"llf_flux_f", "llf_flux_g", "eta_discrete", "community_pdf",
+           "mirrored_laplacian", "exact_g_kde"}
+
+
+def test_exports_are_pinned():
+    names = {name for name in dir(opinet) if not name.startswith("_")
+             and not isinstance(getattr(opinet, name), types.ModuleType)}
+    assert names == EXPORTS
+
+
+def test_no_oracle_is_exported():
+    assert not [name for name in ORACLES if hasattr(opinet, name)]
+    assert not hasattr(opinet.MixtureSpec, "community_pdf")

@@ -1,41 +1,46 @@
 """Property tests of the continuum step on random symmetric states.
 
-The reference is the k^2 block update assembled from the public flux
-functions llf_flux_f / llf_flux_g and the stepper's speeds.
+The reference is the k^2 block update assembled from the flux functions
+llf_flux_f / llf_flux_g, the padded zero-flux second difference and the
+birth-death splitting stage in tests/oracles.py, with the stepper's speeds.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from opinet import (ContinuumParams, DebateOperator, Grid,  # noqa: E402
-                    LabeledFields, PairField, ScalarField, llf_flux_f,
-                    llf_flux_g, step_labeled, step_unlabeled)
+                    LabeledFields, PairField, ScalarField, step_labeled,
+                    step_unlabeled)
 from opinet.continuum import stepper_for  # noqa: E402
+from oracles import llf_flux_f, llf_flux_g, mirrored_laplacian  # noqa: E402
 
 OPERATORS = {"linear": DebateOperator.linear(),
              "quartic": DebateOperator.quartic()}
 
 
-def speeds(g, grid, operator):
-    return stepper_for(grid, operator, ContinuumParams(dt=1.0)).speeds(g)[0]
-
-
-def reference_step(f, g, grid, operator, dt):
-    a = speeds(g, grid, operator)
+def reference_step(f, g, grid, operator, params, dt):
+    a = stepper_for(grid, operator, params).speeds(g)[0]
     lam = dt / grid.dx
+    nu = dt * params.diffusion_sigma / grid.dx ** 2
     k = f.shape[0]
     f_new = np.stack([f[p] - lam * np.diff(llf_flux_f(f[p], a[p]))
-                      for p in range(k)])
+                      + nu * mirrored_laplacian(f[p]) for p in range(k)])
     g_new = np.empty_like(g)
     for p in range(k):
         for q in range(k):
-            fw, fm = llf_flux_g(g[p, q], a[p], a[q])
-            g_new[p, q] = g[p, q] - lam * (np.diff(fw, axis=0)
-                                           + np.diff(fm, axis=1))
-    return f_new, g_new, a
+            u = g[p, q]
+            fw, fm = llf_flux_g(u, a[p], a[q])
+            block = u - lam * (np.diff(fw, axis=0) + np.diff(fm, axis=1))
+            block += nu * (mirrored_laplacian(u) + mirrored_laplacian(u.T).T)
+            g_new[p, q] = block + dt * (
+                params.birth_rate * np.outer(f_new[p], f_new[q])
+                - params.death_rate * block)
+    return f_new, g_new
 
 
 @st.composite
@@ -54,19 +59,24 @@ def states(draw):
     g = g + g.transpose(1, 0, 3, 2)
     f /= max(grid.dx * f.sum(), 1e-300)
     g /= max(grid.dx ** 2 * g.sum(), 1e-300)
-    return grid, f, g, draw(st.sampled_from(sorted(OPERATORS)))
+    params = ContinuumParams(
+        diffusion_sigma=draw(st.sampled_from([0.0, 1e-3])),
+        birth_rate=draw(st.sampled_from([0.0, 0.2])),
+        death_rate=draw(st.sampled_from([0.0, 0.2])))
+    return grid, f, g, draw(st.sampled_from(sorted(OPERATORS))), params
 
 
+@settings(max_examples=200)
 @given(states())
 def test_stepper_matches_the_flux_reference(state):
-    grid, f, g, name = state
+    grid, f, g, name, params = state
     operator = OPERATORS[name]
-    amax = float(np.max(np.abs(speeds(g, grid, operator))))
-    # 0.9 of the realized CFL bound, or any step when nothing moves
-    dt = 0.9 * grid.dx / (2.0 * amax) if amax > 0 else 0.1
-    params = ContinuumParams(dt=dt)
+    bound, _ = stepper_for(grid, operator, params).max_dt(f, g)
+    # 0.9 of the realized bound, or any step when nothing limits it
+    dt = 0.9 * bound if np.isfinite(bound) else 0.1
+    params = replace(params, dt=dt)
     out = step_labeled(LabeledFields(grid, f, g), operator, params)
-    f_ref, g_ref, _ = reference_step(f, g, grid, operator, dt)
+    f_ref, g_ref = reference_step(f, g, grid, operator, params, dt)
 
     scale_f = max(float(np.max(np.abs(f_ref))), 1e-300)
     scale_g = max(float(np.max(np.abs(g_ref))), 1e-300)
@@ -78,13 +88,19 @@ def test_stepper_matches_the_flux_reference(state):
         for q in range(k):
             assert np.array_equal(out.g[p, q], out.g[q, p].T)
 
+    # transport and diffusion conserve every block's mass; birth-death
+    # acts on g alone
     mass_f, mass_g = grid.dx * f.sum(axis=1), grid.dx ** 2 * g.sum(axis=(2, 3))
     assert np.all(np.abs(grid.dx * out.f.sum(axis=1) - mass_f)
                   <= 1e-12 * max(mass_f.sum(), 1e-300))
-    assert np.all(np.abs(grid.dx ** 2 * out.g.sum(axis=(2, 3)) - mass_g)
-                  <= 1e-12 * max(mass_g.sum(), 1e-300))
+    if params.birth_rate == 0 and params.death_rate == 0:
+        assert np.all(np.abs(grid.dx ** 2 * out.g.sum(axis=(2, 3)) - mass_g)
+                      <= 1e-12 * max(mass_g.sum(), 1e-300))
 
-    assert out.f.min() >= 0.0 and out.g.min() >= 0.0
+    # the step bound is the smaller of the transport and diffusion limits,
+    # which keeps positivity for transport and birth-death alone
+    if params.diffusion_sigma == 0:
+        assert out.f.min() >= 0.0 and out.g.min() >= 0.0
 
     if k == 1:
         fu, gu = step_unlabeled(ScalarField(grid, f[0]),
