@@ -63,12 +63,14 @@ def _speeds(g4, dmat, dx, cutoff):
 
 
 def _dt_bound(dx, speed, params):
-    # strict stability limit for transport at the given speed plus the
-    # diffusion and death limits of params
+    # strict positivity limit of the 2-D g update at the given speed, with
+    # the diffusion it carries: dt (2 speed / dx + 4 sigma / dx^2) < 1,
+    # then capped by the death limit of params
     bound = dx / (2.0 * speed) if speed > 0 else np.inf
     if params is not None:
         if params.diffusion_sigma > 0:
-            bound = min(bound, dx ** 2 / (4.0 * params.diffusion_sigma))
+            bound = 1.0 / (2.0 * speed / dx
+                           + 4.0 * params.diffusion_sigma / dx ** 2)
         if params.death_rate > 0:
             bound = min(bound, 1.0 / params.death_rate)
     return bound
@@ -138,10 +140,10 @@ class ContinuumStepper:
     def max_dt(self, f, g):
         """Realized stability bound of a state, and the state's total mass.
 
-        The bound is dx / (2 max|a|) at the state's own speeds, capped by
-        the diffusion and death limits.  The mass dx sum f + dx^2 sum g
-        reuses the row masses of the speeds, and is not finite whenever f
-        or g holds a value that is not finite.
+        The bound is dx / (2 max|a|) at the state's own speeds, with the
+        diffusion limit combined into it and capped by the death limit.
+        The mass dx sum f + dx^2 sum g reuses the row masses of the speeds,
+        and is not finite whenever f or g holds a value that is not finite.
         """
         a, rows = self.speeds(g)
         if len(self._memo) >= _MEMO_ENTRIES:

@@ -5,7 +5,13 @@ target degree near the requested mean, declares a share of its stubs
 intra-community according to the mixing parameter mu, and the stub pools are
 randomly matched into simple undirected edges.  Realized degrees track the
 targets approximately; self loops and duplicate pairs are rejected during
-matching, leftover stubs are dropped after a few repair rounds.
+matching, leftover stubs are dropped after a few repair rounds.  Each
+matching round and the connected-component labelling are whole-array
+passes.
+
+A graph is its lexicographically sorted edge list; the micro dynamics
+accumulate over the edges in that order, so a seed fixes the graph and the
+round-off of every run on it.
 """
 
 from dataclasses import dataclass, field
@@ -79,15 +85,18 @@ class CommunityGraph:
 
     edges is an (m, 2) int array with i < j on each row, rows unique and
     lexicographically sorted.  community holds labels in 1..n_groups.
-    Adjacency is precomputed in CSR form with neighbor lists sorted
-    ascending; that fixed ordering pins the accumulation order used by the
-    dynamics, which keeps runs bit-reproducible.
+    tail and head are contiguous copies of the two columns of edges; the
+    dynamics accumulate over the edges in this order, which pins their
+    round-off and keeps runs bit-reproducible.  Adjacency is also kept in
+    CSR form, with neighbor lists sorted ascending.
     """
 
     n_nodes: int
     edges: np.ndarray
     community: np.ndarray
     degrees: np.ndarray = field(init=False, repr=False)
+    tail: np.ndarray = field(init=False, repr=False)
+    head: np.ndarray = field(init=False, repr=False)
     adj_offsets: np.ndarray = field(init=False, repr=False)
     adj_indices: np.ndarray = field(init=False, repr=False)
     adj_heads: np.ndarray = field(init=False, repr=False)
@@ -122,6 +131,8 @@ class CommunityGraph:
         self.adj_indices = np.concatenate([e[:, 0], e[:, 1]])[order]
         self.adj_offsets = np.concatenate([[0], np.cumsum(deg)]).astype(np.int64)
         self.degrees = deg
+        self.tail = np.ascontiguousarray(e[:, 0])
+        self.head = np.ascontiguousarray(e[:, 1])
 
     @property
     def n_groups(self):
@@ -151,24 +162,39 @@ def graph_from_pairs(n_nodes, pairs, community=None):
     return CommunityGraph(n, e, community)
 
 
-def _greedy_match(stubs, rng, ok_pair, edge_set, rounds=_MATCH_ROUNDS):
-    # Random pairing with rejection; rejected stubs get reshuffled a few
-    # times, whatever is left after the last round is dropped.
+def _greedy_match(stubs, rng, keys, n, ok_pair=None, rounds=_MATCH_ROUNDS):
+    """Randomly pair stubs into new edges; returns keys with them merged in.
+
+    keys holds the accepted edges (i, j), i < j, as sorted i n + j.  Each
+    round shuffles the pool and takes consecutive stubs as pairs; a pair is
+    rejected if it is a self loop, fails ok_pair(u, v) (arrays in, bool
+    array out), repeats an accepted edge or repeats an earlier pair of the
+    round.  The odd stub and the rejected pairs, in order, form the next
+    round's pool; whatever is left after the last round is dropped.
+    """
     pool = np.asarray(stubs, dtype=np.int64)
     for _ in range(rounds):
         if pool.size < 2:
             break
         rng.shuffle(pool)
-        work = pool[:-1] if pool.size % 2 else pool
-        leftover = [int(pool[-1])] if pool.size % 2 else []
-        for u, v in zip(work[0::2], work[1::2]):
-            u, v = int(u), int(v)
-            key = (u, v) if u < v else (v, u)
-            if u == v or key in edge_set or not ok_pair(u, v):
-                leftover.extend((u, v))
-                continue
-            edge_set.add(key)
-        pool = np.asarray(leftover, dtype=np.int64)
+        odd = pool.size % 2
+        work = pool[:pool.size - odd]
+        u, v = work[0::2], work[1::2]
+        cand = np.minimum(u, v) * n + np.maximum(u, v)
+        ok = u != v
+        if ok_pair is not None:
+            ok &= ok_pair(u, v)
+        if keys.size:
+            at = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
+            ok &= keys[at] != cand
+        # the first occurrence of each remaining key is accepted
+        fresh, first = np.unique(cand[ok], return_index=True)
+        keys = np.insert(keys, np.searchsorted(keys, fresh), fresh)
+        rest = np.ones(cand.size, dtype=bool)
+        rest[np.flatnonzero(ok)[first]] = False
+        pool = np.concatenate([pool[pool.size - odd:],
+                               np.stack([u[rest], v[rest]], axis=1).ravel()])
+    return keys
 
 
 def generate_community_graph(config):
@@ -184,38 +210,40 @@ def generate_community_graph(config):
     n_intra = rng.binomial(target, 1.0 - config.mixing_mu)
     n_inter = target - n_intra
 
-    edge_set = set()
+    keys = np.empty(0, dtype=np.int64)
     for c in range(1, config.n_groups + 1):
         members = np.flatnonzero(community == c)
-        stubs = np.repeat(members, n_intra[members])
-        _greedy_match(stubs, rng, lambda u, v: True, edge_set)
+        keys = _greedy_match(np.repeat(members, n_intra[members]), rng, keys,
+                             n)
 
-    inter_stubs = np.repeat(np.arange(n), n_inter)
-    _greedy_match(inter_stubs, rng,
-                  lambda u, v: community[u] != community[v], edge_set)
-
-    e = np.asarray(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
-    return CommunityGraph(n, e, community)
+    keys = _greedy_match(np.repeat(np.arange(n), n_inter), rng, keys, n,
+                         lambda u, v: community[u] != community[v])
+    return CommunityGraph(n, np.stack([keys // n, keys % n], axis=1),
+                          community)
 
 
 def _component_labels(graph):
-    n = graph.n_nodes
-    label = np.full(n, -1, dtype=np.int64)
-    count = 0
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        stack = [start]
-        label[start] = count
-        while stack:
-            u = stack.pop()
-            for v in graph.neighbors(u):
-                v = int(v)
-                if label[v] < 0:
-                    label[v] = count
-                    stack.append(v)
-        count += 1
-    return label, count
+    """(label, count): components numbered 0.. in order of their smallest
+    node, which is what ensure_connected's rng draws follow."""
+    tail, head = graph.tail, graph.head
+    # every node points at a smaller node of its component, or at itself;
+    # hook the root of each endpoint to the other's and jump to the roots
+    # until every edge joins two equal roots
+    root = np.arange(graph.n_nodes, dtype=np.int64)
+    while True:
+        rt, rh = root[tail], root[head]
+        if np.array_equal(rt, rh):
+            break
+        np.minimum.at(root, rt, rh)
+        np.minimum.at(root, rh, rt)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    # the root of a component is its smallest node
+    _, label = np.unique(root, return_inverse=True)
+    return label, int(label.max(initial=-1)) + 1
 
 
 def is_connected(graph):

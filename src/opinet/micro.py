@@ -74,11 +74,12 @@ def micro_rhs(graph, omega, operator):
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (graph.n_nodes,):
         raise ConfigError("micro: omega must have one entry per node")
-    diffs = omega[graph.adj_heads] - omega[graph.adj_indices]
-    sums = np.bincount(graph.adj_heads, weights=operator.d(diffs),
-                       minlength=graph.n_nodes)
-    deg = graph.degrees
-    return np.where(deg > 0, sums / np.maximum(deg, 1), 0.0)
+    # D is odd, so each edge gives D(w_i - w_j) to i and its negative to j
+    n = graph.n_nodes
+    d = operator.d(omega[graph.tail] - omega[graph.head])
+    sums = (np.bincount(graph.tail, weights=d, minlength=n)
+            - np.bincount(graph.head, weights=d, minlength=n))
+    return sums / np.maximum(graph.degrees, 1)
 
 
 def step_size_bound(operator):
@@ -135,7 +136,7 @@ def consensus_value(graph, omega):
 def potential_v(graph, omega, operator):
     """Total pairwise potential, half the sum of W over ordered neighbor pairs."""
     omega = np.asarray(omega, dtype=float)
-    diffs = omega[graph.edges[:, 0]] - omega[graph.edges[:, 1]]
+    diffs = omega[graph.tail] - omega[graph.head]
     return float(np.sum(operator.w(diffs)))
 
 

@@ -4,16 +4,18 @@ Each one computes, by a separate and plainer route, something the package
 computes for its workflows: the local Lax-Friedrichs interface fluxes and
 the padded zero-flux second difference of the continuum step, the
 row-normalized pair density eta, the cell-integrated Gaussian KDE, the
-truncated mixture pdf, the lexsorted CSR adjacency and the per-component
-bridging of ensure_connected.  No workflow calls them.
+truncated mixture pdf, the set-based stub matching of the graph generator,
+the depth-first component labels, the lexsorted CSR adjacency, the
+per-component bridging of ensure_connected and the micro right-hand side
+gathered over the CSR half-edges.  No workflow calls them.
 """
 
 import numpy as np
 from scipy.special import ndtr
 
-from opinet import ConfigError, PairField, graph_from_pairs
+from opinet import CommunityGraph, ConfigError, PairField, graph_from_pairs
 from opinet.empirical import _lift_g
-from opinet.graph import _component_labels
+from opinet.graph import _MATCH_ROUNDS
 
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -119,9 +121,80 @@ def csr_adjacency(edges, n_nodes):
     return heads[order], tails[order], np.concatenate([[0], np.cumsum(deg)])
 
 
+def greedy_match(stubs, rng, ok_pair, edge_set, rounds=_MATCH_ROUNDS):
+    # Random pairing with rejection; rejected stubs get reshuffled a few
+    # times, whatever is left after the last round is dropped.
+    pool = np.asarray(stubs, dtype=np.int64)
+    for _ in range(rounds):
+        if pool.size < 2:
+            break
+        rng.shuffle(pool)
+        work = pool[:-1] if pool.size % 2 else pool
+        leftover = [int(pool[-1])] if pool.size % 2 else []
+        for u, v in zip(work[0::2], work[1::2]):
+            u, v = int(u), int(v)
+            key = (u, v) if u < v else (v, u)
+            if u == v or key in edge_set or not ok_pair(u, v):
+                leftover.extend((u, v))
+                continue
+            edge_set.add(key)
+        pool = np.asarray(leftover, dtype=np.int64)
+
+
+def generate_community_graph(config):
+    """opinet.generate_community_graph matching one stub pair at a time
+    into a Python set of edges."""
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    n = config.n_nodes
+    sizes = config.community_sizes()
+    community = np.repeat(np.arange(1, config.n_groups + 1), sizes)
+
+    target = rng.poisson(config.mean_degree, size=n)
+    np.clip(target, 1, n - 1, out=target)
+    n_intra = rng.binomial(target, 1.0 - config.mixing_mu)
+    n_inter = target - n_intra
+
+    edge_set = set()
+    for c in range(1, config.n_groups + 1):
+        members = np.flatnonzero(community == c)
+        stubs = np.repeat(members, n_intra[members])
+        greedy_match(stubs, rng, lambda u, v: True, edge_set)
+
+    inter_stubs = np.repeat(np.arange(n), n_inter)
+    greedy_match(inter_stubs, rng,
+                 lambda u, v: community[u] != community[v], edge_set)
+
+    e = np.asarray(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
+    return CommunityGraph(n, e, community)
+
+
+def component_labels(graph):
+    """(label, count) by depth-first search from each unlabeled node in
+    turn, so components are numbered in order of their smallest node."""
+    n = graph.n_nodes
+    label = np.full(n, -1, dtype=np.int64)
+    count = 0
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        stack = [start]
+        label[start] = count
+        while stack:
+            u = stack.pop()
+            for v in graph.neighbors(u):
+                v = int(v)
+                if label[v] < 0:
+                    label[v] = count
+                    stack.append(v)
+        count += 1
+    return label, count
+
+
 def ensure_connected(graph, rng=None):
-    """opinet.ensure_connected with a flatnonzero scan per component."""
-    label, count = _component_labels(graph)
+    """opinet.ensure_connected with depth-first labels and a flatnonzero
+    scan per component."""
+    label, count = component_labels(graph)
     if count <= 1:
         return graph
     if rng is None:
@@ -139,3 +212,13 @@ def ensure_connected(graph, rng=None):
     return graph_from_pairs(graph.n_nodes,
                             np.concatenate([graph.edges, bridges]),
                             graph.community)
+
+
+def micro_rhs(graph, omega, operator):
+    """opinet.micro_rhs as a gather over the CSR half-edges: each node sums
+    D over its ascending neighbour list."""
+    diffs = omega[graph.adj_heads] - omega[graph.adj_indices]
+    sums = np.bincount(graph.adj_heads, weights=operator.d(diffs),
+                       minlength=graph.n_nodes)
+    deg = graph.degrees
+    return np.where(deg > 0, sums / np.maximum(deg, 1), 0.0)

@@ -75,11 +75,12 @@ def test_every_step_respects_the_realized_bound(monkeypatch, continuum):
     tol = 1.0 + 1e-12
     binding = 0
     for name, dt, amax, params in seen:
-        assert 2.0 * dt * amax / dx <= CFL_SAFETY * tol, (name, dt, amax)
+        # the combined positivity limit of transport and diffusion, which
+        # implies each of the two limits alone
+        rate = 2.0 * amax / dx + 4.0 * params.diffusion_sigma / dx ** 2
+        assert dt * rate <= CFL_SAFETY * tol, (name, dt, amax)
         if params.diffusion_sigma > 0:
-            limit = CFL_SAFETY * dx ** 2 / (4.0 * params.diffusion_sigma)
-            assert dt <= limit * tol
-            binding += dt > 0.5 * limit
+            binding += dt * rate > 0.5 * CFL_SAFETY
         if params.death_rate > 0:
             limit = CFL_SAFETY / params.death_rate
             assert dt <= limit * tol

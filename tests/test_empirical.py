@@ -254,16 +254,37 @@ def test_lift_working_set_does_not_grow_with_the_edges():
     assert peak < budget
 
 
-def test_building_the_preset_state_leaves_scipy_sparse_unloaded():
-    # scipy.sparse alone adds ~3% to the preset run's peak RSS
+def loads_scipy_sparse(code):
+    """Whether running code in a fresh interpreter imports scipy.sparse."""
     src = os.path.dirname(os.path.dirname(opinet.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys\n"
-            "from opinet import build_initial_state, preset_three_communities\n"
-            "build_initial_state(preset_three_communities())\n"
-            "print('scipy.sparse' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code + (
+        "import sys\n"
+        "print('scipy.sparse' in sys.modules)\n")], env=env, check=True,
+        capture_output=True, text=True)
+    return out.stdout.strip() == "True"
+
+
+def test_building_the_preset_state_leaves_scipy_sparse_unloaded():
+    # scipy.sparse alone adds ~3% to the preset run's peak RSS
+    assert not loads_scipy_sparse(
+        "from opinet import build_initial_state, preset_three_communities\n"
+        "build_initial_state(preset_three_communities())\n")
+
+
+def test_a_whole_run_and_bridging_leave_scipy_sparse_unloaded(tmp_path):
+    # every variant, the outputs and a graph with stray components to bridge
+    assert not loads_scipy_sparse(
+        "from dataclasses import replace\n"
+        "from opinet import (ensure_connected, graph_from_pairs,\n"
+        "                    preset_three_communities, run_experiment)\n"
+        "config = preset_three_communities()\n"
+        "config = replace(config, micro=replace(config.micro, t_end=0.5),\n"
+        "                 continuum=replace(config.continuum, t_end=0.5),\n"
+        "                 snapshot_times=(0.5,), output_dir=%r)\n"
+        "assert 'micro' in config.model_variants\n"
+        "run_experiment(config)\n"
+        "g = ensure_connected(graph_from_pairs(6, [(0, 1), (2, 3)]))\n"
+        "assert g.n_edges == 5\n" % str(tmp_path))

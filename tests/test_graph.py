@@ -94,13 +94,30 @@ def test_ensure_connected_matches_the_per_component_reference():
     rng = np.random.default_rng(6)
     pairs = rng.integers(0, 6000, size=(2000, 2))
     g = graph_from_pairs(6000, pairs[pairs[:, 0] != pairs[:, 1]])
-    assert _component_labels(g)[1] > 3000
+    label, count = _component_labels(g)
+    assert count > 3000
+    ref_label, ref_count = oracles.component_labels(g)
+    assert count == ref_count
+    np.testing.assert_array_equal(label, ref_label)
     np.testing.assert_array_equal(ensure_connected(g).edges,
                                   oracles.ensure_connected(g).edges)
     new = ensure_connected(g, np.random.default_rng(5))
     ref = oracles.ensure_connected(g, np.random.default_rng(5))
     np.testing.assert_array_equal(new.edges, ref.edges)
     assert is_connected(new)
+
+
+def test_a_large_graph_matches_the_set_and_search_references():
+    # the size of the fine_unlabeled benchmark workload's graph
+    config = GraphConfig(n_nodes=20000, n_groups=3, mean_degree=10.0,
+                         mixing_mu=0.05, seed=1)
+    g = generate_community_graph(config)
+    np.testing.assert_array_equal(
+        g.edges, oracles.generate_community_graph(config).edges)
+    label, count = _component_labels(g)
+    ref_label, ref_count = oracles.component_labels(g)
+    assert count == ref_count
+    np.testing.assert_array_equal(label, ref_label)
 
 
 def test_config_validation():

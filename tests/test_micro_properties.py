@@ -1,0 +1,70 @@
+"""Property tests of the micro step on random graphs with isolated nodes.
+
+The reference right-hand side is the gather over the CSR half-edges in
+tests/oracles.py; the step itself evaluates D once per undirected edge.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from opinet import (DebateOperator, conserved_quantity,  # noqa: E402
+                    euler_step, graph_from_pairs, micro_rhs, step_size_bound)
+import oracles  # noqa: E402
+
+OPERATORS = {"linear": DebateOperator.linear(),
+             "quartic": DebateOperator.quartic()}
+
+
+@st.composite
+def states(draw):
+    """(graph, omega, operator name); a few nodes have no edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    active = draw(st.integers(2, 60))
+    n = active + draw(st.integers(1, 5))
+    pairs = rng.integers(0, active, size=(draw(st.integers(0, 4 * active)),
+                                          2))
+    # spread the isolated nodes among the others
+    pairs = rng.permutation(n)[pairs[pairs[:, 0] != pairs[:, 1]]]
+    omega = rng.uniform(-1.0, 1.0, n)
+    return graph_from_pairs(n, pairs), omega, draw(
+        st.sampled_from(sorted(OPERATORS)))
+
+
+@settings(max_examples=200)
+@given(states())
+def test_rhs_matches_the_csr_gather(state):
+    graph, omega, name = state
+    operator = OPERATORS[name]
+    rhs = micro_rhs(graph, omega, operator)
+    ref = oracles.micro_rhs(graph, omega, operator)
+    terms = operator.d(omega[graph.tail] - omega[graph.head])
+    scale = max(float(np.max(np.abs(terms), initial=0.0)), 1e-300)
+    assert np.max(np.abs(rhs - ref)) <= 1e-13 * scale
+    assert np.all(rhs[graph.degrees == 0] == 0.0)
+
+
+@given(states())
+def test_conserved_sum_holds_over_twenty_steps(state):
+    graph, omega, name = state
+    operator = OPERATORS[name]
+    c0 = conserved_quantity(graph, omega)
+    for _ in range(20):
+        omega = euler_step(graph, omega, operator,
+                           0.5 * step_size_bound(operator))
+    drift = abs(conserved_quantity(graph, omega) - c0)
+    assert drift <= 1e-13 * max(float(graph.degrees.sum()), 1.0)
+
+
+@given(states())
+def test_a_step_at_the_bound_stays_in_each_neighbourhood_hull(state):
+    # criterion 4: dt = 1 / sup|D'| keeps every opinion in the hull of its
+    # closed neighbourhood
+    graph, omega, name = state
+    operator = OPERATORS[name]
+    new = euler_step(graph, omega, operator, step_size_bound(operator))
+    for i in range(graph.n_nodes):
+        hood = omega[np.append(graph.neighbors(i), i)]
+        assert hood.min() - 1e-12 <= new[i] <= hood.max() + 1e-12

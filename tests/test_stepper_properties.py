@@ -51,6 +51,12 @@ def states(draw):
     grid = Grid(n)
     f = rng.uniform(0.0, 1.0, (k, n))
     g = rng.uniform(0.0, 1.0, (k, k, n, n))
+    if draw(st.booleans()):
+        # mass one cell off the diagonal moves at speed ~dx under the linear
+        # D, so near n = 48 the transport and diffusion limits are close and
+        # each alone allows a step that drains a cell more than once
+        cells = np.arange(n)
+        g *= np.abs(cells[:, None] - cells[None, :]) == 1
     # vacuum cells exercise the eta cutoff and the zero-speed rows
     empty = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3]))
     f[:, empty] = 0.0
@@ -97,10 +103,9 @@ def test_stepper_matches_the_flux_reference(state):
         assert np.all(np.abs(grid.dx ** 2 * out.g.sum(axis=(2, 3)) - mass_g)
                       <= 1e-12 * max(mass_g.sum(), 1e-300))
 
-    # the step bound is the smaller of the transport and diffusion limits,
-    # which keeps positivity for transport and birth-death alone
-    if params.diffusion_sigma == 0:
-        assert out.f.min() >= 0.0 and out.g.min() >= 0.0
+    # the step bound combines the transport and diffusion limits, which
+    # keeps positivity with diffusion and birth-death as well
+    assert out.f.min() >= 0.0 and out.g.min() >= 0.0
 
     if k == 1:
         fu, gu = step_unlabeled(ScalarField(grid, f[0]),
