@@ -7,6 +7,10 @@ with a local Lax-Friedrichs flux; boundary fluxes are zero, so mass is
 conserved exactly.  Optional additive noise enters as explicit diffusion
 with mirrored (zero-flux) boundaries, and optional edge birth-death acts
 on g after the transport stage.
+
+The LLF flux and the diffusion flux of a face combine into one monotone
+two-point stencil, H = wl u_i + wr u_{i+1} with wl >= 0 >= wr, so a step
+forms one flux array per axis and updates u - (dH_0 + dH_1).
 """
 
 from dataclasses import dataclass, replace
@@ -55,7 +59,9 @@ def _d_matrix(grid, operator):
 def _speeds(g4, dmat, dx, cutoff):
     # a[p, i] = sum_{q,j} g[p,q,i,j] D(mid_i - mid_j) / sum_{q,j} g[p,q,i,j],
     # returned with the row masses dx sum_{q,j} g[p,q,i,j]
-    rows = g4.sum(axis=1)
+    # g4[:, 0] + g4[:, 1] + ...: the sum over q in order, and a view of g4
+    # when k = 1
+    rows = sum((g4[:, q] for q in range(1, g4.shape[1])), g4[:, 0])
     den = dx * rows.sum(axis=-1)
     num = dx * np.einsum("pij,ij->pi", rows, dmat)
     keep = den >= cutoff
@@ -84,12 +90,10 @@ def cfl_max_dt(grid, operator, params=None):
     return _dt_bound(grid.dx, d_max, params)
 
 
-def _flux_difference(flux, axis):
-    # F_{i+1/2} - F_{i-1/2} from the interior fluxes along axis; the
-    # boundary fluxes are zero, so the first and last rows are exact copies
-    shape = list(flux.shape)
-    shape[axis] += 1
-    out = np.empty(shape)
+def _flux_difference(flux, axis, out):
+    # F_{i+1/2} - F_{i-1/2} into out from the interior fluxes along axis;
+    # the boundary fluxes are zero, so the first and last rows are exact
+    # copies
     lead = (slice(None),) * axis
     out[lead + (0,)] = flux[lead + (0,)]
     np.subtract(flux[lead + (slice(1, None),)], flux[lead + (slice(-1),)],
@@ -119,6 +123,18 @@ class ContinuumStepper:
     g[p, q].T: only the p <= q blocks are advanced and the others are their
     transposes, so the symmetry holds by construction.
 
+    Each face carries one two-point stencil: the LLF flux lam (cl u_i +
+    cr u_{i+1}), cl >= 0 >= cr, plus the zero-flux diffusion flux
+    nu (u_i - u_{i+1}), with lam = dt/dx and nu = dt sigma/dx^2.  A block
+    of g takes the flux differences of both axes and subtracts their sum,
+    which is the same for u and u.T, so a diagonal block stays
+    bit-symmetric.  The axis-1 faces are taken on the flattened block, with
+    zero weight on the faces that wrap from one row to the next.
+
+    The stepper holds scratch buffers for one n x n block, used by every
+    k it advances, so a step allocates little beyond its outputs; a
+    stepper must not be advanced from two threads at once.
+
     The speeds that max_dt computes for a g are kept, one entry per
     array, until the next advance of that array, so a caller that checks a
     state before stepping it pays for one velocity pass, not two, even when
@@ -132,6 +148,14 @@ class ContinuumStepper:
         self.dmat = _d_matrix(grid, operator)
         self.dmat.flags.writeable = False
         self._memo = {}     # identity of g -> (g, its speeds) from max_dt
+        n = grid.n_cells
+        # face fluxes and a second operand, each for a flat n x n block
+        self._face = np.empty(n * n)
+        self._work = np.empty(n * n)
+        # the axis-1 weights of one label tiled per row; the last column,
+        # the wrap faces of the flat block, stays zero
+        self._tiled_l = np.zeros((n, n))
+        self._tiled_r = np.zeros((n, n))
 
     def speeds(self, g):
         """Per-label speeds a (k, n) and row masses (k, n) of g."""
@@ -164,45 +188,65 @@ class ContinuumStepper:
             raise ConfigError("continuum: dt must be given for a step")
         params = self.params
         dx = self.grid.dx
-        k = f.shape[0]
+        k, n = f.shape
         memo = self._memo.pop(_identity(g), None)
         a = memo[1] if memo is not None else self.speeds(g)[0]
         bound = _dt_bound(dx, float(np.max(np.abs(a))), params)
         if not (dt > 0 and dt < bound):
             raise ConfigError("continuum: dt=%g violates 0 < dt < %g"
                               % (dt, bound))
-        # LLF interface flux cl u_left + cr u_right with cl >= 0 >= cr
+        # the stencil of each face: wl = lam cl + nu >= 0 on the left cell
+        # and wr = lam cr - nu <= 0 on the right one
         al, ar = a[:, :-1], a[:, 1:]
         amax = np.maximum(np.abs(al), np.abs(ar))
-        cl = 0.5 * (al + amax)
-        cr = 0.5 * (ar - amax)
         lam = dt / dx
         nu = dt * params.diffusion_sigma / dx ** 2
+        wl = lam * (0.5 * (al + amax)) + nu
+        wr = lam * (0.5 * (ar - amax)) - nu
 
-        f_new = f - lam * _flux_difference(cl * f[:, :-1] + cr * f[:, 1:], 1)
-        if nu > 0:
-            # zero-flux diffusion: the flux difference of the gradient
-            f_new += nu * _flux_difference(np.diff(f, axis=1), 1)
+        f_new = np.empty(f.shape)
+        _flux_difference(wl * f[:, :-1] + wr * f[:, 1:], 1, f_new)
+        np.subtract(f, f_new, out=f_new)
 
-        g_new = np.empty_like(g)
-        for p in range(k):
-            for q in range(p, k):
+        g_new = np.empty(g.shape)
+        face, work = self._face, self._work
+        face0, work0 = face[:-n].reshape(n - 1, n), work[:-n].reshape(n - 1, n)
+        face1, work1 = face[:-1], work[:-1]
+        square = work.reshape(n, n)
+        tiled_l = self._tiled_l.reshape(-1)[:-1]
+        tiled_r = self._tiled_r.reshape(-1)[:-1]
+        birth_death = params.birth_rate > 0 or params.death_rate > 0
+        for q in range(k):
+            self._tiled_l[:, :-1] = wl[q]
+            self._tiled_r[:, :-1] = wr[q]
+            for p in range(q + 1):
                 u = g[p, q]
-                div = _flux_difference(cl[p, :, None] * u[:-1]
-                                       + cr[p, :, None] * u[1:], 0)
-                div += _flux_difference(u[:, :-1] * cl[q] + u[:, 1:] * cr[q],
-                                        1)
                 block = g_new[p, q]
-                np.subtract(u, lam * div, out=block)
-                if nu > 0:
-                    block += nu * (_flux_difference(np.diff(u, axis=0), 0)
-                                   + _flux_difference(np.diff(u, axis=1), 1))
-                if params.birth_rate > 0 or params.death_rate > 0:
-                    # splitting stage on the post-transport state; no
-                    # renormalization
-                    block += dt * (params.birth_rate
-                                   * np.outer(f_new[p], f_new[q])
-                                   - params.death_rate * block)
+                # axis 0 at the speeds of p, its difference straight into
+                # block; einsum, as a column broadcast multiplies through a
+                # buffer
+                np.einsum("i,ij->ij", wl[p], u[:-1], out=face0)
+                np.einsum("i,ij->ij", wr[p], u[1:], out=work0)
+                face0 += work0
+                _flux_difference(face0, 0, block)
+                # axis 1 at the speeds of q, on the flat block
+                flat = u.reshape(-1)
+                np.multiply(tiled_l, flat[:-1], out=face1)
+                np.multiply(tiled_r, flat[1:], out=work1)
+                face1 += work1
+                _flux_difference(face1, 0, work)
+                block += square
+                np.subtract(u, block, out=block)
+                if birth_death:
+                    # splitting stage on the post-transport state, block +=
+                    # dt (b f_p f_q - d block); no renormalization
+                    born = face.reshape(n, n)
+                    np.einsum("i,j->ij", f_new[p], f_new[q], out=born)
+                    born *= params.birth_rate
+                    np.multiply(params.death_rate, block, out=square)
+                    born -= square
+                    born *= dt
+                    block += born
                 if q != p:
                     g_new[q, p] = block.T
         return f_new, g_new

@@ -15,6 +15,7 @@ round-off of every run on it.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,8 +88,9 @@ class CommunityGraph:
     lexicographically sorted.  community holds labels in 1..n_groups.
     tail and head are contiguous copies of the two columns of edges; the
     dynamics accumulate over the edges in this order, which pins their
-    round-off and keeps runs bit-reproducible.  Adjacency is also kept in
-    CSR form, with neighbor lists sorted ascending.
+    round-off and keeps runs bit-reproducible.  Adjacency is also
+    available in CSR form, with neighbor lists sorted ascending; no run
+    step reads it, so it is built on first use.
     """
 
     n_nodes: int
@@ -97,9 +99,6 @@ class CommunityGraph:
     degrees: np.ndarray = field(init=False, repr=False)
     tail: np.ndarray = field(init=False, repr=False)
     head: np.ndarray = field(init=False, repr=False)
-    adj_offsets: np.ndarray = field(init=False, repr=False)
-    adj_indices: np.ndarray = field(init=False, repr=False)
-    adj_heads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = int(self.n_nodes)
@@ -122,17 +121,26 @@ class CommunityGraph:
                 raise ConfigError("graph: edges must be lexicographically sorted")
             if np.any(step == 0):
                 raise ConfigError("graph: duplicate edge")
+        self.degrees = np.bincount(e.ravel(), minlength=n).astype(np.int64)
+        self.tail = np.ascontiguousarray(e[:, 0])
+        self.head = np.ascontiguousarray(e[:, 1])
+
+    @cached_property
+    def adj_heads(self):
+        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees)
+
+    @cached_property
+    def adj_indices(self):
         # each head sees its lower neighbours (rows ending at it) before its
         # upper ones (rows starting at it), both ascending, so one stable
         # sort by head lists every neighbour list in ascending order
-        deg = np.bincount(e.ravel(), minlength=n).astype(np.int64)
+        e = self.edges
         order = np.argsort(np.concatenate([e[:, 1], e[:, 0]]), kind="stable")
-        self.adj_heads = np.repeat(np.arange(n, dtype=np.int64), deg)
-        self.adj_indices = np.concatenate([e[:, 0], e[:, 1]])[order]
-        self.adj_offsets = np.concatenate([[0], np.cumsum(deg)]).astype(np.int64)
-        self.degrees = deg
-        self.tail = np.ascontiguousarray(e[:, 0])
-        self.head = np.ascontiguousarray(e[:, 1])
+        return np.concatenate([e[:, 0], e[:, 1]])[order]
+
+    @cached_property
+    def adj_offsets(self):
+        return np.concatenate([[0], np.cumsum(self.degrees)]).astype(np.int64)
 
     @property
     def n_groups(self):

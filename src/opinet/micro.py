@@ -14,6 +14,18 @@ import numpy as np
 from .errors import ConfigError
 
 
+# products, not np.power, which takes the general pow path and is ~100x
+# slower; -z * -z equals z * z, so D stays odd and W even bit for bit
+def _quartic_d(z):
+    z = np.asarray(z, dtype=float)
+    return -(z * z * z)
+
+
+def _quartic_w(z):
+    z = np.asarray(z, dtype=float)
+    return 0.25 * ((z * z) * (z * z))
+
+
 @dataclass(frozen=True)
 class DebateOperator:
     """Interaction rule D with its potential W and a bound on |D'|.
@@ -37,9 +49,8 @@ class DebateOperator:
     @classmethod
     def quartic(cls):
         # W(z) = z^4 / 4 on differences in (-2, 2); |W''| <= 12 there
-        return cls(d=lambda z: -np.power(np.asarray(z, dtype=float), 3),
-                   w=lambda z: 0.25 * np.power(z, 4),
-                   lipschitz=12.0, name="quartic")
+        return cls(d=_quartic_d, w=_quartic_w, lipschitz=12.0,
+                   name="quartic")
 
     @classmethod
     def zero(cls):

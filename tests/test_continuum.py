@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from opinet import (ConfigError, ContinuumParams, DebateOperator, GraphConfig,
                     ensure_connected, generate_community_graph,
                     graph_from_pairs, sample_initial_opinions, split_by_group,
                     step_labeled, step_unlabeled)
-from opinet.continuum import stepper_for
+from opinet.continuum import ContinuumStepper, stepper_for
 from oracles import eta_discrete, llf_flux_f, llf_flux_g
 
 LIN = DebateOperator.linear()
@@ -291,3 +293,55 @@ def test_death_rate_tightens_dt_bound():
     params = ContinuumParams(dt=0.5, death_rate=2.0)
     with pytest.raises(ConfigError):
         step_unlabeled(f, gk, DebateOperator.zero(), params)
+
+
+def random_state(rng, grid, k):
+    """A normalized random (f, g) with k labels and g[q, p] = g[p, q].T."""
+    n = grid.n_cells
+    f = rng.uniform(0.0, 1.0, (k, n))
+    g = rng.uniform(0.0, 1.0, (k, k, n, n))
+    g = g + g.transpose(1, 0, 3, 2)
+    return f / (grid.dx * f.sum()), g / (grid.dx ** 2 * g.sum())
+
+
+def test_a_shared_stepper_leaks_nothing_between_states():
+    # a run advances its k = 1 and k = 3 closures on one stepper, whose
+    # scratch buffers serve both; every step must equal a fresh stepper's
+    grid = Grid(37)
+    params = ContinuumParams(diffusion_sigma=1e-3, birth_rate=0.2,
+                             death_rate=0.3)
+    shared = ContinuumStepper(grid, LIN, params)
+    rng = np.random.default_rng(11)
+    for k in (1, 3, 1, 3, 3, 1, 1):
+        f, g = random_state(rng, grid, k)
+        dt = 0.5 * shared.max_dt(f, g)[0]
+        f1, g1 = shared.advance(f, g, dt)
+        f2, g2 = ContinuumStepper(grid, LIN, params).advance(f, g, dt)
+        assert np.array_equal(f1.view(np.int64), f2.view(np.int64))
+        assert np.array_equal(g1.view(np.int64), g2.view(np.int64))
+
+
+def test_a_step_allocates_only_its_outputs():
+    n = 200
+    grid = Grid(n)
+    params = ContinuumParams(diffusion_sigma=1e-3, birth_rate=0.2,
+                             death_rate=0.3)
+    stepper = ContinuumStepper(grid, LIN, params)
+    f, g = random_state(np.random.default_rng(5), grid, 1)
+    dt = 0.5 * stepper.max_dt(f, g)[0]
+    stepper.advance(f, g, dt)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = stepper.advance(f, g, dt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert out[1].shape == g.shape
+    # the new f and g, and O(n) bytes of speeds and face weights; one n x n
+    # temporary alone would be six times the margin
+    assert peak < f.nbytes + g.nbytes + 32 * 8 * n

@@ -90,6 +90,19 @@ def test_csr_matches_a_lexsort_reference():
         np.testing.assert_array_equal(g.adj_offsets, offsets)
 
 
+def test_csr_arrays_are_built_on_first_use():
+    g = generate_community_graph(GraphConfig(
+        n_nodes=300, n_groups=3, mean_degree=8.0, mixing_mu=0.2, seed=1))
+    names = ("adj_heads", "adj_indices", "adj_offsets")
+    assert not set(names) & set(vars(g))
+    reference = oracles.csr_adjacency(g.edges, g.n_nodes)
+    for name, expect in zip(names, reference):
+        arr = getattr(g, name)
+        assert arr.dtype == np.int64
+        np.testing.assert_array_equal(arr, expect)
+        assert getattr(g, name) is arr
+
+
 def test_ensure_connected_matches_the_per_component_reference():
     rng = np.random.default_rng(6)
     pairs = rng.integers(0, 6000, size=(2000, 2))

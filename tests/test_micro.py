@@ -23,6 +23,19 @@ def test_builtin_operators_validate():
         op.validate()
 
 
+def test_quartic_is_odd_and_even_bit_for_bit():
+    rng = np.random.default_rng(8)
+    z = rng.uniform(-2.0, 2.0, 100_000)
+    op = DebateOperator.quartic()
+    assert np.array_equal(op.d(-z).view(np.int64), (-op.d(z)).view(np.int64))
+    assert np.array_equal(op.w(-z).view(np.int64), op.w(z).view(np.int64))
+    # the products stay within round-off of the power forms
+    np.testing.assert_allclose(op.d(z), -np.power(z, 3), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(op.w(z), 0.25 * np.power(z, 4), rtol=1e-15,
+                               atol=0)
+    op.validate()
+
+
 def test_operator_rejects_even_d():
     bad = DebateOperator(d=lambda z: np.square(z), w=lambda z: np.square(z),
                          lipschitz=4.0)
