@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import ConfigError, SimulationError
 
@@ -170,7 +171,7 @@ def graph_from_pairs(n_nodes, pairs, community=None):
     return CommunityGraph(n, e, community)
 
 
-def _greedy_match(stubs, rng, keys, n, ok_pair=None, rounds=_MATCH_ROUNDS):
+def _greedy_match(stubs, rng, keys, n, ok_pair=None):
     """Randomly pair stubs into new edges; returns keys with them merged in.
 
     keys holds the accepted edges (i, j), i < j, as sorted i n + j.  Each
@@ -178,10 +179,10 @@ def _greedy_match(stubs, rng, keys, n, ok_pair=None, rounds=_MATCH_ROUNDS):
     rejected if it is a self loop, fails ok_pair(u, v) (arrays in, bool
     array out), repeats an accepted edge or repeats an earlier pair of the
     round.  The odd stub and the rejected pairs, in order, form the next
-    round's pool; whatever is left after the last round is dropped.
+    round's pool; whatever is left after _MATCH_ROUNDS rounds is dropped.
     """
     pool = np.asarray(stubs, dtype=np.int64)
-    for _ in range(rounds):
+    for _ in range(_MATCH_ROUNDS):
         if pool.size < 2:
             break
         rng.shuffle(pool)
@@ -208,7 +209,7 @@ def _greedy_match(stubs, rng, keys, n, ok_pair=None, rounds=_MATCH_ROUNDS):
 def generate_community_graph(config):
     """Planted-partition generator; deterministic given config.seed."""
     config.validate()
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     n = config.n_nodes
     sizes = config.community_sizes()
     community = np.repeat(np.arange(1, config.n_groups + 1), sizes)
@@ -268,7 +269,7 @@ def ensure_connected(graph, rng=None):
     if count <= 1:
         return graph
     if rng is None:
-        rng = np.random.default_rng(graph.n_nodes)
+        rng = default_rng(graph.n_nodes)
     sizes = np.bincount(label)
     main = int(np.argmax(sizes))
     # the nodes grouped by component, each group ascending
@@ -313,10 +314,15 @@ def laplacian(graph):
 def spectral_gap(graph):
     """Smallest nonzero Laplacian eigenvalue (0 for disconnected graphs).
 
-    Dense symmetric eigensolve; the kernel is checked explicitly: the
+    A disconnected graph gets exactly 0 without a solve, at any size.  A
+    connected one takes a dense symmetric eigensolve, refused above
+    LAPLACIAN_NODE_CAP nodes; the kernel is checked explicitly: the
     constant vector must be annihilated and the bottom eigenvalue must
     vanish to relative tolerance 1e-10.
     """
+    # the solve would give round-off of either sign for the second zero
+    if _component_labels(graph)[1] > 1:
+        return 0.0
     lap = laplacian(graph)
     n = graph.n_nodes
     try:

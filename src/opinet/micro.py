@@ -58,9 +58,10 @@ class DebateOperator:
                    w=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
                    lipschitz=0.0, name="zero")
 
-    def validate(self, z_max=2.0, n_samples=401):
+    def validate(self):
         """Sample-based sanity checks: D odd nonincreasing, W even, W(0)=0."""
-        z = np.linspace(-z_max, z_max, n_samples)
+        # opinions in [-1, 1] differ by at most 2
+        z = np.linspace(-2.0, 2.0, 401)
         dz = np.asarray(self.d(z), dtype=float)
         wz = np.asarray(self.w(z), dtype=float)
         tol = 1e-10 * max(1.0, float(np.max(np.abs(dz))))

@@ -10,6 +10,7 @@ import os
 from dataclasses import replace
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import ConfigError, SimulationError
 from .graph import generate_community_graph, ensure_connected
@@ -27,9 +28,9 @@ RATE_COLUMNS = ("mu", "rate_micro", "rate_cont_labeled", "rate_cont_unlabeled",
                 "fit_err_micro", "fit_err_cont_labeled",
                 "fit_err_cont_unlabeled")
 
-# share of the stability bound a step takes when no continuum step is
-# configured: of the worst-case bound in cfl_max_dt for a fixed step, of the
-# realized bound of each state for the adaptive step
+# share of the realized stability bound of each state that an adaptive
+# continuum step takes; a configured fixed step is only checked against
+# cfl_max_dt's worst-case bound, never scaled
 CFL_SAFETY = 0.9
 
 
@@ -57,7 +58,7 @@ def build_initial_state(config):
     graph = ensure_connected(generate_community_graph(
         replace(config.graph, seed=seeds["graph"])))
     omega = sample_initial_opinions(graph, config.mixture,
-                                    np.random.default_rng(seeds["sample"]))
+                                    default_rng(seeds["sample"]))
     grid = Grid(config.grid_size)
     variants = config.model_variants
     fields = {}
@@ -86,7 +87,7 @@ class _MicroVariant:
         self._sigma = config.micro.noise_sigma
         self._dt, self._steps = _chunked_dt(config.sample_interval,
                                             config.micro.dt)
-        self._rng = np.random.default_rng(config.seeds()["noise"])
+        self._rng = default_rng(config.seeds()["noise"])
 
     def advance(self, t_start, interval):
         for _ in range(self._steps):

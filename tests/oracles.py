@@ -4,10 +4,11 @@ Each one computes, by a separate and plainer route, something the package
 computes for its workflows: the local Lax-Friedrichs interface fluxes and
 the padded zero-flux second difference of the continuum step, the
 row-normalized pair density eta, the cell-integrated Gaussian KDE, the
-truncated mixture pdf, the set-based stub matching of the graph generator,
-the depth-first component labels, the lexsorted CSR adjacency, the
-per-component bridging of ensure_connected and the micro right-hand side
-gathered over the CSR half-edges.  No workflow calls them.
+truncated mixture pdf and its cell averages through scipy's normal CDF, the
+set-based stub matching of the graph generator, the depth-first component
+labels, the lexsorted CSR adjacency, the per-component bridging of
+ensure_connected and the micro right-hand side gathered over the CSR
+half-edges.  No workflow calls them.
 """
 
 import numpy as np
@@ -108,6 +109,16 @@ def community_pdf(mixture, c):
         return np.where((x >= -1.0) & (x <= 1.0), out, 0.0)
 
     return pdf
+
+
+def cell_averages(mixture, grid, c):
+    """MixtureSpec.community_cell_averages(grid, c).values with scipy's
+    ndtr for the normal CDF."""
+    out = np.zeros(grid.n_cells)
+    for w, m, s in zip(*mixture.components(c)):
+        z = ndtr((grid.edges - m) / s)
+        out += w * np.diff(z) / (z[-1] - z[0])
+    return out / grid.dx
 
 
 def csr_adjacency(edges, n_nodes):

@@ -13,7 +13,7 @@ from opinet import (ConfigError, GraphConfig, Grid, LabeledFields, MixtureSpec,
                     ensure_connected, generate_community_graph,
                     graph_from_pairs, sample_initial_opinions, split_by_group)
 from opinet.empirical import _CHUNK_CELLS
-from oracles import community_pdf, exact_g_kde
+from oracles import cell_averages, community_pdf, exact_g_kde
 
 
 def crossing_graph(seed=0, n=120):
@@ -87,6 +87,23 @@ def test_cell_averages_match_quadrature():
                   for lo, hi in zip(grid.edges[:-1], grid.edges[1:])]
     np.testing.assert_allclose(mix.community_cell_averages(grid, 0).values,
                                quadrature, rtol=1e-9, atol=1e-12)
+
+
+def test_cell_averages_match_scipy_ndtr():
+    # the stdlib CDF against scipy's, cell by cell.  np.diff of two CDF
+    # values near 1 cancels in both forms, so far-tail cells differ by up
+    # to ~1e-7 of their own size: they are held to the column's max
+    for n in (101, 202, 404):
+        grid = Grid(n)
+        for mix in (MixtureSpec.three_communities(), MixtureSpec.crossing()):
+            for c in range(mix.n_groups):
+                got = mix.community_cell_averages(grid, c).values
+                ref = cell_averages(mix, grid, c)
+                bulk = ref > 1e-12 * ref.max()
+                np.testing.assert_allclose(got[bulk], ref[bulk], rtol=1e-12,
+                                           atol=0)
+                np.testing.assert_allclose(got[~bulk], ref[~bulk], rtol=0,
+                                           atol=1e-13 * ref.max())
 
 
 def test_fields_reject_bad_shapes():
@@ -254,29 +271,44 @@ def test_lift_working_set_does_not_grow_with_the_edges():
     assert peak < budget
 
 
-def loads_scipy_sparse(code):
-    """Whether running code in a fresh interpreter imports scipy.sparse."""
+def run_fresh(code):
+    """The stripped stdout of code run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(opinet.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code + (
-        "import sys\n"
-        "print('scipy.sparse' in sys.modules)\n")], env=env, check=True,
-        capture_output=True, text=True)
-    return out.stdout.strip() == "True"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
 
 
-def test_building_the_preset_state_leaves_scipy_sparse_unloaded():
-    # scipy.sparse alone adds ~3% to the preset run's peak RSS
-    assert not loads_scipy_sparse(
+def loads_scipy(code):
+    """Whether running code in a fresh interpreter imports scipy."""
+    return run_fresh(code + "import sys\n"
+                            "print('scipy' in sys.modules)\n") == "True"
+
+
+def test_building_the_preset_state_leaves_scipy_unloaded():
+    # scipy.special alone costs a run ~0.17 s of start-up and ~20 MB
+    assert not loads_scipy(
         "from opinet import build_initial_state, preset_three_communities\n"
         "build_initial_state(preset_three_communities())\n")
 
 
-def test_a_whole_run_and_bridging_leave_scipy_sparse_unloaded(tmp_path):
+def test_the_first_preset_state_imports_no_module():
+    # numpy loads numpy.random on first use, so a package that reaches it
+    # through np.random would import it inside the first build
+    assert run_fresh(
+        "import sys\n"
+        "from opinet import build_initial_state, preset_three_communities\n"
+        "loaded = set(sys.modules)\n"
+        "build_initial_state(preset_three_communities())\n"
+        "print(sorted(set(sys.modules) - loaded))\n") == "[]"
+
+
+def test_a_whole_run_and_bridging_leave_scipy_unloaded(tmp_path):
     # every variant, the outputs and a graph with stray components to bridge
-    assert not loads_scipy_sparse(
+    assert not loads_scipy(
         "from dataclasses import replace\n"
         "from opinet import (ensure_connected, graph_from_pairs,\n"
         "                    preset_three_communities, run_experiment)\n"

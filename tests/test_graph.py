@@ -223,8 +223,23 @@ def test_spectral_gap_known_graphs():
     k4 = graph_from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert spectral_gap(k4) == pytest.approx(4.0, abs=1e-12)
     assert spectral_gap(graph_from_pairs(2, [(0, 1)])) == pytest.approx(2.0)
+    # a disconnected graph's second zero is exact, not solver round-off
     disc = graph_from_pairs(4, [(0, 1), (2, 3)])
-    assert spectral_gap(disc) < 1e-10
+    assert spectral_gap(disc) == 0.0
+    triangles = graph_from_pairs(6, [(0, 1), (1, 2), (0, 2),
+                                     (3, 4), (4, 5), (3, 5)])
+    assert spectral_gap(triangles) == 0.0
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        # a random tree per block plus random chords: two components
+        a, b = (int(x) for x in rng.integers(3, 40, size=2))
+        pairs = [(i, int(rng.integers(i))) for i in range(1, a)]
+        pairs += [(a + i, a + int(rng.integers(i))) for i in range(1, b)]
+        pairs += [tuple(rng.integers(a, size=2)) for _ in range(a)]
+        pairs += [tuple(a + rng.integers(b, size=2)) for _ in range(b)]
+        g = graph_from_pairs(a + b, [p for p in pairs if p[0] != p[1]])
+        assert _component_labels(g)[1] == 2
+        assert spectral_gap(g) == 0.0
 
 
 def test_spectral_gap_star_graph():
