@@ -109,28 +109,22 @@ def fit_exponential_rate(times, values, t_lo=None, t_hi=None, floor_factor=3.0):
 class RunReport:
     """Time series produced by one experiment run.
 
-    Columns missing from the run (variants not requested) hold NaN.
+    series maps each REPORT_COLUMNS name, t first, to its array; columns
+    missing from the run (variants not requested) hold NaN.
     continuum_dts maps each continuum variant run to its step sizes, one
     array per sample interval; it is not part of the TSV.
     """
 
-    t: np.ndarray
-    e_micro: np.ndarray
-    e_cont_labeled: np.ndarray
-    e_cont_unlabeled: np.ndarray
-    conserved_micro: np.ndarray
-    g_first_moment: np.ndarray
-    v_micro: np.ndarray
-    lyapunov_tilde: np.ndarray
+    series: dict
     continuum_dts: dict = field(default_factory=dict)
 
-    def columns(self):
-        return (self.t, self.e_micro, self.e_cont_labeled,
-                self.e_cont_unlabeled, self.conserved_micro,
-                self.g_first_moment, self.v_micro, self.lyapunov_tilde)
+    @property
+    def t(self):
+        return self.series["t"]
 
     def write_tsv(self, path):
-        write_table(path, REPORT_COLUMNS, self.columns())
+        write_table(path, REPORT_COLUMNS,
+                    [self.series[name] for name in REPORT_COLUMNS])
 
 
 def write_table(path, names, columns):

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError
+from .analysis import REPORT_COLUMNS
 from .config import PRESETS, load_config
 from .runner import run_experiment, run_mu_sweep, RATE_COLUMNS
 
@@ -61,9 +62,10 @@ def _cmd_run(args):
     report = run_experiment(config)
     print("wrote %s/report.tsv (%d samples)"
           % (config.output_dir, report.t.size))
-    for name, series in (("E_micro", report.e_micro),
-                         ("E_cont_labeled", report.e_cont_labeled),
-                         ("E_cont_unlabeled", report.e_cont_unlabeled)):
+    for name in REPORT_COLUMNS:
+        if not name.startswith("E_"):
+            continue
+        series = report.series[name]
         finite = np.isfinite(series)
         if finite.any():
             last = np.flatnonzero(finite)[-1]

@@ -6,6 +6,7 @@ ignored; a config file that parses is a config file that runs.
 """
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import ConfigError
@@ -84,8 +85,15 @@ class ExperimentConfig:
                 "noise": noise}
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("%r is not finite" % text.strip())
+    return value
+
+
 def _floats(text):
-    return tuple(float(s) for s in text.split(",") if s.strip())
+    return tuple(_finite(s) for s in text.split(",") if s.strip())
 
 
 def _names(text):
@@ -93,9 +101,9 @@ def _names(text):
 
 
 # (parser, writer) per key type; floats are written with repr so a
-# save/load cycle reproduces them exactly
+# save/load cycle reproduces them exactly, and read back only if finite
 _INT = (int, str)
-_FLOAT = (float, lambda v: repr(float(v)))
+_FLOAT = (_finite, lambda v: repr(float(v)))
 _TEXT = (str, str)
 _FLOATS = (_floats, lambda v: ", ".join(repr(float(x)) for x in v))
 _NAMES = (_names, ", ".join)
@@ -130,8 +138,14 @@ def _encode(name, obj):
 
 def _decode(parser, name, cls, **given):
     section = parser[name] if name in parser else {}
-    values = {key: parse(section[key])
-              for key, (parse, _) in _KEYS[name].items() if key in section}
+    values = {}
+    for key, (parse, _) in _KEYS[name].items():
+        if key in section:
+            try:
+                values[key] = parse(section[key])
+            except ValueError as exc:
+                raise ConfigError("config: bad value for %s.%s: %s"
+                                  % (name, key, exc))
     for f in fields(cls):
         if (f.name not in values and f.name not in given
                 and f.default is MISSING and f.default_factory is MISSING):
@@ -153,7 +167,7 @@ def _decode_component(text):
     if len(parts) != 3:
         raise ConfigError("mixture: component %r is not weight:center:sigma"
                           % (text,))
-    return tuple(float(p) for p in parts)
+    return tuple(_finite(p) for p in parts)
 
 
 def _decode_mixture(section):
@@ -162,9 +176,13 @@ def _decode_mixture(section):
         key = "community_%d" % (c + 1)
         if key not in section:
             raise ConfigError("mixture: communities must be numbered 1..k")
-        communities.append(tuple(_decode_component(part.strip())
-                                 for part in section[key].split(",")
-                                 if part.strip()))
+        try:
+            communities.append(tuple(_decode_component(part.strip())
+                                     for part in section[key].split(",")
+                                     if part.strip()))
+        except ValueError as exc:
+            raise ConfigError("config: bad value for mixture.%s: %s"
+                              % (key, exc))
     return MixtureSpec(tuple(communities))
 
 
@@ -216,15 +234,12 @@ def load_config(path_or_file):
     for needed in ("graph", "mixture", "run"):
         if needed not in parser:
             raise ConfigError("config: missing section [%s]" % needed)
-    try:
-        config = _decode(
-            parser, "run", ExperimentConfig,
-            graph=_decode(parser, "graph", GraphConfig),
-            mixture=_decode_mixture(parser["mixture"]),
-            micro=_decode(parser, "micro", MicroParams),
-            continuum=_decode(parser, "continuum", ContinuumParams))
-    except ValueError as exc:
-        raise ConfigError("config: bad value: %s" % exc)
+    config = _decode(
+        parser, "run", ExperimentConfig,
+        graph=_decode(parser, "graph", GraphConfig),
+        mixture=_decode_mixture(parser["mixture"]),
+        micro=_decode(parser, "micro", MicroParams),
+        continuum=_decode(parser, "continuum", ContinuumParams))
     return config.validate()
 
 

@@ -276,7 +276,7 @@ def _lift_g(graph, kern, grid, labels, k):
         raise ConfigError("kde: graph has no edges")
     n = grid.n_cells
     chunk = max(1, _CHUNK_CELLS // n)
-    keys = labels[graph.edges[:, 0]] * k + labels[graph.edges[:, 1]]
+    keys = labels[graph.tail] * k + labels[graph.head]
     edges = graph.edges[np.argsort(keys, kind="stable")]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(keys,
                                                         minlength=k * k))])

@@ -86,24 +86,23 @@ class CommunityGraph:
     """Simple undirected graph with a community label per node.
 
     edges is an (m, 2) int array with i < j on each row, rows unique and
-    lexicographically sorted.  community holds labels in 1..n_groups.
-    tail and head are contiguous copies of the two columns of edges; the
-    dynamics accumulate over the edges in this order, which pins their
-    round-off and keeps runs bit-reproducible.  Adjacency is also
-    available in CSR form, with neighbor lists sorted ascending; no run
-    step reads it, so it is built on first use.
+    lexicographically sorted, held column-major: tail and head are views
+    of its two columns, each contiguous.  community holds labels in
+    1..n_groups.  The dynamics accumulate over the edges in this order,
+    which pins their round-off and keeps runs bit-reproducible.  The micro
+    step gathers its edge differences into one per-edge buffer held by
+    the graph, so two threads must not step on one graph at once.
     """
 
     n_nodes: int
     edges: np.ndarray
     community: np.ndarray
     degrees: np.ndarray = field(init=False, repr=False)
-    tail: np.ndarray = field(init=False, repr=False)
-    head: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = int(self.n_nodes)
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        e = np.asfortranarray(np.asarray(self.edges, dtype=np.int64)
+                              .reshape(-1, 2))
         self.edges = e
         self.community = np.asarray(self.community, dtype=np.int64)
         if self.community.shape != (n,):
@@ -113,35 +112,35 @@ class CommunityGraph:
         if e.size:
             if e.min() < 0 or e.max() >= n:
                 raise ConfigError("graph: edge endpoint out of range")
-            if np.any(e[:, 0] >= e[:, 1]):
+            if np.any(self.tail >= self.head):
                 raise ConfigError("graph: edges must satisfy i < j")
             # i N + j orders the rows lexicographically, so consecutive
             # keys must strictly increase
-            step = np.diff(e[:, 0] * n + e[:, 1])
+            step = np.diff(self.tail * n + self.head)
             if np.any(step < 0):
                 raise ConfigError("graph: edges must be lexicographically sorted")
             if np.any(step == 0):
                 raise ConfigError("graph: duplicate edge")
-        self.degrees = np.bincount(e.ravel(), minlength=n).astype(np.int64)
-        self.tail = np.ascontiguousarray(e[:, 0])
-        self.head = np.ascontiguousarray(e[:, 1])
+        self.degrees = np.bincount(e.ravel(order="K"),
+                                   minlength=n).astype(np.int64)
 
+    @property
+    def tail(self):
+        return self.edges[:, 0]
+
+    @property
+    def head(self):
+        return self.edges[:, 1]
+
+    # no run step reads this; perfbench/child.py counts micro work by its
+    # size, one entry per half-edge
     @cached_property
     def adj_heads(self):
         return np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees)
 
     @cached_property
-    def adj_indices(self):
-        # each head sees its lower neighbours (rows ending at it) before its
-        # upper ones (rows starting at it), both ascending, so one stable
-        # sort by head lists every neighbour list in ascending order
-        e = self.edges
-        order = np.argsort(np.concatenate([e[:, 1], e[:, 0]]), kind="stable")
-        return np.concatenate([e[:, 0], e[:, 1]])[order]
-
-    @cached_property
-    def adj_offsets(self):
-        return np.concatenate([[0], np.cumsum(self.degrees)]).astype(np.int64)
+    def _edge_scratch(self):
+        return np.empty(self.n_edges)
 
     @property
     def n_groups(self):
@@ -150,9 +149,6 @@ class CommunityGraph:
     @property
     def n_edges(self):
         return int(self.edges.shape[0])
-
-    def neighbors(self, i):
-        return self.adj_indices[self.adj_offsets[i]:self.adj_offsets[i + 1]]
 
 
 def graph_from_pairs(n_nodes, pairs, community=None):
@@ -165,10 +161,9 @@ def graph_from_pairs(n_nodes, pairs, community=None):
     if p.size and (p.min() < 0 or p.max() >= n):
         raise ConfigError("graph: edge endpoint out of range")
     keys = np.unique(p.min(axis=1) * n + p.max(axis=1))
-    e = np.stack([keys // n, keys % n], axis=1)
     if community is None:
         community = np.ones(n, dtype=np.int64)
-    return CommunityGraph(n, e, community)
+    return CommunityGraph(n, np.stack([keys // n, keys % n]).T, community)
 
 
 def _greedy_match(stubs, rng, keys, n, ok_pair=None):
@@ -227,8 +222,7 @@ def generate_community_graph(config):
 
     keys = _greedy_match(np.repeat(np.arange(n), n_inter), rng, keys, n,
                          lambda u, v: community[u] != community[v])
-    return CommunityGraph(n, np.stack([keys // n, keys % n], axis=1),
-                          community)
+    return CommunityGraph(n, np.stack([keys // n, keys % n]).T, community)
 
 
 def _component_labels(graph):
@@ -259,17 +253,16 @@ def is_connected(graph):
     return _component_labels(graph)[1] == 1
 
 
-def ensure_connected(graph, rng=None):
+def ensure_connected(graph):
     """Bridge every stray component into the main one (one edge each).
 
-    Idempotent on connected input.  The default rng is seeded from the node
-    count so the operation stays deterministic when no generator is passed.
+    Idempotent on connected input.  The bridge ends are drawn from an rng
+    seeded with the node count, so the result depends on the graph alone.
     """
     label, count = _component_labels(graph)
     if count <= 1:
         return graph
-    if rng is None:
-        rng = default_rng(graph.n_nodes)
+    rng = default_rng(graph.n_nodes)
     sizes = np.bincount(label)
     main = int(np.argmax(sizes))
     # the nodes grouped by component, each group ascending
@@ -293,7 +286,7 @@ def measured_mixing(graph):
     if graph.n_edges == 0:
         raise ConfigError("graph: mixing undefined without edges")
     c = graph.community
-    inter = c[graph.edges[:, 0]] != c[graph.edges[:, 1]]
+    inter = c[graph.tail] != c[graph.head]
     return float(np.mean(inter))
 
 
@@ -304,9 +297,8 @@ def laplacian(graph):
         raise ConfigError("graph: %d nodes exceeds the dense Laplacian cap %d"
                           % (n, LAPLACIAN_NODE_CAP))
     lap = np.zeros((n, n))
-    e = graph.edges
-    lap[e[:, 0], e[:, 1]] = -1.0
-    lap[e[:, 1], e[:, 0]] = -1.0
+    lap[graph.tail, graph.head] = -1.0
+    lap[graph.head, graph.tail] = -1.0
     lap[np.arange(n), np.arange(n)] = graph.degrees
     return lap
 
@@ -314,12 +306,15 @@ def laplacian(graph):
 def spectral_gap(graph):
     """Smallest nonzero Laplacian eigenvalue (0 for disconnected graphs).
 
-    A disconnected graph gets exactly 0 without a solve, at any size.  A
-    connected one takes a dense symmetric eigensolve, refused above
-    LAPLACIAN_NODE_CAP nodes; the kernel is checked explicitly: the
-    constant vector must be annihilated and the bottom eigenvalue must
-    vanish to relative tolerance 1e-10.
+    The gap is undefined below two nodes, which is refused.  A disconnected
+    graph gets exactly 0 without a solve, at any size.  A connected one
+    takes a dense symmetric eigensolve, refused above LAPLACIAN_NODE_CAP
+    nodes; the kernel is checked explicitly: the constant vector must be
+    annihilated and the bottom eigenvalue must vanish to relative
+    tolerance 1e-10.
     """
+    if graph.n_nodes < 2:
+        raise ConfigError("graph: spectral gap needs at least two nodes")
     # the solve would give round-off of either sign for the second zero
     if _component_labels(graph)[1] > 1:
         return 0.0

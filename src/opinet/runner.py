@@ -20,8 +20,9 @@ from .empirical import (Grid, ScalarField, PairField, LabeledFields,
                         empirical_f, empirical_g_kde, split_by_group,
                         bandwidth_select, sample_initial_opinions)
 from .continuum import cfl_max_dt, stepper_for, step_unlabeled, step_labeled
-from .analysis import (RunReport, e_cont, consensus_value_cont, first_moment,
-                       lyapunov_tilde, fit_exponential_rate, write_table)
+from .analysis import (REPORT_COLUMNS, RunReport, e_cont, consensus_value_cont,
+                       first_moment, lyapunov_tilde, fit_exponential_rate,
+                       write_table)
 from .config import replace_mixing, save_config
 
 RATE_COLUMNS = ("mu", "rate_micro", "rate_cont_labeled", "rate_cont_unlabeled",
@@ -97,9 +98,9 @@ class _MicroVariant:
 
     def record(self, k, series):
         graph, omega = self._graph, self._omega
-        series["e_micro"][k] = e_micro(graph, omega)
+        series["E_micro"][k] = e_micro(graph, omega)
         series["conserved_micro"][k] = conserved_quantity(graph, omega)
-        series["v_micro"][k] = potential_v(graph, omega, self._operator)
+        series["V_micro"][k] = potential_v(graph, omega, self._operator)
 
     def snapshot(self, cols):
         cols["f_micro"] = empirical_f(self._omega, self._grid).values
@@ -168,7 +169,7 @@ class _ContinuumVariant:
         return bound
 
     def record(self, k, series):
-        series["e_" + self.name][k] = e_cont(self.state, self._omega_inf)
+        series["E_" + self.name][k] = e_cont(self.state, self._omega_inf)
         if self._moments:
             g = PairField(self.state.grid, self.state.g_total())
             series["g_first_moment"][k] = first_moment(g)
@@ -226,10 +227,8 @@ def run_experiment(config, operator=None, write_outputs=True):
     n_chunks = max(1, int(round(max(v.t_end for v in variants) / si)))
     times = np.arange(n_chunks + 1) * si
     ends = [min(n_chunks, int(round(v.t_end / si))) for v in variants]
-    series = {name: np.full(n_chunks + 1, np.nan) for name in
-              ("e_micro", "e_cont_labeled", "e_cont_unlabeled",
-               "conserved_micro", "g_first_moment", "v_micro",
-               "lyapunov_tilde")}
+    series = {name: times if name == "t" else np.full(n_chunks + 1, np.nan)
+              for name in REPORT_COLUMNS}
     snap_idx = {min(n_chunks, max(0, int(round(t / si))))
                 for t in config.snapshot_times}
     snapshots = {}
@@ -248,8 +247,7 @@ def run_experiment(config, operator=None, write_outputs=True):
                 if k <= end:
                     variant.snapshot(snapshots[k])
 
-    report = RunReport(t=times, **series,
-                       continuum_dts={v.name: v.dts for v in cont})
+    report = RunReport(series, {v.name: v.dts for v in cont})
 
     if write_outputs:
         os.makedirs(config.output_dir, exist_ok=True)
@@ -300,12 +298,12 @@ def run_mu_sweep(config, operator=None, write_outputs=True):
             report = run_experiment(sub, operator=operator,
                                     write_outputs=write_outputs)
             t_lo = 0.2 * float(report.t[-1])
-            for tag, series in (("micro", report.e_micro),
-                                ("cont_labeled", report.e_cont_labeled),
-                                ("cont_unlabeled", report.e_cont_unlabeled)):
-                rate, err = _fit_or_nan(report.t, series, t_lo)
-                row["rate_%s" % tag] = rate
-                row["fit_err_%s" % tag] = err
+            for name in REPORT_COLUMNS:
+                if not name.startswith("E_"):
+                    continue
+                rate, err = _fit_or_nan(report.t, report.series[name], t_lo)
+                row["rate_" + name[2:]] = rate
+                row["fit_err_" + name[2:]] = err
         except (ConfigError, SimulationError) as exc:
             failures.append((mu, str(exc)))
         rows.append(row)

@@ -132,6 +132,12 @@ def csr_adjacency(edges, n_nodes):
     return heads[order], tails[order], np.concatenate([[0], np.cumsum(deg)])
 
 
+def neighbor_lists(graph):
+    """Each node's neighbours, ascending, cut from csr_adjacency."""
+    _, indices, offsets = csr_adjacency(graph.edges, graph.n_nodes)
+    return np.split(indices, offsets[1:-1])
+
+
 def greedy_match(stubs, rng, ok_pair, edge_set, rounds=_MATCH_ROUNDS):
     # Random pairing with rejection; rejected stubs get reshuffled a few
     # times, whatever is left after the last round is dropped.
@@ -184,6 +190,7 @@ def component_labels(graph):
     """(label, count) by depth-first search from each unlabeled node in
     turn, so components are numbered in order of their smallest node."""
     n = graph.n_nodes
+    hoods = neighbor_lists(graph)
     label = np.full(n, -1, dtype=np.int64)
     count = 0
     for start in range(n):
@@ -193,7 +200,7 @@ def component_labels(graph):
         label[start] = count
         while stack:
             u = stack.pop()
-            for v in graph.neighbors(u):
+            for v in hoods[u]:
                 v = int(v)
                 if label[v] < 0:
                     label[v] = count
@@ -202,14 +209,13 @@ def component_labels(graph):
     return label, count
 
 
-def ensure_connected(graph, rng=None):
+def ensure_connected(graph):
     """opinet.ensure_connected with depth-first labels and a flatnonzero
     scan per component."""
     label, count = component_labels(graph)
     if count <= 1:
         return graph
-    if rng is None:
-        rng = np.random.default_rng(graph.n_nodes)
+    rng = np.random.default_rng(graph.n_nodes)
     sizes = np.bincount(label)
     main = int(np.argmax(sizes))
     pool = np.flatnonzero(label == main)
@@ -228,8 +234,9 @@ def ensure_connected(graph, rng=None):
 def micro_rhs(graph, omega, operator):
     """opinet.micro_rhs as a gather over the CSR half-edges: each node sums
     D over its ascending neighbour list."""
-    diffs = omega[graph.adj_heads] - omega[graph.adj_indices]
-    sums = np.bincount(graph.adj_heads, weights=operator.d(diffs),
+    heads, indices, _ = csr_adjacency(graph.edges, graph.n_nodes)
+    diffs = omega[heads] - omega[indices]
+    sums = np.bincount(heads, weights=operator.d(diffs),
                        minlength=graph.n_nodes)
     deg = graph.degrees
     return np.where(deg > 0, sums / np.maximum(deg, 1), 0.0)

@@ -21,7 +21,7 @@ from opinet import (ContinuumParams, DebateOperator, GraphConfig, Grid,
                     sample_initial_opinions, spectral_gap, split_by_group,
                     step_labeled, step_unlabeled)
 from opinet.continuum import stepper_for
-from oracles import eta_discrete
+from oracles import eta_discrete, neighbor_lists
 
 LIN = DebateOperator.linear()
 
@@ -114,8 +114,8 @@ def test_a04_hull_property_and_power():
         omega = rng.uniform(-1.0, 1.0, n)
         dt = float(rng.uniform(0.01, 1.0))
         new = euler_step(graph, omega, LIN, dt)
-        for i in range(n):
-            hood = np.append(graph.neighbors(i), i)
+        for i, nbrs in enumerate(neighbor_lists(graph)):
+            hood = np.append(nbrs, i)
             lo, hi = omega[hood].min(), omega[hood].max()
             assert lo - 1e-12 <= new[i] <= hi + 1e-12, \
                 "hull violated at node %d with dt=%.3f" % (i, dt)
@@ -129,8 +129,8 @@ def test_a04_hull_property_and_power():
         graph = ensure_connected(generate_community_graph(cfg))
         omega = rng.uniform(-1.0, 1.0, n)
         new = omega + 4.0 * micro_rhs(graph, omega, LIN)  # bound bypassed
-        for i in range(n):
-            hood = np.append(graph.neighbors(i), i)
+        for i, nbrs in enumerate(neighbor_lists(graph)):
+            hood = np.append(nbrs, i)
             if not (omega[hood].min() - 1e-12 <= new[i]
                     <= omega[hood].max() + 1e-12):
                 violations += 1
@@ -269,11 +269,9 @@ def test_a12_labeling_matters():
         config = replace(base, seed=2 + s)
         report = run_experiment(config, write_outputs=False)
         t_lo = 0.2 * config.micro.t_end
-        r_mic, _ = fit_exponential_rate(report.t, report.e_micro, t_lo=t_lo)
-        r_lab, _ = fit_exponential_rate(report.t, report.e_cont_labeled,
-                                        t_lo=t_lo)
-        r_unl, _ = fit_exponential_rate(report.t, report.e_cont_unlabeled,
-                                        t_lo=t_lo)
+        r_mic, r_lab, r_unl = (
+            fit_exponential_rate(report.t, report.series[name], t_lo=t_lo)[0]
+            for name in ("E_micro", "E_cont_labeled", "E_cont_unlabeled"))
         diffs_lab.append(abs(r_lab - r_mic))
         diffs_unl.append(abs(r_unl - r_mic))
     med_lab = float(np.median(diffs_lab))

@@ -117,8 +117,13 @@ def test_fit_rejects_nonpositive_values():
 
 def test_report_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
-    cols = [np.arange(7.0)] + [rng.uniform(0.0, 1.0, 7) for _ in range(7)]
-    report = RunReport(*cols)
+    # the series are filled in reverse, so the file's order must come from
+    # REPORT_COLUMNS and not from the dict
+    series = {name: rng.uniform(0.0, 1.0, 7)
+              for name in reversed(REPORT_COLUMNS)}
+    series["t"] = np.arange(7.0)
+    report = RunReport(series)
+    np.testing.assert_array_equal(report.t, np.arange(7.0))
     path = tmp_path / "report.tsv"
     report.write_tsv(path)
     with open(path) as fh:
@@ -126,5 +131,5 @@ def test_report_roundtrip(tmp_path):
     # %.17g keeps every bit of each value
     back = np.loadtxt(path, skiprows=1, ndmin=2)
     assert back.shape == (7, len(REPORT_COLUMNS))
-    for a, b in zip(report.columns(), back.T):
-        np.testing.assert_array_equal(a, b)
+    for name, column in zip(REPORT_COLUMNS, back.T):
+        np.testing.assert_array_equal(series[name], column)

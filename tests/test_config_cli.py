@@ -1,3 +1,4 @@
+import configparser
 import io
 import os
 import re
@@ -10,6 +11,7 @@ from opinet import (ConfigError, ContinuumParams, ExperimentConfig,
                     GraphConfig, MicroParams, MixtureSpec, PRESETS,
                     load_config, preset_crossing, preset_three_communities,
                     replace_mixing, save_config)
+from opinet import config as config_module
 from opinet.cli import main
 
 
@@ -188,6 +190,51 @@ def test_missing_required_key_is_named(tmp_path, capsys):
     path.write_text(text)
     assert main(["run", "--config", str(path)]) == 1
     assert "graph.n_nodes" in capsys.readouterr().err
+
+
+# every float key of the INI table, so a key added later is covered too
+FLOAT_KEYS = [(section, key) for section, keys in config_module._KEYS.items()
+              for key, kind in keys.items()
+              if kind in (config_module._FLOAT, config_module._FLOATS)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS,
+                         ids=[".".join(k) for k in FLOAT_KEYS])
+def test_non_finite_float_is_refused_by_name(tmp_path, capsys, section, key,
+                                             value):
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(saved_text(small_config(tmp_path / "out")))
+    parser[section][key] = value if key != "proportions" else value + ", 1"
+    path = tmp_path / "cfg.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    name = r"%s\.%s" % (section, key)
+    with pytest.raises(ConfigError, match=name + ".*not finite"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path)]) == 1
+    assert re.search(name, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("component", ["nan:-0.5:0.05", "1.0:inf:0.05",
+                                       "1.0:-0.5:inf", "1.0:-0.5:nan"])
+def test_non_finite_mixture_component_is_refused_by_name(tmp_path, capsys,
+                                                         component):
+    # an infinite sigma had the rejection sampler draw forever
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(saved_text(small_config(tmp_path / "out")))
+    parser["mixture"]["community_1"] = "0.5:0.0:0.1, " + component
+    path = tmp_path / "cfg.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigError,
+                       match=r"mixture\.community_1.*not finite"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "mixture.community_1" in capsys.readouterr().err
 
 
 def test_group_count_must_match_mixture():

@@ -65,6 +65,6 @@ def test_a_step_at_the_bound_stays_in_each_neighbourhood_hull(state):
     graph, omega, name = state
     operator = OPERATORS[name]
     new = euler_step(graph, omega, operator, step_size_bound(operator))
-    for i in range(graph.n_nodes):
-        hood = omega[np.append(graph.neighbors(i), i)]
+    for i, nbrs in enumerate(oracles.neighbor_lists(graph)):
+        hood = omega[np.append(nbrs, i)]
         assert hood.min() - 1e-12 <= new[i] <= hood.max() + 1e-12

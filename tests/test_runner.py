@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import opinet.runner
+from opinet.analysis import REPORT_COLUMNS
 from opinet import (ConfigError, ContinuumParams, DebateOperator, Grid,
                     MicroParams, preset_three_communities, run_experiment,
                     run_mu_sweep)
@@ -17,11 +18,11 @@ MICRO_T_END, CONT_T_END = 3.0, 4.0
 SNAPSHOT_TIMES = (0.0, 2.5, 10.0, 99.0)
 # report column -> (variants that fill it, t_end of its clock)
 OWNERS = {
-    "e_micro": (("micro",), MICRO_T_END),
+    "E_micro": (("micro",), MICRO_T_END),
     "conserved_micro": (("micro",), MICRO_T_END),
-    "v_micro": (("micro",), MICRO_T_END),
-    "e_cont_unlabeled": (("cont_unlabeled",), CONT_T_END),
-    "e_cont_labeled": (("cont_labeled",), CONT_T_END),
+    "V_micro": (("micro",), MICRO_T_END),
+    "E_cont_unlabeled": (("cont_unlabeled",), CONT_T_END),
+    "E_cont_labeled": (("cont_labeled",), CONT_T_END),
     "g_first_moment": (("cont_unlabeled", "cont_labeled"), CONT_T_END),
     "lyapunov_tilde": (("cont_unlabeled", "cont_labeled"), CONT_T_END),
 }
@@ -52,8 +53,10 @@ def run(tmp_path_factory):
 ], ids="+".join)
 def test_each_variant_fills_its_own_columns_and_snapshots(run, variants):
     out, report = run(variants)
+    assert tuple(report.series) == REPORT_COLUMNS
+    assert set(OWNERS) == set(REPORT_COLUMNS[1:])
     for column, (owners, t_end) in OWNERS.items():
-        series = getattr(report, column)
+        series = report.series[column]
         filled = report.t <= t_end + 1e-9 if set(owners) & set(variants) \
             else np.zeros(report.t.size, dtype=bool)
         assert np.all(np.isfinite(series[filled])), column
@@ -61,8 +64,8 @@ def test_each_variant_fills_its_own_columns_and_snapshots(run, variants):
     if set(OWNERS["g_first_moment"][0]) <= set(variants):
         _, unlabeled = run(("cont_unlabeled",))
         for column in ("g_first_moment", "lyapunov_tilde"):
-            np.testing.assert_array_equal(getattr(report, column),
-                                          getattr(unlabeled, column))
+            np.testing.assert_array_equal(report.series[column],
+                                          unlabeled.series[column])
 
     t_last = report.t[-1]
     names = {"snapshot_t%g.tsv" % min(t, t_last) for t in SNAPSHOT_TIMES}
