@@ -69,6 +69,12 @@ class ExperimentConfig:
         for mu in self.mu_sweep:
             if not 0.0 <= mu <= 1.0:
                 raise ConfigError("run.mu_sweep: mixing values lie in [0, 1]")
+        t_end = max(self.micro.t_end if v == "micro" else self.continuum.t_end
+                    for v in self.model_variants)
+        for t in self.snapshot_times:
+            if not 0.0 <= t <= t_end:
+                raise ConfigError("run.snapshot_times: %g lies outside the "
+                                  "run, [0, %g]" % (t, t_end))
         if self.sample_interval <= 0:
             raise ConfigError("run.sample_interval: must be positive")
         if not self.output_dir:

@@ -9,8 +9,9 @@ with mirrored (zero-flux) boundaries, and optional edge birth-death acts
 on g after the transport stage.
 
 The LLF flux and the diffusion flux of a face combine into one monotone
-two-point stencil, H = wl u_i + wr u_{i+1} with wl >= 0 >= wr, so a step
-forms one flux array per axis and updates u - (dH_0 + dH_1).
+two-point stencil, H = wl u_i + wr u_{i+1} with wl >= 0 >= wr, and a step
+updates u - (dH_0 + dH_1); g is symmetric, so a block's dH_1 is the dH_0
+of its mirror block g[q, p] = g[p, q].T, transposed, bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -90,17 +91,15 @@ def cfl_max_dt(grid, operator, params=None):
     return _dt_bound(grid.dx, d_max, params)
 
 
-def _flux_difference(flux, axis, out):
-    # F_{i+1/2} - F_{i-1/2} into out from the interior fluxes along axis;
+def _flux_difference(flux, out):
+    # F_{i+1/2} - F_{i-1/2} into out from the interior fluxes along axis 0;
     # the boundary fluxes are zero, so the first and last rows are exact
     # copies
-    lead = (slice(None),) * axis
-    out[lead + (0,)] = flux[lead + (0,)]
-    np.subtract(flux[lead + (slice(1, None),)], flux[lead + (slice(-1),)],
-                out=out[lead + (slice(1, -1),)])
+    out[0] = flux[0]
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
     # not np.negative(..., out=...): numpy 2.4 ignores the input stride
-    # there for some strided lengths (9 cells along axis 1)
-    out[lead + (-1,)] = -flux[lead + (-1,)]
+    # there for some strided lengths (f's transposed view at 9 cells)
+    out[-1] = -flux[-1]
     return out
 
 
@@ -125,15 +124,17 @@ class ContinuumStepper:
 
     Each face carries one two-point stencil: the LLF flux lam (cl u_i +
     cr u_{i+1}), cl >= 0 >= cr, plus the zero-flux diffusion flux
-    nu (u_i - u_{i+1}), with lam = dt/dx and nu = dt sigma/dx^2.  A block
-    of g takes the flux differences of both axes and subtracts their sum,
-    which is the same for u and u.T, so a diagonal block stays
-    bit-symmetric.  The axis-1 faces are taken on the flattened block, with
-    zero weight on the faces that wrap from one row to the next.
+    nu (u_i - u_{i+1}), with lam = dt/dx and nu = dt sigma/dx^2.  A step
+    first writes every block's axis-0 flux difference, at the speeds of its
+    row label, into the new g; block (p, q) then subtracts it plus its
+    mirror's, transposed.  This is exact: the axis-1 faces of g[p, q] at
+    the speeds of q form the same products and sums as the axis-0 faces of
+    g[q, p] = g[p, q].T, and IEEE addition commutes, so a diagonal block
+    stays bit-symmetric.
 
-    The stepper holds scratch buffers for one n x n block, used by every
-    k it advances, so a step allocates little beyond its outputs; a
-    stepper must not be advanced from two threads at once.
+    The stepper holds two n x n scratch blocks, used by every k it
+    advances, so a step allocates little beyond its outputs; a stepper
+    must not be advanced from two threads at once.
 
     The speeds that max_dt computes for a g are kept, one entry per
     array, until the next advance of that array, so a caller that checks a
@@ -149,13 +150,9 @@ class ContinuumStepper:
         self.dmat.flags.writeable = False
         self._memo = {}     # identity of g -> (g, its speeds) from max_dt
         n = grid.n_cells
-        # face fluxes and a second operand, each for a flat n x n block
-        self._face = np.empty(n * n)
-        self._work = np.empty(n * n)
-        # the axis-1 weights of one label tiled per row; the last column,
-        # the wrap faces of the flat block, stays zero
-        self._tiled_l = np.zeros((n, n))
-        self._tiled_r = np.zeros((n, n))
+        # face fluxes and a second operand, each for one n x n block
+        self._face = np.empty((n, n))
+        self._work = np.empty((n, n))
 
     def speeds(self, g):
         """Per-label speeds a (k, n) and row masses (k, n) of g."""
@@ -188,7 +185,7 @@ class ContinuumStepper:
             raise ConfigError("continuum: dt must be given for a step")
         params = self.params
         dx = self.grid.dx
-        k, n = f.shape
+        k = f.shape[0]
         memo = self._memo.pop(_identity(g), None)
         a = memo[1] if memo is not None else self.speeds(g)[0]
         bound = _dt_bound(dx, float(np.max(np.abs(a))), params)
@@ -205,48 +202,41 @@ class ContinuumStepper:
         wr = lam * (0.5 * (ar - amax)) - nu
 
         f_new = np.empty(f.shape)
-        _flux_difference(wl * f[:, :-1] + wr * f[:, 1:], 1, f_new)
+        _flux_difference((wl * f[:, :-1] + wr * f[:, 1:]).T, f_new.T)
         np.subtract(f, f_new, out=f_new)
 
         g_new = np.empty(g.shape)
         face, work = self._face, self._work
-        face0, work0 = face[:-n].reshape(n - 1, n), work[:-n].reshape(n - 1, n)
-        face1, work1 = face[:-1], work[:-1]
-        square = work.reshape(n, n)
-        tiled_l = self._tiled_l.reshape(-1)[:-1]
-        tiled_r = self._tiled_r.reshape(-1)[:-1]
+        face0, work0 = face[:-1], work[:-1]
+        # axis 0 of every block at the speeds of its row label, the
+        # difference straight into g_new; einsum, as a column broadcast
+        # multiplies through a buffer
+        for p in range(k):
+            for q in range(k):
+                np.einsum("i,ij->ij", wl[p], g[p, q, :-1], out=face0)
+                np.einsum("i,ij->ij", wr[p], g[p, q, 1:], out=work0)
+                face0 += work0
+                _flux_difference(face0, g_new[p, q])
         birth_death = params.birth_rate > 0 or params.death_rate > 0
         for q in range(k):
-            self._tiled_l[:, :-1] = wl[q]
-            self._tiled_r[:, :-1] = wr[q]
             for p in range(q + 1):
-                u = g[p, q]
                 block = g_new[p, q]
-                # axis 0 at the speeds of p, its difference straight into
-                # block; einsum, as a column broadcast multiplies through a
-                # buffer
-                np.einsum("i,ij->ij", wl[p], u[:-1], out=face0)
-                np.einsum("i,ij->ij", wr[p], u[1:], out=work0)
-                face0 += work0
-                _flux_difference(face0, 0, block)
-                # axis 1 at the speeds of q, on the flat block
-                flat = u.reshape(-1)
-                np.multiply(tiled_l, flat[:-1], out=face1)
-                np.multiply(tiled_r, flat[1:], out=work1)
-                face1 += work1
-                _flux_difference(face1, 0, work)
-                block += square
-                np.subtract(u, block, out=block)
+                # the axis-1 difference of block (p, q) is the axis-0
+                # difference of its mirror g[q, p] = g[p, q].T, transposed;
+                # copied first, as a ufunc reading a transposed operand
+                # buffers it
+                np.copyto(work, g_new[q, p].T)
+                work += block
+                np.subtract(g[p, q], work, out=block)
                 if birth_death:
                     # splitting stage on the post-transport state, block +=
                     # dt (b f_p f_q - d block); no renormalization
-                    born = face.reshape(n, n)
-                    np.einsum("i,j->ij", f_new[p], f_new[q], out=born)
-                    born *= params.birth_rate
-                    np.multiply(params.death_rate, block, out=square)
-                    born -= square
-                    born *= dt
-                    block += born
+                    np.einsum("i,j->ij", f_new[p], f_new[q], out=face)
+                    face *= params.birth_rate
+                    np.multiply(params.death_rate, block, out=work)
+                    face -= work
+                    face *= dt
+                    block += face
                 if q != p:
                     g_new[q, p] = block.T
         return f_new, g_new

@@ -26,6 +26,10 @@ _SQRT2 = math.sqrt(2.0)
 # float64 cells are 4 MiB, max(1, 2**19 // n) edges per chunk
 _CHUNK_CELLS = 2 ** 19
 
+# least Gaussian mass a mixture component keeps inside [-1, 1]; rejection
+# sampling takes 1 / mass draws per opinion on average, so at most 100
+_MIN_IN_RANGE_MASS = 1e-2
+
 
 @dataclass(eq=False)
 class Grid:
@@ -135,7 +139,8 @@ class MixtureSpec:
 
     communities[c] lists (weight, center, sigma) triples; weights are
     normalized within each community.  Sampling is by rejection against the
-    untruncated Gaussian, so mass outside [-1, 1] is simply redrawn.
+    untruncated Gaussian, so mass outside [-1, 1] is simply redrawn; a
+    component must keep at least _MIN_IN_RANGE_MASS of its mass inside.
     """
 
     communities: tuple
@@ -143,7 +148,7 @@ class MixtureSpec:
     def __post_init__(self):
         if not self.communities:
             raise ConfigError("mixture: need at least one community")
-        for comps in self.communities:
+        for i, comps in enumerate(self.communities):
             if not comps:
                 raise ConfigError("mixture: empty component list")
             for w, c, s in comps:
@@ -153,6 +158,12 @@ class MixtureSpec:
                     raise ConfigError("mixture: component sigma must be positive")
                 if not -1.0 <= c <= 1.0:
                     raise ConfigError("mixture: component centers lie in [-1, 1]")
+                lo, hi = _normal_cdf(np.array([-1.0 - c, 1.0 - c]) / s)
+                if not hi - lo >= _MIN_IN_RANGE_MASS:
+                    raise ConfigError(
+                        "mixture.community_%d: component %g:%g:%g keeps "
+                        "mass %.3g inside [-1, 1], below %g"
+                        % (i + 1, w, c, s, hi - lo, _MIN_IN_RANGE_MASS))
 
     @property
     def n_groups(self):

@@ -229,8 +229,8 @@ def run_experiment(config, operator=None, write_outputs=True):
     ends = [min(n_chunks, int(round(v.t_end / si))) for v in variants]
     series = {name: times if name == "t" else np.full(n_chunks + 1, np.nan)
               for name in REPORT_COLUMNS}
-    snap_idx = {min(n_chunks, max(0, int(round(t / si))))
-                for t in config.snapshot_times}
+    # validate keeps each snapshot time inside [0, t_end of the run]
+    snap_idx = {int(round(t / si)) for t in config.snapshot_times}
     snapshots = {}
 
     for k in range(n_chunks + 1):

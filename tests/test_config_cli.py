@@ -2,11 +2,14 @@ import configparser
 import io
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import opinet
 from opinet import (ConfigError, ContinuumParams, ExperimentConfig,
                     GraphConfig, MicroParams, MixtureSpec, PRESETS,
                     load_config, preset_crossing, preset_three_communities,
@@ -235,6 +238,68 @@ def test_non_finite_mixture_component_is_refused_by_name(tmp_path, capsys,
         load_config(str(path))
     assert main(["run", "--config", str(path)]) == 1
     assert "mixture.community_1" in capsys.readouterr().err
+
+
+def test_wide_mixture_component_is_refused_quickly(tmp_path):
+    # sigma 1e6 keeps 8e-7 of its mass inside [-1, 1], so the rejection
+    # sampler would take about a million draws per opinion
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(saved_text(preset_crossing()))
+    parser["mixture"]["community_1"] = "1.0:-0.5:1e6"
+    parser["run"]["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigError, match=r"mixture\.community_1.*1e\+06"):
+        load_config(str(path))
+    src = os.path.dirname(os.path.dirname(opinet.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "opinet.cli", "run",
+                           "--config", str(path)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 1, done.stderr
+    assert "mixture.community_1" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_component_keeps_a_share_of_its_mass_in_range():
+    # at center 0 the in-range mass is about 0.8 / sigma for a wide sigma
+    MixtureSpec((((1.0, 0.0, 70.0),),))
+    MixtureSpec((((1.0, 1.0, 1e-3),),))
+    with pytest.raises(ConfigError, match="below 0.01"):
+        MixtureSpec((((1.0, 0.0, 90.0),),))
+
+
+@pytest.mark.parametrize("times, bad", [("-0.5, 0.5", "-0.5"),
+                                        ("0.0, 1.0, 1.5", "1.5")],
+                         ids=["before_start", "after_end"])
+def test_snapshot_time_outside_the_run_is_refused(tmp_path, capsys, times,
+                                                  bad):
+    # such a time used to be clamped to the nearest end of the run
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(saved_text(small_config(tmp_path / "out")))
+    parser["run"]["snapshot_times"] = times
+    path = tmp_path / "cfg.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigError, match=r"run\.snapshot_times: %s\b"
+                       % re.escape(bad)):
+        load_config(str(path))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "run.snapshot_times" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_ends_at_the_latest_t_end_of_its_variants():
+    cfg = replace(small_config("x"), snapshot_times=(2.0,),
+                  continuum=ContinuumParams(t_end=2.0))
+    cfg.validate()
+    with pytest.raises(ConfigError, match=r"run\.snapshot_times"):
+        replace(cfg, model_variants=("micro",)).validate()
 
 
 def test_group_count_must_match_mixture():

@@ -321,27 +321,46 @@ def test_a_shared_stepper_leaks_nothing_between_states():
         assert np.array_equal(g1.view(np.int64), g2.view(np.int64))
 
 
-def test_a_step_allocates_only_its_outputs():
-    n = 200
-    grid = Grid(n)
-    params = ContinuumParams(diffusion_sigma=1e-3, birth_rate=0.2,
-                             death_rate=0.3)
-    stepper = ContinuumStepper(grid, LIN, params)
-    f, g = random_state(np.random.default_rng(5), grid, 1)
-    dt = 0.5 * stepper.max_dt(f, g)[0]
-    stepper.advance(f, g, dt)
+def traced(call):
+    """call() under tracemalloc: its result, the bytes it leaves allocated
+    and its peak, both counted from the start of the call."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        out = stepper.advance(f, g, dt)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert out[1].shape == g.shape
-    # the new f and g, and O(n) bytes of speeds and face weights; one n x n
-    # temporary alone would be six times the margin
-    assert peak < f.nbytes + g.nbytes + 32 * 8 * n
+    return out, held - before, peak - before
+
+
+def test_a_step_allocates_only_its_outputs():
+    n = 200
+    grid = Grid(n)
+    params = ContinuumParams(diffusion_sigma=1e-3, birth_rate=0.2,
+                             death_rate=0.3)
+    stepper = ContinuumStepper(grid, LIN, params)
+    # k = 3 covers the off-diagonal blocks, which read their mirror's
+    # transpose and are written back transposed
+    for k in (1, 3):
+        f, g = random_state(np.random.default_rng(5), grid, k)
+        dt = 0.5 * stepper.max_dt(f, g)[0]
+        stepper.advance(f, g, dt)
+        out, _, peak = traced(lambda: stepper.advance(f, g, dt))
+        assert out[1].shape == g.shape
+        # the new f and g, and O(n) bytes of speeds and face weights; one
+        # n x n temporary alone would be six times the margin
+        assert peak < f.nbytes + g.nbytes + 32 * 8 * n, k
+
+
+def test_a_stepper_holds_its_d_matrix_and_two_blocks():
+    n = 200
+    stepper, held, _ = traced(
+        lambda: ContinuumStepper(Grid(n), LIN, ContinuumParams()))
+    assert stepper.dmat.shape == (n, n)
+    # D and two n x n scratch blocks, 3 n^2 floats, and O(n) bytes besides
+    assert held < 3 * 8 * n * n + 32 * 8 * n
