@@ -53,6 +53,11 @@ class ExperimentConfig:
     output_dir: str = "out"
     seed: int = 0
 
+    def t_end(self):
+        """When the run ends: the latest t_end of the requested variants."""
+        return max(self.micro.t_end if v == "micro" else self.continuum.t_end
+                   for v in self.model_variants)
+
     def validate(self):
         self.graph.validate()
         self.micro.validate()
@@ -69,12 +74,10 @@ class ExperimentConfig:
         for mu in self.mu_sweep:
             if not 0.0 <= mu <= 1.0:
                 raise ConfigError("run.mu_sweep: mixing values lie in [0, 1]")
-        t_end = max(self.micro.t_end if v == "micro" else self.continuum.t_end
-                    for v in self.model_variants)
         for t in self.snapshot_times:
-            if not 0.0 <= t <= t_end:
+            if not 0.0 <= t <= self.t_end():
                 raise ConfigError("run.snapshot_times: %g lies outside the "
-                                  "run, [0, %g]" % (t, t_end))
+                                  "run, [0, %g]" % (t, self.t_end()))
         if self.sample_interval <= 0:
             raise ConfigError("run.sample_interval: must be positive")
         if not self.output_dir:

@@ -118,9 +118,12 @@ class ContinuumStepper:
 
     f is (k, n) and g is (k, k, n, n); the unlabeled model is k = 1.  The
     parameters are validated and the D matrix built once, when the stepper
-    is built; dt is passed per step.  g must be symmetric, g[q, p] =
-    g[p, q].T: only the p <= q blocks are advanced and the others are their
-    transposes, so the symmetry holds by construction.
+    is built; dt is passed per step.  g must be bit-symmetric, g[q, p] ==
+    g[p, q].T for every p and q, the diagonal blocks included: each block
+    takes its axis-1 flux difference from its mirror block, so an
+    asymmetric g gets a step that is not the LLF scheme, and nothing checks
+    this.  Only the p <= q blocks are advanced and the others are their
+    transposes, so a step keeps the symmetry.
 
     Each face carries one two-point stencil: the LLF flux lam (cl u_i +
     cr u_{i+1}), cl >= 0 >= cr, plus the zero-flux diffusion flux
@@ -258,7 +261,10 @@ def stepper_for(grid, operator, params):
 
 
 def step_unlabeled(f, g, operator, params):
-    """Advance (f, g) one step; returns new fields on the same grid."""
+    """Advance (f, g) one step; returns new fields on the same grid.
+
+    g.values must be bit-symmetric, as ContinuumStepper requires.
+    """
     if f.grid is not g.grid and f.grid.n_cells != g.grid.n_cells:
         raise ConfigError("continuum: f and g live on different grids")
     f_new, g_new = stepper_for(f.grid, operator, params).advance(
@@ -267,7 +273,11 @@ def step_unlabeled(f, g, operator, params):
 
 
 def step_labeled(fields, operator, params):
-    """Advance labeled (f, g) one step; label p transports with its own speed."""
+    """Advance labeled (f, g) one step; label p transports with its own speed.
+
+    fields.g must be bit-symmetric, g[q, p] == g[p, q].T, as
+    ContinuumStepper requires.
+    """
     f_new, g_new = stepper_for(fields.grid, operator, params).advance(
         fields.f, fields.g, params.dt)
     return LabeledFields(fields.grid, f_new, g_new)

@@ -148,7 +148,7 @@ class MixtureSpec:
     def __post_init__(self):
         if not self.communities:
             raise ConfigError("mixture: need at least one community")
-        for i, comps in enumerate(self.communities):
+        for comps in self.communities:
             if not comps:
                 raise ConfigError("mixture: empty component list")
             for w, c, s in comps:
@@ -161,9 +161,9 @@ class MixtureSpec:
                 lo, hi = _normal_cdf(np.array([-1.0 - c, 1.0 - c]) / s)
                 if not hi - lo >= _MIN_IN_RANGE_MASS:
                     raise ConfigError(
-                        "mixture.community_%d: component %g:%g:%g keeps "
-                        "mass %.3g inside [-1, 1], below %g"
-                        % (i + 1, w, c, s, hi - lo, _MIN_IN_RANGE_MASS))
+                        "mixture: component %g:%g:%g keeps mass %.3g "
+                        "inside [-1, 1], below %g"
+                        % (w, c, s, hi - lo, _MIN_IN_RANGE_MASS))
 
     @property
     def n_groups(self):

@@ -224,12 +224,12 @@ def run_experiment(config, operator=None, write_outputs=True):
     variants = micro + cont
 
     si = config.sample_interval
-    n_chunks = max(1, int(round(max(v.t_end for v in variants) / si)))
+    n_chunks = max(1, int(round(config.t_end() / si)))
     times = np.arange(n_chunks + 1) * si
     ends = [min(n_chunks, int(round(v.t_end / si))) for v in variants]
     series = {name: times if name == "t" else np.full(n_chunks + 1, np.nan)
               for name in REPORT_COLUMNS}
-    # validate keeps each snapshot time inside [0, t_end of the run]
+    # validate keeps each snapshot time inside [0, config.t_end()]
     snap_idx = {int(round(t / si)) for t in config.snapshot_times}
     snapshots = {}
 

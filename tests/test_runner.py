@@ -15,7 +15,7 @@ from opinet import (ConfigError, ContinuumParams, DebateOperator, Grid,
                     run_mu_sweep)
 
 MICRO_T_END, CONT_T_END = 3.0, 4.0
-SNAPSHOT_TIMES = (0.0, 2.5, 3.5, 4.0)
+SNAPSHOT_TIMES = (0.0, 2.5, 3.0, 3.5, 4.0)
 # report column -> (variants that fill it, t_end of its clock)
 OWNERS = {
     "E_micro": (("micro",), MICRO_T_END),
@@ -28,11 +28,17 @@ OWNERS = {
 }
 
 
+def config_of(variants, out="unused"):
+    return replace(preset_three_communities(), model_variants=variants,
+                   micro=MicroParams(dt=0.01, t_end=MICRO_T_END),
+                   continuum=ContinuumParams(t_end=CONT_T_END),
+                   sample_interval=0.5, output_dir=out)
+
+
 def snapshot_times(variants):
-    """The snapshot times inside a run of variants, which ends at their
-    latest t_end; a time outside the run is refused."""
-    t_end = max(MICRO_T_END if v == "micro" else CONT_T_END
-                for v in variants)
+    """The snapshot times inside a run of variants; a time outside the run
+    is refused."""
+    t_end = config_of(variants).t_end()
     return tuple(t for t in SNAPSHOT_TIMES if t <= t_end)
 
 
@@ -43,12 +49,8 @@ def run(tmp_path_factory):
     def run(variants):
         if variants not in runs:
             out = str(tmp_path_factory.mktemp("_".join(variants)))
-            config = replace(
-                preset_three_communities(), model_variants=variants,
-                micro=MicroParams(dt=0.01, t_end=MICRO_T_END),
-                continuum=ContinuumParams(t_end=CONT_T_END),
-                snapshot_times=snapshot_times(variants), sample_interval=0.5,
-                output_dir=out)
+            config = replace(config_of(variants, out),
+                             snapshot_times=snapshot_times(variants))
             runs[variants] = out, run_experiment(config)
         return runs[variants]
     return run
