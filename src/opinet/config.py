@@ -74,12 +74,25 @@ class ExperimentConfig:
         for mu in self.mu_sweep:
             if not 0.0 <= mu <= 1.0:
                 raise ConfigError("run.mu_sweep: mixing values lie in [0, 1]")
+        si = self.sample_interval
+        if si <= 0:
+            raise ConfigError("run.sample_interval: must be positive")
+        # the run advances and records on the sampling clock only, so each
+        # requested end and each snapshot must fall on one of its ticks
+        for v in self.model_variants:
+            key = "micro.t_end" if v == "micro" else "continuum.t_end"
+            t = self.micro.t_end if v == "micro" else self.continuum.t_end
+            if not _on_clock(t, si):
+                raise ConfigError("%s: %g is not a whole multiple of "
+                                  "run.sample_interval, %g" % (key, t, si))
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_end():
                 raise ConfigError("run.snapshot_times: %g lies outside the "
                                   "run, [0, %g]" % (t, self.t_end()))
-        if self.sample_interval <= 0:
-            raise ConfigError("run.sample_interval: must be positive")
+            if not _on_clock(t, si):
+                raise ConfigError("run.snapshot_times: %g is not a whole "
+                                  "multiple of run.sample_interval, %g"
+                                  % (t, si))
         if not self.output_dir:
             raise ConfigError("run.output_dir: must be nonempty")
         return self
@@ -92,6 +105,12 @@ class ExperimentConfig:
         return {"graph": self.seed + SEED_OFFSET_GRAPH,
                 "sample": self.seed + SEED_OFFSET_SAMPLE,
                 "noise": noise}
+
+
+def _on_clock(t, interval):
+    # t / interval is a whole number, to 1e-9 relative
+    ticks = t / interval
+    return abs(ticks - round(ticks)) <= 1e-9 * ticks
 
 
 def _finite(text):

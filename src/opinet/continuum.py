@@ -6,18 +6,22 @@ step freezes the velocity field computed from g, then advances f and g
 with a local Lax-Friedrichs flux; boundary fluxes are zero, so mass is
 conserved exactly.  Optional additive noise enters as explicit diffusion
 with mirrored (zero-flux) boundaries, and optional edge birth-death acts
-on g after the transport stage.
+on g after the transport stage, as g (1 - dt d) + dt b f_p f_q, which
+stays positive because a step keeps dt < 1 / d.
 
 The LLF flux and the diffusion flux of a face combine into one monotone
 two-point stencil, H = wl u_i + wr u_{i+1} with wl >= 0 >= wr, and a step
 updates u - (dH_0 + dH_1); g is symmetric, so a block's dH_1 is the dH_0
-of its mirror block g[q, p] = g[p, q].T, transposed, bit for bit.
+of its mirror block g[q, p] = g[p, q].T, transposed, bit for bit.  A
+block's H comes from one einsum over a two-row view of g, rows i and
+i + 1 side by side, with the products and the sum of wl u_i + wr u_{i+1}.
 """
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 from .empirical import ScalarField, PairField, LabeledFields
@@ -133,7 +137,17 @@ class ContinuumStepper:
     mirror's, transposed.  This is exact: the axis-1 faces of g[p, q] at
     the speeds of q form the same products and sums as the axis-0 faces of
     g[q, p] = g[p, q].T, and IEEE addition commutes, so a diagonal block
-    stays bit-symmetric.
+    stays bit-symmetric.  The face fluxes of a block are one einsum of the
+    weights (wl, wr) with a read-only strided view of g that puts rows
+    i and i + 1 of each block side by side, built once per step; it forms
+    wl u_i + wr u_{i+1} with the same products and sum, in one pass.
+
+    Birth-death is a splitting stage on the post-transport block, block
+    (1 - dt d) + dt b f_p f_q, in four passes: scale the block, form the
+    outer product, scale it and add it.  Every term is nonnegative because
+    the step bound keeps dt < 1 / d, and the product, not one of its
+    factors, is scaled, so a diagonal block stays bit-symmetric.  It is
+    g + dt (b f_p f_q - d g) up to round-off.
 
     The stepper holds two n x n scratch blocks, used by every k it
     advances, so a step allocates little beyond its outputs; a stepper
@@ -210,15 +224,18 @@ class ContinuumStepper:
 
         g_new = np.empty(g.shape)
         face, work = self._face, self._work
-        face0, work0 = face[:-1], work[:-1]
+        face0 = face[:-1]
+        # pairs[p, q, t] is rows t .. n - 2 + t of block g[p, q], so one
+        # einsum over t forms a block's face fluxes wl g_i + wr g_{i+1}
+        s0, s1, s2, s3 = g.strides
+        pairs = as_strided(g, (k, k, 2, g.shape[2] - 1, g.shape[3]),
+                           (s0, s1, s2, s2, s3), writeable=False)
+        w = np.stack([wl, wr], axis=1)
         # axis 0 of every block at the speeds of its row label, the
-        # difference straight into g_new; einsum, as a column broadcast
-        # multiplies through a buffer
+        # difference straight into g_new
         for p in range(k):
             for q in range(k):
-                np.einsum("i,ij->ij", wl[p], g[p, q, :-1], out=face0)
-                np.einsum("i,ij->ij", wr[p], g[p, q, 1:], out=work0)
-                face0 += work0
+                np.einsum("ti,tij->ij", w[p], pairs[p, q], out=face0)
                 _flux_difference(face0, g_new[p, q])
         birth_death = params.birth_rate > 0 or params.death_rate > 0
         for q in range(k):
@@ -232,13 +249,11 @@ class ContinuumStepper:
                 work += block
                 np.subtract(g[p, q], work, out=block)
                 if birth_death:
-                    # splitting stage on the post-transport state, block +=
-                    # dt (b f_p f_q - d block); no renormalization
+                    # block (1 - dt d) + dt b f_p f_q; the product, not a
+                    # factor, is scaled, to keep a diagonal block symmetric
+                    block *= 1.0 - dt * params.death_rate
                     np.einsum("i,j->ij", f_new[p], f_new[q], out=face)
-                    face *= params.birth_rate
-                    np.multiply(params.death_rate, block, out=work)
-                    face -= work
-                    face *= dt
+                    face *= dt * params.birth_rate
                     block += face
                 if q != p:
                     g_new[q, p] = block.T

@@ -278,11 +278,15 @@ def _lift_g(graph, kern, grid, labels, k):
     # g[p, q] sums the product kernels of the edges from label p to label q
     # in both orientations, with one normalization to total mass 1.  The
     # edges are stably sorted by their (label, label) pair, so within each
-    # segment they stay sorted by head i.  Each chunk of a segment gathers
-    # only its tails' rows K[j], sums them per head (a head whose neighbours
-    # straddle two chunks contributes from both) and adds K[heads]^T sums
-    # to one block s[p, q], so no array holds a row per edge.  g = s + s^T
-    # over the (omega, m) axes is then bit-symmetric: g[q, p] == g[p, q].T.
+    # label segment they stay sorted by head i, and each chunk of a label
+    # segment splits into runs of one head (a head whose neighbours
+    # straddle two chunks contributes from both).  The runs, longest first,
+    # sum their tails' rows K[j] position by position: one gather puts the
+    # r-th rows of the runs longer than r next to each other, and one add
+    # per position joins them to a prefix of the sums, so a chunk takes as
+    # many adds as its longest run.  K[heads]^T sums then joins one block
+    # s[p, q], and no array holds a row per edge.  g = s + s^T over the
+    # (omega, m) axes is bit-symmetric: g[q, p] == g[p, q].T.
     if graph.n_edges == 0:
         raise ConfigError("kde: graph has no edges")
     n = grid.n_cells
@@ -297,8 +301,22 @@ def _lift_g(graph, kern, grid, labels, k):
         for start in range(bounds[key], end, chunk):
             heads, tails = edges[start:min(start + chunk, end)].T
             first = np.flatnonzero(np.diff(heads, prepend=-1))
-            sums = np.add.reduceat(kern[tails], first, axis=0)
-            block += kern[heads[first]].T @ sums
+            lengths = np.diff(first, append=heads.size)
+            order = np.argsort(-lengths, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            # longer[r] runs are longer than r; their r-th rows start at
+            # offsets[r] of the gathered rows, in the order of the sums
+            longer = first.size - np.cumsum(np.bincount(lengths))
+            offsets = np.cumsum(longer) - longer
+            at = offsets[np.arange(heads.size) - np.repeat(first, lengths)]
+            picks = np.empty_like(tails)
+            picks[at + np.repeat(rank, lengths)] = tails
+            rows = kern[picks]
+            sums = rows[:first.size]
+            for m, o in zip(longer[1:-1].tolist(), offsets[1:-1].tolist()):
+                sums[:m] += rows[o:o + m]
+            block += kern[heads[first[order]]].T @ sums
     g = s + s.transpose(1, 0, 3, 2)
     total = grid.dx ** 2 * g.sum()
     if total <= 0:

@@ -139,7 +139,7 @@ def test_string_roundtrip_is_exact():
     cfg = small_config("somewhere")
     # floats that do not have short decimal forms, and numpy floats, must
     # survive the trip
-    cfg = replace(cfg, micro=MicroParams(dt=1 / 3, t_end=0.7,
+    cfg = replace(cfg, micro=MicroParams(dt=1 / 3, t_end=0.75,
                                          noise_sigma=np.pi / 10, seed=42),
                   graph=replace(cfg.graph, mean_degree=np.float64(6.5)),
                   mu_sweep=(np.float64(0.1), 0.2))
@@ -264,19 +264,57 @@ def test_a_component_keeps_a_share_of_its_mass_in_range():
         MixtureSpec((((1.0, 0.0, 90.0),),))
 
 
+def small_config_file(tmp_path, section, key, value):
+    """small_config saved to tmp_path / cfg.ini with one key set to value."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(saved_text(small_config(tmp_path / "out")))
+    parser[section][key] = value
+    path = tmp_path / "cfg.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("continuum", "t_end", "1.06"), ("continuum", "t_end", "0.2"),
+    ("micro", "t_end", "0.7"), ("run", "snapshot_times", "0.0, 0.3"),
+    ("run", "sample_interval", "0.3")],
+    ids=["continuum_past_a_tick", "continuum_before_the_first_tick",
+         "micro_between_ticks", "snapshot_between_ticks",
+         "interval_that_misses_the_end"])
+def test_a_time_off_the_sampling_clock_is_refused(tmp_path, capsys, section,
+                                                  key, value):
+    # a t_end between two ticks used to run on to the next one, or, before
+    # the first tick, never to step, and a snapshot time was rounded
+    path = small_config_file(tmp_path, section, key, value)
+    named = "run.snapshot_times" if key == "snapshot_times" \
+        else r"(micro|continuum)\.t_end"
+    with pytest.raises(ConfigError, match=named + ": .* is not a whole "
+                       r"multiple of run\.sample_interval"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path)]) == 1
+    assert re.search(named, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_sampling_clock_tolerates_round_off():
+    # 0.7 / 0.1 and 2.3 / 0.1 are not whole numbers in floating point
+    cfg = replace(small_config("x"), sample_interval=0.1,
+                  micro=MicroParams(dt=0.01, t_end=0.7),
+                  continuum=ContinuumParams(t_end=2.3),
+                  snapshot_times=(0.0, 0.3, 0.7, 2.3))
+    assert 0.7 / 0.1 != 7 and 2.3 / 0.1 != 23
+    cfg.validate()
+
+
 @pytest.mark.parametrize("times, bad", [("-0.5, 0.5", "-0.5"),
                                         ("0.0, 1.0, 1.5", "1.5")],
                          ids=["before_start", "after_end"])
 def test_snapshot_time_outside_the_run_is_refused(tmp_path, capsys, times,
                                                   bad):
     # such a time used to be clamped to the nearest end of the run
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    parser.read_string(saved_text(small_config(tmp_path / "out")))
-    parser["run"]["snapshot_times"] = times
-    path = tmp_path / "cfg.ini"
-    with open(path, "w") as fh:
-        parser.write(fh)
+    path = small_config_file(tmp_path, "run", "snapshot_times", times)
     with pytest.raises(ConfigError, match=r"run\.snapshot_times: %s\b"
                        % re.escape(bad)):
         load_config(str(path))

@@ -255,7 +255,8 @@ def test_diffusion_variance_growth():
 
 def test_birth_death_exact_update():
     # with D = 0 and sigma = 0 the transport stage is the identity, so one
-    # step applies exactly g + dt (birth f x f - death g)
+    # step applies exactly the splitting stage g (1 - dt d) + dt b f x f,
+    # in the stepper's order, and g + dt (b f x f - d g) up to round-off
     grid = Grid(21)
     mix = MixtureSpec((((1.0, 0.0, 0.2),),))
     f = mix.cell_averages(grid, [1.0])
@@ -265,8 +266,11 @@ def test_birth_death_exact_update():
     params = ContinuumParams(dt=0.01, birth_rate=2.0, death_rate=3.0)
     f1, g1 = step_unlabeled(f, gk, zero, params)
     np.testing.assert_array_equal(f1.values, f.values)
-    expect = g0 + 0.01 * (2.0 * np.outer(f.values, f.values) - 3.0 * g0)
+    expect = g0 * (1.0 - 0.01 * 3.0)
+    expect += np.outer(f.values, f.values) * (0.01 * 2.0)
     np.testing.assert_array_equal(g1.values, expect)
+    unsplit = g0 + 0.01 * (2.0 * np.outer(f.values, f.values) - 3.0 * g0)
+    np.testing.assert_allclose(g1.values, unsplit, rtol=1e-15, atol=0)
 
 
 def test_birth_death_labeled_blocks():
@@ -280,9 +284,13 @@ def test_birth_death_labeled_blocks():
     out = step_labeled(lab, DebateOperator.zero(), params)
     for p in range(2):
         for q in range(2):
-            expect = gvals[p, q] + 0.05 * (
-                1.5 * np.outer(fvals[p], fvals[q]) - 0.5 * gvals[p, q])
+            expect = gvals[p, q] * (1.0 - 0.05 * 0.5)
+            expect += np.outer(fvals[p], fvals[q]) * (0.05 * 1.5)
             np.testing.assert_array_equal(out.g[p, q], expect)
+            unsplit = gvals[p, q] + 0.05 * (
+                1.5 * np.outer(fvals[p], fvals[q]) - 0.5 * gvals[p, q])
+            np.testing.assert_allclose(out.g[p, q], unsplit, rtol=1e-15,
+                                       atol=0)
 
 
 def test_death_rate_tightens_dt_bound():
