@@ -6,9 +6,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError
-from .analysis import REPORT_COLUMNS
 from .config import PRESETS, load_config
-from .runner import run_experiment, run_mu_sweep, RATE_COLUMNS
+from .runner import run_experiment, run_mu_sweep, RATE_COLUMNS, _ERROR_SERIES
 
 
 def build_parser():
@@ -62,17 +61,13 @@ def _cmd_run(args):
     report = run_experiment(config)
     print("wrote %s/report.tsv (%d samples)"
           % (config.output_dir, report.t.size))
-    for name in REPORT_COLUMNS:
-        if not name.startswith("E_"):
-            continue
+    for name in _ERROR_SERIES:
         series = report.series[name]
         finite = np.isfinite(series)
         if finite.any():
             last = np.flatnonzero(finite)[-1]
             print("  %s: %.6g at t=%g" % (name, series[last], report.t[last]))
     for name, chunks in report.continuum_dts.items():
-        if not chunks:      # continuum.t_end below half a sample interval
-            continue
         dts = np.concatenate(chunks)
         print("  %s: %d steps, dt min %.6g max %.6g"
               % (name, dts.size, dts.min(), dts.max()))
@@ -112,6 +107,9 @@ def main(argv=None):
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:
+        # imported here: loading it costs every run ~0.35 MB of peak RSS
+        import traceback
+        traceback.print_exc()
         print("run failed: %s" % exc, file=sys.stderr)
         return 2
 

@@ -14,7 +14,9 @@ from .graph import GraphConfig
 from .empirical import MixtureSpec
 from .continuum import ContinuumParams
 
-MODEL_VARIANTS = ("micro", "cont_unlabeled", "cont_labeled")
+# each model variant -> the section that holds its parameters
+MODEL_VARIANTS = {"micro": "micro", "cont_unlabeled": "continuum",
+                  "cont_labeled": "continuum"}
 
 # fixed offsets decouple the independent random streams of one experiment
 SEED_OFFSET_GRAPH = 11
@@ -36,6 +38,8 @@ class MicroParams:
             raise ConfigError("micro.t_end: must be positive")
         if self.noise_sigma < 0:
             raise ConfigError("micro.noise_sigma: must be >= 0")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("micro.seed: must be >= 0")
         return self
 
 
@@ -46,7 +50,7 @@ class ExperimentConfig:
     micro: MicroParams = field(default_factory=MicroParams)
     continuum: ContinuumParams = field(default_factory=ContinuumParams)
     grid_size: int = 101
-    model_variants: tuple = MODEL_VARIANTS
+    model_variants: tuple = tuple(MODEL_VARIANTS)
     mu_sweep: tuple = ()
     snapshot_times: tuple = ()
     sample_interval: float = 0.1
@@ -55,7 +59,7 @@ class ExperimentConfig:
 
     def t_end(self):
         """When the run ends: the latest t_end of the requested variants."""
-        return max(self.micro.t_end if v == "micro" else self.continuum.t_end
+        return max(getattr(self, MODEL_VARIANTS[v]).t_end
                    for v in self.model_variants)
 
     def validate(self):
@@ -68,23 +72,26 @@ class ExperimentConfig:
             raise ConfigError("run.grid_size: need at least two cells")
         if not self.model_variants:
             raise ConfigError("run.model_variants: choose at least one variant")
-        for v in self.model_variants:
-            if v not in MODEL_VARIANTS:
-                raise ConfigError("run.model_variants: unknown variant %r" % (v,))
         for mu in self.mu_sweep:
-            if not 0.0 <= mu <= 1.0:
-                raise ConfigError("run.mu_sweep: mixing values lie in [0, 1]")
+            # a sweep value must give a graph that the sweep can build
+            try:
+                replace_mixing(self, mu).graph.validate()
+            except ConfigError as exc:
+                raise ConfigError("run.mu_sweep: %g: %s" % (mu, exc))
         si = self.sample_interval
         if si <= 0:
             raise ConfigError("run.sample_interval: must be positive")
         # the run advances and records on the sampling clock only, so each
         # requested end and each snapshot must fall on one of its ticks
         for v in self.model_variants:
-            key = "micro.t_end" if v == "micro" else "continuum.t_end"
-            t = self.micro.t_end if v == "micro" else self.continuum.t_end
+            if v not in MODEL_VARIANTS:
+                raise ConfigError("run.model_variants: unknown variant %r"
+                                  % (v,))
+            section = MODEL_VARIANTS[v]
+            t = getattr(self, section).t_end
             if not _on_clock(t, si):
-                raise ConfigError("%s: %g is not a whole multiple of "
-                                  "run.sample_interval, %g" % (key, t, si))
+                raise ConfigError("%s.t_end: %g is not a whole multiple of "
+                                  "run.sample_interval, %g" % (section, t, si))
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.t_end():
                 raise ConfigError("run.snapshot_times: %g lies outside the "
@@ -95,6 +102,8 @@ class ExperimentConfig:
                                   % (t, si))
         if not self.output_dir:
             raise ConfigError("run.output_dir: must be nonempty")
+        if self.seed < 0:
+            raise ConfigError("run.seed: must be >= 0")
         return self
 
     def seeds(self):

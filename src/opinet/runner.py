@@ -25,9 +25,11 @@ from .analysis import (REPORT_COLUMNS, RunReport, e_cont, consensus_value_cont,
                        write_table)
 from .config import replace_mixing, save_config
 
-RATE_COLUMNS = ("mu", "rate_micro", "rate_cont_labeled", "rate_cont_unlabeled",
-                "fit_err_micro", "fit_err_cont_labeled",
-                "fit_err_cont_unlabeled")
+# the report's error series; a sweep fits a decay rate to each of them
+_ERROR_SERIES = tuple(c for c in REPORT_COLUMNS if c.startswith("E_"))
+RATE_COLUMNS = ("mu",) + tuple(prefix + c[2:]
+                               for prefix in ("rate_", "fit_err_")
+                               for c in _ERROR_SERIES)
 
 # share of the realized stability bound of each state that an adaptive
 # continuum step takes; a configured fixed step is only checked against
@@ -235,18 +237,16 @@ def run_experiment(config, operator=None, write_outputs=True):
     snapshots = {}
 
     for k in range(n_chunks + 1):
-        for variant, end in zip(variants, ends):
-            if 0 < k <= end:
+        # a variant past its t_end has no state at tick k
+        running = [v for v, end in zip(variants, ends) if k <= end]
+        for variant in running:
+            if k > 0:
                 variant.advance(times[k - 1], si)
-        for variant, end in zip(variants, ends):
-            if k <= end:
-                variant.record(k, series)
+            variant.record(k, series)
         if k in snap_idx:
-            # a variant past its t_end has no state at this time
             snapshots[k] = {"mid": grid.mids.copy()}
-            for variant, end in zip(variants, ends):
-                if k <= end:
-                    variant.snapshot(snapshots[k])
+            for variant in running:
+                variant.snapshot(snapshots[k])
 
     report = RunReport(series, {v.name: v.dts for v in cont})
 
@@ -299,9 +299,7 @@ def run_mu_sweep(config, operator=None, write_outputs=True):
             report = run_experiment(sub, operator=operator,
                                     write_outputs=write_outputs)
             t_lo = 0.2 * float(report.t[-1])
-            for name in REPORT_COLUMNS:
-                if not name.startswith("E_"):
-                    continue
+            for name in _ERROR_SERIES:
                 rate, err = _fit_or_nan(report.t, report.series[name], t_lo)
                 row["rate_" + name[2:]] = rate
                 row["fit_err_" + name[2:]] = err
@@ -318,14 +316,17 @@ def run_mu_sweep(config, operator=None, write_outputs=True):
 
 
 def _write_gnuplot(path):
+    # rate_<name> is column 2 + i of rates.tsv for the i-th error series
+    plots = ", \\\n     ".join(
+        '"rates.tsv" skip 1 using 1:%d with linespoints title "%s"'
+        % (2 + i, name[2:].removeprefix("cont_"))
+        for i, name in enumerate(_ERROR_SERIES))
     lines = [
         'set datafile separator "\\t"',
         "set logscale xy",
         'set xlabel "mixing parameter"',
         'set ylabel "fitted decay rate"',
-        'plot "rates.tsv" skip 1 using 1:2 with linespoints title "micro", \\',
-        '     "rates.tsv" skip 1 using 1:3 with linespoints title "labeled", \\',
-        '     "rates.tsv" skip 1 using 1:4 with linespoints title "unlabeled"',
+        "plot " + plots,
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,8 +11,13 @@ from opinet import (ConfigError, ContinuumParams, ExperimentConfig,
                     GraphConfig, MicroParams, MixtureSpec, PRESETS,
                     load_config, preset_crossing, preset_three_communities,
                     replace_mixing, save_config)
+import opinet.cli
+import opinet.runner
+from opinet import SimulationError
 from opinet import config as config_module
+from opinet.analysis import REPORT_COLUMNS
 from opinet.cli import main
+from opinet.runner import RATE_COLUMNS
 
 
 def small_config(out, seed=5):
@@ -347,6 +352,44 @@ def test_seed_offsets():
     assert cfg2.seeds() == {"graph": 18, "sample": 29, "noise": 99}
 
 
+@pytest.mark.parametrize("section", ["run", "micro"])
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, section):
+    # numpy refuses a negative stream seed only inside the run, with exit 2
+    # and no key named, and seeds -1 to -11 get past it through the offsets
+    path = small_config_file(tmp_path, section, "seed", "-2")
+    with pytest.raises(ConfigError, match=r"%s\.seed: must be >= 0"
+                       % section):
+        load_config(str(path))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "%s.seed" % section in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_seed_override_is_refused(tmp_path, capsys):
+    assert main(["run", "--preset", "crossing", "--seed", "-30",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "configuration error: run.seed: must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_value_the_graph_cannot_host_is_refused(tmp_path, capsys):
+    # at mu = 0 each member of a 10-node community needs 10 neighbours
+    # inside it, so that value could only give a NaN row
+    cfg = replace(small_config(tmp_path / "out"),
+                  graph=GraphConfig(n_nodes=30, n_groups=3, mean_degree=10.0,
+                                    mixing_mu=0.5),
+                  mixture=MixtureSpec.three_communities(),
+                  mu_sweep=(0.5, 0.0))
+    path = tmp_path / "cfg.ini"
+    save_config(cfg, path)
+    with pytest.raises(ConfigError, match=r"run\.mu_sweep: 0: .*cannot host"):
+        load_config(str(path))
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert "run.mu_sweep" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_replace_mixing_is_nondestructive():
     cfg = preset_three_communities()
     out = replace_mixing(cfg, 0.4)
@@ -370,9 +413,25 @@ def test_cli_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_cli_config_errors_return_1(tmp_path):
+def test_cli_config_errors_return_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 1
     assert main(["sweep", "--preset", "crossing", "--mus", "bad"]) == 1
+    # a configuration error is one line each, without a traceback
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("configuration error: ") for line in err)
+
+
+def test_cli_failures_keep_their_traceback(tmp_path, capsys, monkeypatch):
+    def fail(config):
+        raise RuntimeError("no state")
+    monkeypatch.setattr(opinet.cli, "run_experiment", fail)
+    assert main(["run", "--preset", "crossing",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in fail\n" in err
+    assert err.endswith("RuntimeError: no state\nrun failed: no state\n")
 
 
 def test_cli_run_and_determinism(tmp_path, capsys):
@@ -408,6 +467,45 @@ def test_cli_sweep_writes_rates(tmp_path):
     rates = tmp_path / "sweep" / "rates.tsv"
     assert rates.exists()
     lines = rates.read_text().strip().splitlines()
-    assert lines[0].split("\t")[0] == "mu"
+    assert tuple(lines[0].split("\t")) == RATE_COLUMNS
     assert len(lines) == 3
     assert os.path.isdir(tmp_path / "sweep" / "mu_0.2")
+    # rates.tsv has a rate and a fit error per error series of the report,
+    # and rates.gp one curve per error series, on its rate column
+    errors = [c[2:] for c in REPORT_COLUMNS if c.startswith("E_")]
+    assert RATE_COLUMNS == ("mu", *("rate_" + e for e in errors),
+                            *("fit_err_" + e for e in errors))
+    plotted = re.findall(r'using 1:(\d+) with linespoints title "(\w+)"',
+                         (tmp_path / "sweep" / "rates.gp").read_text())
+    assert [(RATE_COLUMNS[int(col) - 1], title) for col, title in plotted] \
+        == [("rate_" + e, e.removeprefix("cont_")) for e in errors]
+
+
+def test_a_failing_mixing_value_gives_a_nan_row(tmp_path, capsys,
+                                                monkeypatch):
+    run = opinet.runner.run_experiment
+
+    def fail_at_04(config, **kwargs):
+        if config.graph.mixing_mu == 0.4:
+            raise SimulationError("cont_labeled: step 3 returned a "
+                                  "non-finite state")
+        return run(config, **kwargs)
+    monkeypatch.setattr(opinet.runner, "run_experiment", fail_at_04)
+    # samples enough for every fit of the value that runs
+    cfg = replace(small_config(tmp_path / "sweep"), sample_interval=0.05)
+    cfg_path = tmp_path / "cfg.ini"
+    save_config(cfg, cfg_path)
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--mus", "0.2,0.4"]) == 0
+    assert capsys.readouterr().err == ("mu=0.4 failed: cont_labeled: step 3 "
+                                       "returned a non-finite state\n")
+    rows = np.loadtxt(tmp_path / "sweep" / "rates.tsv", skiprows=1)
+    assert rows[:, 0].tolist() == [0.2, 0.4]
+    assert np.isfinite(rows[0]).all()
+    assert np.isnan(rows[1, 1:]).all()
+    rows, failures = opinet.runner.run_mu_sweep(replace(cfg, mu_sweep=(0.4,)),
+                                                write_outputs=False)
+    assert failures == [(0.4, "cont_labeled: step 3 returned a non-finite "
+                              "state")]
+    assert rows[0]["mu"] == 0.4
+    assert all(np.isnan(rows[0][c]) for c in RATE_COLUMNS[1:])

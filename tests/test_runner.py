@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import opinet.continuum
 import opinet.runner
 from opinet.analysis import REPORT_COLUMNS
 from opinet import (ConfigError, ContinuumParams, DebateOperator, Grid,
@@ -117,3 +118,24 @@ def test_bad_operator_is_refused_before_set_up(monkeypatch):
             entry(config, operator=even, write_outputs=False)
         with pytest.raises(ConfigError, match="nonincreasing"):
             entry(config, operator=increasing, write_outputs=False)
+
+
+def test_a_run_takes_one_velocity_pass_per_step(monkeypatch):
+    # max_dt keeps the speeds of the state it checks for the step that
+    # follows, so each closure pays one pass per step plus its first check
+    speeds = opinet.continuum._speeds
+    passes = []
+    monkeypatch.setattr(opinet.continuum, "_speeds",
+                        lambda *args: passes.append(1) or speeds(*args))
+    cache = opinet.continuum._cached_stepper
+    cache.cache_clear()
+    config = replace(preset_three_communities(), seed=3,
+                     model_variants=("cont_unlabeled", "cont_labeled"))
+    report = run_experiment(config, write_outputs=False)
+    steps = sum(dts.size for chunks in report.continuum_dts.values()
+                for dts in chunks)
+    assert steps == 889
+    assert len(passes) == steps + 2
+    # one stepper serves both closures, found again on every step
+    info = cache.cache_info()
+    assert (info.hits, info.misses) == (steps, 1)

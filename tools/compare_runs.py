@@ -1,0 +1,99 @@
+"""Compare the outputs of this working tree with those of a git ref.
+
+    python tools/compare_runs.py <ref>
+
+Extracts <ref> with `git archive` into a temporary directory, then runs,
+on both trees, `opinet run --seed 3` on both presets and on every
+perfbench/workloads/*.ini, and `opinet sweep --preset crossing --mus
+0.01,0.5 --seed 3`.  For each output file and each command's stdout, with
+the output path masked, it prints "identical" or the largest relative
+difference of the numbers in which the two differ.  Exits 1 unless every
+output is identical.  Stdlib only.
+"""
+
+import io
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = [("run_" + p, ["run", "--preset", p, "--seed", "3"])
+        for p in ("three_communities", "crossing")]
+RUNS += [("run_" + ini.stem, ["run", "--config", str(ini), "--seed", "3"])
+         for ini in sorted((ROOT / "perfbench" / "workloads").glob("*.ini"))]
+RUNS += [("sweep_crossing", ["sweep", "--preset", "crossing",
+                             "--mus", "0.01,0.5", "--seed", "3"])]
+
+
+def outputs(tree, out):
+    """Run every command on tree; {relative path: bytes} of what it made."""
+    out.mkdir()
+    found = {}
+    for name, args in RUNS:
+        dest = out / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "opinet.cli", *args, "--out", str(dest)],
+            env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+            stdout=subprocess.PIPE, check=True, cwd=out)
+        # the output path differs between the trees, in stdout and in the
+        # saved config.ini files
+        mask = str(dest).encode()
+        found[name + "/stdout"] = proc.stdout.replace(mask, b"<out>")
+        for path in sorted(dest.rglob("*")):
+            if path.is_file():
+                found[str(path.relative_to(out))] = \
+                    path.read_bytes().replace(mask, b"<out>")
+    return found
+
+
+def largest_difference(old, new):
+    """Largest relative difference of two texts that differ only in
+    numbers; None if they differ otherwise."""
+    old, new = old.decode().split(), new.decode().split()
+    if len(old) != len(new):
+        return None
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            return None
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def main(ref):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", ref], cwd=ROOT,
+                                 stdout=subprocess.PIPE, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "ref", filter="data")
+        old = outputs(tmp / "ref", tmp / "old")
+        new = outputs(ROOT, tmp / "new")
+    same = True
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old or key not in new:
+            verdict = "only in " + ("new" if key in new else ref)
+        elif old[key] == new[key]:
+            verdict = "identical"
+        else:
+            worst = largest_difference(old[key], new[key])
+            verdict = ("differs in text" if worst is None
+                       else "largest relative difference %.3g" % worst)
+        same = same and verdict == "identical"
+        print("%s: %s" % (key, verdict))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))
