@@ -4,24 +4,20 @@ State is cell-averaged on a uniform grid over [-1, 1]: f(omega) and the
 pair density g(omega, m), optionally resolved by community label.  Each
 step freezes the velocity field computed from g, then advances f and g
 with a local Lax-Friedrichs flux; boundary fluxes are zero, so mass is
-conserved exactly.  Optional additive noise enters as explicit diffusion
-with mirrored (zero-flux) boundaries, and optional edge birth-death acts
-on g after the transport stage, as g (1 - dt d) + dt b f_p f_q, which
-stays positive because a step keeps dt < 1 / d.
+conserved up to round-off.  Optional additive noise enters as explicit
+diffusion with mirrored (zero-flux) boundaries, and optional edge
+birth-death acts on g as g (1 - dt d) + dt b f_p f_q, which stays positive
+because a step keeps dt < 1 / d.
 
 The LLF flux and the diffusion flux of a face combine into one monotone
-two-point stencil, H = wl u_i + wr u_{i+1} with wl >= 0 >= wr, and a step
-updates u - (dH_0 + dH_1); g is symmetric, so a block's dH_1 is the dH_0
-of its mirror block g[q, p] = g[p, q].T, transposed, bit for bit.  A
-block's H comes from one einsum over a two-row view of g, rows i and
-i + 1 side by side, with the products and the sum of wl u_i + wr u_{i+1}.
+two-point flux, so a row's update is a three-point stencil; g takes it
+along one axis per block, as ContinuumStepper describes.
 """
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 from .empirical import ScalarField, PairField, LabeledFields
@@ -95,16 +91,41 @@ def cfl_max_dt(grid, operator, params=None):
     return _dt_bound(grid.dx, d_max, params)
 
 
-def _flux_difference(flux, out):
-    # F_{i+1/2} - F_{i-1/2} into out from the interior fluxes along axis 0;
-    # the boundary fluxes are zero, so the first and last rows are exact
-    # copies
-    out[0] = flux[0]
-    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
-    # not np.negative(..., out=...): numpy 2.4 ignores the input stride
-    # there for some strided lengths (f's transposed view at 9 cells)
-    out[-1] = -flux[-1]
-    return out
+def _stencil_weights(a, lam, nu):
+    # w[p, :, i] = (wl_{i-1/2}, 1 - wl_{i+1/2} + wr_{i-1/2}, -wr_{i+1/2}),
+    # the weights of cells i - 1, i and i + 1 in the update of cell i, with
+    # the face weights wl = lam (a_i + amax) / 2 + nu >= 0 and wr = lam
+    # (a_{i+1} - amax) / 2 - nu <= 0, and none at the two boundary faces
+    k, n = a.shape
+    w = np.zeros((k, 3, n))
+    left, mid, right = w[:, 0, 1:], w[:, 1], w[:, 2, :-1]
+    speed = np.abs(a)
+    amax = np.maximum(speed[:, :-1], speed[:, 1:])
+    np.add(a[:, :-1], amax, out=left)
+    np.subtract(amax, a[:, 1:], out=right)
+    for side in (left, right):
+        side *= 0.5 * lam
+        side += nu
+    np.subtract(1.0, left, out=mid[:, :-1])
+    mid[:, -1] = 1.0
+    mid[:, 1:] -= right
+    return w
+
+
+def _half_update(w, g, out):
+    # out[p, q, i] = w[p, 0, i] g[p, q, i - 1] + w[p, 1, i] g[p, q, i]
+    #     + w[p, 2, i] g[p, q, i + 1], summed in that order, for the rows i
+    # of every block of the C-contiguous g; the first and last rows leave
+    # out their missing neighbour
+    k, _, n, _ = g.shape
+    s0, s1, row, col = g.strides
+    # rows[p, q, t, i] is row i + t of block g[p, q]
+    rows = np.ndarray((k, k, 3, n - 2, n), g.dtype, g, 0,
+                      (s0, s1, row, row, col))
+    rows.flags.writeable = False
+    np.einsum("pti,pqtij->pqij", w[:, :, 1:-1], rows, out=out[:, :, 1:-1])
+    np.einsum("pt,pqtj->pqj", w[:, 1:, 0], g[:, :, :2], out=out[:, :, 0])
+    np.einsum("pt,pqtj->pqj", w[:, :2, -1], g[:, :, -2:], out=out[:, :, -1])
 
 
 # states a stepper keeps speeds for; a run steps at most two (its closures)
@@ -124,32 +145,38 @@ class ContinuumStepper:
     parameters are validated and the D matrix built once, when the stepper
     is built; dt is passed per step.  g must be bit-symmetric, g[q, p] ==
     g[p, q].T for every p and q, the diagonal blocks included: each block
-    takes its axis-1 flux difference from its mirror block, so an
-    asymmetric g gets a step that is not the LLF scheme, and nothing checks
-    this.  Only the p <= q blocks are advanced and the others are their
-    transposes, so a step keeps the symmetry.
+    takes its axis-1 update from its mirror block, so an asymmetric g gets
+    a step that is not the LLF scheme, and nothing checks this.  Only the
+    p <= q blocks are advanced and the others are their transposes, so a
+    step keeps the symmetry.
 
-    Each face carries one two-point stencil: the LLF flux lam (cl u_i +
+    Each face carries one two-point flux: the LLF flux lam (cl u_i +
     cr u_{i+1}), cl >= 0 >= cr, plus the zero-flux diffusion flux
-    nu (u_i - u_{i+1}), with lam = dt/dx and nu = dt sigma/dx^2.  A step
-    first writes every block's axis-0 flux difference, at the speeds of its
-    row label, into the new g; block (p, q) then subtracts it plus its
-    mirror's, transposed.  This is exact: the axis-1 faces of g[p, q] at
-    the speeds of q form the same products and sums as the axis-0 faces of
-    g[q, p] = g[p, q].T, and IEEE addition commutes, so a diagonal block
-    stays bit-symmetric.  The face fluxes of a block are one einsum of the
-    weights (wl, wr) with a read-only strided view of g that puts rows
-    i and i + 1 of each block side by side, built once per step; it forms
-    wl u_i + wr u_{i+1} with the same products and sum, in one pass.
+    nu (u_i - u_{i+1}), with lam = dt/dx and nu = dt sigma/dx^2; together
+    wl u_i + wr u_{i+1}, wl >= 0 >= wr.  A cell's update is the
+    three-point stencil (wl_{i-1/2}, 1 - wl_{i+1/2} + wr_{i-1/2},
+    -wr_{i+1/2}) of its row and the rows above and below it, none across
+    the boundary faces.  f takes it as it is.  For g, every block takes
+    U = c (stencil - 1/2) g along axis 0 at the speeds of its row label,
+    c = 1 - dt d, and becomes U[p, q] + U[q, p].T.  This is exact: the
+    axis-1 update of g[p, q] at the speeds of q forms the same products
+    and sums as the axis-0 update of g[q, p] = g[p, q].T, and IEEE
+    addition commutes, so a diagonal block stays bit-symmetric.  One einsum
+    over a read-only view of g that puts rows i - 1, i and i + 1 of every
+    block side by side forms U for the inner rows, and two more for the
+    first and last rows; they form the three products and their sum in
+    one pass, straight into the new g.  Each axis takes at most half of
+    the two-dimensional step bound, lam max|a| + 2 nu < 1/2, so every
+    weight of U is nonnegative.
 
-    Birth-death is a splitting stage on the post-transport block, block
-    (1 - dt d) + dt b f_p f_q, in four passes: scale the block, form the
-    outer product, scale it and add it.  Every term is nonnegative because
-    the step bound keeps dt < 1 / d, and the product, not one of its
-    factors, is scaled, so a diagonal block stays bit-symmetric.  It is
-    g + dt (b f_p f_q - d g) up to round-off.
+    Birth adds dt b f_p f_q to the new block, the outer product formed,
+    scaled and added.  With the death factor in U, the block is
+    (1 - dt d) g + dt b f_p f_q after transport; every term is nonnegative
+    because the step bound keeps dt < 1 / d, and the product, not one of
+    its factors, is scaled, so a diagonal block stays bit-symmetric.  It
+    is g + dt (b f_p f_q - d g) up to round-off.
 
-    The stepper holds two n x n scratch blocks, used by every k it
+    The stepper holds one n x n scratch block, used by every k it
     advances, so a step allocates little beyond its outputs; a stepper
     must not be advanced from two threads at once.
 
@@ -166,10 +193,8 @@ class ContinuumStepper:
         self.dmat = _d_matrix(grid, operator)
         self.dmat.flags.writeable = False
         self._memo = {}     # identity of g -> (g, its speeds) from max_dt
-        n = grid.n_cells
-        # face fluxes and a second operand, each for one n x n block
-        self._face = np.empty((n, n))
-        self._work = np.empty((n, n))
+        # a transposed block, then a birth term
+        self._work = np.empty((grid.n_cells, grid.n_cells))
 
     def speeds(self, g):
         """Per-label speeds a (k, n) and row masses (k, n) of g."""
@@ -209,52 +234,34 @@ class ContinuumStepper:
         if not (dt > 0 and dt < bound):
             raise ConfigError("continuum: dt=%g violates 0 < dt < %g"
                               % (dt, bound))
-        # the stencil of each face: wl = lam cl + nu >= 0 on the left cell
-        # and wr = lam cr - nu <= 0 on the right one
-        al, ar = a[:, :-1], a[:, 1:]
-        amax = np.maximum(np.abs(al), np.abs(ar))
-        lam = dt / dx
-        nu = dt * params.diffusion_sigma / dx ** 2
-        wl = lam * (0.5 * (al + amax)) + nu
-        wr = lam * (0.5 * (ar - amax)) - nu
+        w = _stencil_weights(a, dt / dx,
+                             dt * params.diffusion_sigma / dx ** 2)
+        left, mid, right = w[:, 0], w[:, 1], w[:, 2]
+        # the stencil itself, (mid f_i + left f_{i-1}) + right f_{i+1}
+        f_new = mid * f
+        f_new[:, 1:] += left[:, 1:] * f[:, :-1]
+        f_new[:, :-1] += right[:, :-1] * f[:, 1:]
 
-        f_new = np.empty(f.shape)
-        _flux_difference((wl * f[:, :-1] + wr * f[:, 1:]).T, f_new.T)
-        np.subtract(f, f_new, out=f_new)
-
+        # U = c (stencil - 1/2) g along axis 0 of every block, at the
+        # speeds of its row label, straight into g_new
+        mid -= 0.5
+        w *= 1.0 - dt * params.death_rate
         g_new = np.empty(g.shape)
-        face, work = self._face, self._work
-        face0 = face[:-1]
-        # pairs[p, q, t] is rows t .. n - 2 + t of block g[p, q], so one
-        # einsum over t forms a block's face fluxes wl g_i + wr g_{i+1}
-        s0, s1, s2, s3 = g.strides
-        pairs = as_strided(g, (k, k, 2, g.shape[2] - 1, g.shape[3]),
-                           (s0, s1, s2, s2, s3), writeable=False)
-        w = np.stack([wl, wr], axis=1)
-        # axis 0 of every block at the speeds of its row label, the
-        # difference straight into g_new
-        for p in range(k):
-            for q in range(k):
-                np.einsum("ti,tij->ij", w[p], pairs[p, q], out=face0)
-                _flux_difference(face0, g_new[p, q])
-        birth_death = params.birth_rate > 0 or params.death_rate > 0
+        _half_update(w, np.ascontiguousarray(g), g_new)
+        work = self._work
         for q in range(k):
             for p in range(q + 1):
                 block = g_new[p, q]
-                # the axis-1 difference of block (p, q) is the axis-0
-                # difference of its mirror g[q, p] = g[p, q].T, transposed;
-                # copied first, as a ufunc reading a transposed operand
-                # buffers it
+                # U[p, q] + U[q, p].T; the transpose is copied first, as a
+                # ufunc reading a transposed operand buffers it
                 np.copyto(work, g_new[q, p].T)
-                work += block
-                np.subtract(g[p, q], work, out=block)
-                if birth_death:
-                    # block (1 - dt d) + dt b f_p f_q; the product, not a
-                    # factor, is scaled, to keep a diagonal block symmetric
-                    block *= 1.0 - dt * params.death_rate
-                    np.einsum("i,j->ij", f_new[p], f_new[q], out=face)
-                    face *= dt * params.birth_rate
-                    block += face
+                block += work
+                if params.birth_rate > 0:
+                    # the product, not a factor, is scaled, to keep a
+                    # diagonal block symmetric
+                    np.einsum("i,j->ij", f_new[p], f_new[q], out=work)
+                    work *= dt * params.birth_rate
+                    block += work
                 if q != p:
                     g_new[q, p] = block.T
         return f_new, g_new

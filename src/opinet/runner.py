@@ -23,7 +23,7 @@ from .continuum import cfl_max_dt, stepper_for, step_unlabeled, step_labeled
 from .analysis import (REPORT_COLUMNS, RunReport, e_cont, consensus_value_cont,
                        first_moment, lyapunov_tilde, fit_exponential_rate,
                        write_table)
-from .config import replace_mixing, save_config
+from .config import MODEL_VARIANTS, replace_mixing, save_config
 
 # the report's error series; a sweep fits a decay rate to each of them
 _ERROR_SERIES = tuple(c for c in REPORT_COLUMNS if c.startswith("E_"))
@@ -154,6 +154,13 @@ class _ContinuumVariant:
                 t_left -= dt
                 self._take(dt, t_start + interval - t_left, dts)
         self.dts.append(np.asarray(dts))
+        # a step keeps every cell nonnegative in exact arithmetic; one pass
+        # per sample, not per step, checks that it did
+        if self.state.f.min() < 0 or self.state.g.min() < 0:
+            raise SimulationError(
+                "%s: steps %d-%d left a negative cell by t=%.6g"
+                % (self.name, self._steps - len(dts) + 1, self._steps,
+                   t_start + interval))
 
     def _take(self, dt, t, dts):
         self.state = self._step(self.state, replace(self._params, dt=dt))
@@ -184,19 +191,32 @@ class _ContinuumVariant:
                 cols["f_cont_labeled_%d" % (p + 1)] = self.state.f[p].copy()
 
 
-def _continuum_variants(config, grid, operator, fields):
+def _fixed_step(config, operator):
+    """The (dt, steps) per sample interval of a configured continuum.dt;
+    None when it is unset or no continuum variant runs.
+
+    A fixed step must be stable for every state, not only the first, so
+    it must lie below cfl_max_dt, which needs neither the graph nor the
+    lift and does not depend on the mixing parameter.
+    """
+    params = config.continuum
+    if params.dt is None or "continuum" not in {
+            MODEL_VARIANTS[v] for v in config.model_variants}:
+        return None
+    fixed = _chunked_dt(config.sample_interval, params.dt)
+    bound = cfl_max_dt(Grid(config.grid_size), operator, params)
+    if not fixed[0] < bound:
+        raise ConfigError("continuum.dt: %g gives a step of %g, which "
+                          "violates 0 < dt < %g"
+                          % (params.dt, fixed[0], bound))
+    return fixed
+
+
+def _continuum_variants(config, grid, operator, fields, fixed):
     if not fields:
         return []
     params = config.continuum
     stepper = stepper_for(grid, operator, params)
-    fixed = None
-    if params.dt is not None:
-        # a fixed step must be stable for every state, not only the first
-        fixed = _chunked_dt(config.sample_interval, params.dt)
-        bound = cfl_max_dt(grid, operator, params)
-        if not fixed[0] < bound:
-            raise ConfigError("continuum: dt=%g violates 0 < dt < %g"
-                              % (fixed[0], bound))
     steps = {
         "cont_unlabeled": lambda s, p: _one_group(*step_unlabeled(
             ScalarField(grid, s.f[0]), PairField(grid, s.g[0, 0]),
@@ -219,10 +239,11 @@ def run_experiment(config, operator=None, write_outputs=True):
     if operator is None:
         operator = DebateOperator.linear()
     operator.validate()
+    fixed = _fixed_step(config, operator)
     graph, omega, grid, fields = build_initial_state(config)
     micro = ([_MicroVariant(config, graph, omega, grid, operator)]
              if "micro" in config.model_variants else [])
-    cont = _continuum_variants(config, grid, operator, fields)
+    cont = _continuum_variants(config, grid, operator, fields, fixed)
     variants = micro + cont
 
     si = config.sample_interval
@@ -274,9 +295,9 @@ def _fit_or_nan(times, values, t_lo):
 def run_mu_sweep(config, operator=None, write_outputs=True):
     """Run the experiment per mixing value; fit decay rates per variant.
 
-    The operator is checked once, before the first value.  Each mixing
-    value gets its own derived seed.  A failing value is reported with NaN
-    rates and the sweep continues.  Returns (rows,
+    The operator and a fixed continuum.dt are checked once, before the
+    first value.  Each mixing value gets its own derived seed.  A failing
+    value is reported with NaN rates and the sweep continues.  Returns (rows,
     failures): rows are dicts keyed by RATE_COLUMNS, failures (mu, message)
     pairs.
     """
@@ -286,6 +307,8 @@ def run_mu_sweep(config, operator=None, write_outputs=True):
     if operator is None:
         operator = DebateOperator.linear()
     operator.validate()
+    # a fixed step that fails one mixing value fails them all
+    _fixed_step(config, operator)
     rows = []
     failures = []
     for i, mu in enumerate(config.mu_sweep):

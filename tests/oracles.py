@@ -2,8 +2,8 @@
 
 Each one computes, by a separate and plainer route, something the package
 computes for its workflows: the local Lax-Friedrichs interface fluxes and
-the padded zero-flux second difference of the continuum step, its
-transport stage with each face flux as two row-scaled products, the
+the padded zero-flux second difference of the continuum step, the step
+with each row's update as three row-scaled products, the
 row-normalized pair density eta, the cell-integrated Gaussian KDE, the
 truncated mixture pdf and its cell averages through scipy's normal CDF, the
 set-based stub matching of the graph generator, the depth-first component
@@ -68,31 +68,40 @@ def mirrored_laplacian(u):
     return gflux[1:] - gflux[:-1]
 
 
-def two_product_transport(f, g, a, dt, dx, sigma):
-    """The transport and diffusion stage of ContinuumStepper.advance at the
-    speeds a, each block's face flux H = wl g_i + wr g_{i+1} formed as two
-    row-scaled products and their sum, in the stepper's order otherwise,
-    so the result is meant to match the stepper bit for bit."""
+def three_point_transport(f, g, a, dt, dx, params):
+    """ContinuumStepper.advance at the speeds a: each row's update formed
+    as three row-scaled products of the zero-padded row above, the row and
+    the row below, summed in that order; each g block takes c (w - 1/2) of
+    its axis-0 stencil w, c = 1 - dt d, as U and becomes U[p, q] + U[q,
+    p].T, then the birth term.  In the stepper's order otherwise, so the
+    result is meant to match the stepper bit for bit."""
     al, ar = a[:, :-1], a[:, 1:]
     amax = np.maximum(np.abs(al), np.abs(ar))
     lam = dt / dx
-    nu = dt * sigma / dx ** 2
-    wl = lam * (0.5 * (al + amax)) + nu
-    wr = lam * (0.5 * (ar - amax)) - nu
+    nu = dt * params.diffusion_sigma / dx ** 2
+    # wl and -wr of faces -1/2 .. n - 1/2, none at the boundary faces
+    zero = np.zeros((a.shape[0], 1))
+    wl = np.hstack([zero, (al + amax) * (0.5 * lam) + nu, zero])
+    wr = np.hstack([zero, (amax - ar) * (0.5 * lam) + nu, zero])
+    w = np.stack([wl[:, :-1], (1.0 - wl[:, 1:]) - wr[:, :-1], wr[:, 1:]],
+                 axis=1)
 
-    def difference(flux):
-        # the boundary fluxes are zero
-        return np.concatenate([flux[:1], flux[1:] - flux[:-1], -flux[-1:]])
+    def stencil(w, u):
+        # along axis -2, label p on axis 0
+        w = w.reshape(w.shape[:2] + (1,) * (u.ndim - 3) + w.shape[2:] + (1,))
+        pad = np.zeros(u.shape[:-2] + (1,) + u.shape[-1:])
+        up = np.concatenate([pad, u, pad], axis=-2)
+        return (w[:, 0] * up[..., :-2, :] + w[:, 1] * u
+                + w[:, 2] * up[..., 2:, :])
 
-    f_new = f - difference((wl * f[:, :-1] + wr * f[:, 1:]).T).T
-    k = f.shape[0]
-    d0 = [[difference(wl[p][:, None] * g[p, q, :-1]
-                      + wr[p][:, None] * g[p, q, 1:]) for q in range(k)]
-          for p in range(k)]
-    g_new = np.empty(g.shape)
-    for p in range(k):
-        for q in range(k):
-            g_new[p, q] = g[p, q] - (d0[q][p].T + d0[p][q])
+    f_new = stencil(w, f[:, :, None])[:, :, 0]
+    c = 1.0 - dt * params.death_rate
+    w[:, 1] -= 0.5
+    u = stencil(w * c, g)
+    g_new = u + u.transpose(1, 0, 3, 2)
+    if params.birth_rate > 0:
+        g_new += (np.einsum("pi,qj->pqij", f_new, f_new)
+                  * (dt * params.birth_rate))
     return f_new, g_new
 
 

@@ -138,3 +138,26 @@ def test_non_finite_state_fails_with_its_step_and_time(monkeypatch):
     assert str(err.value) == (
         "cont_labeled: step 5 returned a non-finite state at t=%.6g"
         % sum(clock))
+
+
+def test_a_negative_cell_fails_the_run_at_its_sample(monkeypatch):
+    step_labeled = runner.step_labeled
+    config = cont_config(dt=0.004)
+    _, steps = _chunked_dt(config.sample_interval, 0.004)
+    clock = []
+
+    def negative(fields, operator, params):
+        out = step_labeled(fields, operator, params)
+        clock.append(params.dt)
+        if len(clock) == 2 * steps:
+            # the last step of the second interval leaves a mirrored pair
+            # of cells below zero
+            out.g[1, 2, 40, 7] = out.g[2, 1, 7, 40] = -1e-12
+        return out
+
+    monkeypatch.setattr(runner, "step_labeled", negative)
+    with pytest.raises(SimulationError) as err:
+        run_experiment(config, write_outputs=False)
+    assert str(err.value) == (
+        "cont_labeled: steps %d-%d left a negative cell by t=%.6g"
+        % (steps + 1, 2 * steps, 2 * config.sample_interval))

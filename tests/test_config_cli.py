@@ -390,6 +390,28 @@ def test_a_sweep_value_the_graph_cannot_host_is_refused(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_fixed_step_past_the_bound_is_refused_before_set_up(
+        tmp_path, capsys, monkeypatch):
+    # the worst-case bound needs only the grid, the operator and the
+    # [continuum] section, so neither command builds a graph first
+    def no_graph(config):
+        raise AssertionError("a graph was generated")
+    monkeypatch.setattr(opinet.runner, "generate_community_graph", no_graph)
+    cfg = replace(small_config(tmp_path / "out"),
+                  continuum=ContinuumParams(dt=0.5, t_end=1.0))
+    path = tmp_path / "cfg.ini"
+    save_config(cfg, path)
+    assert main(["run", "--config", str(path)]) == 1
+    assert main(["sweep", "--config", str(path), "--mus", "0.2,0.4"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line in err:
+        assert line.startswith("configuration error: continuum.dt: 0.5 "), \
+            line
+        assert "violates" in line
+    assert not (tmp_path / "out").exists()
+
+
 def test_replace_mixing_is_nondestructive():
     cfg = preset_three_communities()
     out = replace_mixing(cfg, 0.4)

@@ -390,10 +390,10 @@ def test_a_step_allocates_only_its_outputs():
         assert peak < f.nbytes + g.nbytes + 32 * 8 * n, k
 
 
-def test_a_stepper_holds_its_d_matrix_and_two_blocks():
+def test_a_stepper_holds_its_d_matrix_and_one_block():
     n = 200
     stepper, held, _ = traced(
         lambda: ContinuumStepper(Grid(n), LIN, ContinuumParams()))
     assert stepper.dmat.shape == (n, n)
-    # D and two n x n scratch blocks, 3 n^2 floats, and O(n) bytes besides
-    assert held < 3 * 8 * n * n + 32 * 8 * n
+    # D and one n x n scratch block, 2 n^2 floats, and O(n) bytes besides
+    assert held < 2 * 8 * n * n + 32 * 8 * n

@@ -3,8 +3,9 @@
 The reference is the k^2 block update assembled from the flux functions
 llf_flux_f / llf_flux_g, the padded zero-flux second difference and the
 birth-death splitting stage in tests/oracles.py, with the stepper's speeds.
-Without birth-death the step must also equal, bit for bit, the transport
-stage with each face flux formed as two row-scaled products.
+The step must also equal, bit for bit, the one with each row's update
+formed as three row-scaled products, and keep every cell nonnegative up to
+0.99 of the realized bound.
 """
 
 from dataclasses import replace
@@ -20,7 +21,7 @@ from opinet import (ContinuumParams, DebateOperator, Grid,  # noqa: E402
                     step_unlabeled)
 from opinet.continuum import ContinuumStepper, stepper_for  # noqa: E402
 from oracles import (llf_flux_f, llf_flux_g, mirrored_laplacian,  # noqa: E402
-                     two_product_transport)
+                     three_point_transport)
 
 OPERATORS = {"linear": DebateOperator.linear(),
              "quartic": DebateOperator.quartic()}
@@ -60,6 +61,8 @@ def states(draw):
         # each alone allows a step that drains a cell more than once
         cells = np.arange(n)
         g *= np.abs(cells[:, None] - cells[None, :]) == 1
+    # isolated cells between zero ones are drained by their own weight alone
+    g[rng.uniform(size=g.shape) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
     # vacuum cells exercise the eta cutoff and the zero-speed rows
     empty = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3]))
     f[:, empty] = 0.0
@@ -119,16 +122,33 @@ def test_stepper_matches_the_flux_reference(state):
 
 @settings(max_examples=200)
 @given(states())
-def test_the_transport_stage_matches_two_products_bit_for_bit(state):
-    # the einsum over a two-row view of g forms the same products and sums
+def test_the_step_matches_three_products_bit_for_bit(state):
+    # the einsum over a three-row view of g, and the three products of f,
+    # form the same products and sums
     grid, f, g, name, params = state
-    params = replace(params, birth_rate=0.0, death_rate=0.0)
     stepper = ContinuumStepper(grid, OPERATORS[name], params)
     bound, _ = stepper.max_dt(f, g)
     dt = 0.9 * bound if np.isfinite(bound) else 0.1
     a = stepper.speeds(g)[0]
     f_new, g_new = stepper.advance(f, g, dt)
-    f_ref, g_ref = two_product_transport(f, g, a, dt, grid.dx,
-                                         params.diffusion_sigma)
+    f_ref, g_ref = three_point_transport(f, g, a, dt, grid.dx, params)
     assert np.array_equal(f_new.view(np.int64), f_ref.view(np.int64))
     assert np.array_equal(g_new.view(np.int64), g_ref.view(np.int64))
+
+
+@settings(max_examples=200)
+@given(states())
+def test_a_step_near_the_bound_stays_positive_and_symmetric(state):
+    # each axis takes half of the bound, so a cell's own weight in U stays
+    # nonnegative up to the bound
+    grid, f, g, name, params = state
+    stepper = ContinuumStepper(grid, OPERATORS[name], params)
+    bound, _ = stepper.max_dt(f, g)
+    dt = 0.99 * bound if np.isfinite(bound) else 0.1
+    f_new, g_new = stepper.advance(f, g, dt)
+    assert f_new.min() >= 0.0 and g_new.min() >= 0.0
+    k = f.shape[0]
+    for p in range(k):
+        for q in range(k):
+            assert np.array_equal(g_new[p, q].view(np.int64),
+                                  g_new[q, p].T.view(np.int64))

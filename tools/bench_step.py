@@ -1,0 +1,145 @@
+"""Time one continuum step on random symmetric states.
+
+    python tools/bench_step.py [--ref REF] [--repeats N] [--seconds S]
+                               [--sizes 101,202,404] [--labels 1,3]
+
+For each grid size n (by default 101, 202 and 404 cells), each label
+count k (by default 1 and 3), and the physics off (no diffusion, no
+birth-death) or on (diffusion_sigma = 1e-3, birth and death rates 0.1),
+it times a ContinuumStepper's max_dt + advance pair as the runner takes
+them, each step at 0.9 of the realized bound of the state it advances,
+starting from a random state with g[q, p] = g[p, q].T.  Each repeat runs
+every case in a fresh subprocess for about S seconds and gives one time
+per step per case.  The table shows the median and quartiles of the
+repeats, in ms per step.  With --ref, the ref is extracted with `git
+archive` and the repeats alternate between its tree and this one, and
+which of them goes first; the table then shows both and the ratio of the
+medians.  Stdlib and numpy only.
+"""
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SAFETY = 0.9
+
+
+def time_cases(sizes, labels, seconds):
+    """{case name: ms per step} for every case, from the opinet on the
+    path."""
+    import numpy as np
+    from opinet import ContinuumParams, DebateOperator, Grid
+    from opinet.continuum import ContinuumStepper
+
+    times = {}
+    for n, k, physics in [(n, k, physics) for n in sizes for k in labels
+                          for physics in ("off", "on")]:
+        grid = Grid(n)
+        params = (ContinuumParams(diffusion_sigma=1e-3, birth_rate=0.1,
+                                  death_rate=0.1) if physics == "on"
+                  else ContinuumParams())
+        stepper = ContinuumStepper(grid, DebateOperator.linear(), params)
+        rng = np.random.default_rng(n + k)
+        f = rng.uniform(0.0, 1.0, (k, n))
+        g = rng.uniform(0.0, 1.0, (k, k, n, n))
+        g = g + g.transpose(1, 0, 3, 2)
+        f /= grid.dx * f.sum()
+        g /= grid.dx ** 2 * g.sum()
+
+        def step(f, g):
+            bound, _ = stepper.max_dt(f, g)
+            return stepper.advance(f, g, SAFETY * bound)
+
+        for _ in range(2):
+            f, g = step(f, g)
+        steps = 0
+        start = time.perf_counter()
+        while steps < 3 or time.perf_counter() - start < seconds:
+            f, g = step(f, g)
+            steps += 1
+        times["%d %d %s" % (n, k, physics)] = \
+            1e3 * (time.perf_counter() - start) / steps
+    return times
+
+
+def run_child(tree, args):
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", "--seconds", str(args.seconds),
+         "--sizes", args.sizes, "--labels", args.labels],
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        stdout=subprocess.PIPE, check=True)
+    return json.loads(proc.stdout)
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return median, q1, q3
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ref", help="git ref to compare against")
+    parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--seconds", type=float, default=0.1,
+                        help="timed seconds per case and repeat")
+    parser.add_argument("--sizes", default="101,202,404",
+                        help="comma-separated cell counts n")
+    parser.add_argument("--labels", default="1,3",
+                        help="comma-separated label counts k")
+    parser.add_argument("--child", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        print(json.dumps(time_cases(
+            [int(v) for v in args.sizes.split(",")],
+            [int(v) for v in args.labels.split(",")], args.seconds)))
+        return 0
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"this": ROOT}
+        if args.ref:
+            archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT,
+                                     stdout=subprocess.PIPE,
+                                     check=True).stdout
+            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                tar.extractall(Path(tmp) / "ref", filter="data")
+            trees = {"ref": Path(tmp) / "ref", "this": ROOT}
+        runs = {name: [] for name in trees}
+        for r in range(args.repeats):
+            order = list(trees) if r % 2 == 0 else list(trees)[::-1]
+            for name in order:
+                runs[name].append(run_child(trees[name], args))
+
+    cols = ["n", "k", "physics"]
+    for name in trees:
+        cols += [name + " median", name + " q1", name + " q3"]
+    if args.ref:
+        cols.append("this/ref")
+    print("ms per step, %d repeats" % args.repeats)
+    print("\t".join(cols))
+    for case in runs["this"][0]:
+        row = case.split()
+        medians = []
+        for name in trees:
+            stats = summary([run[case] for run in runs[name]])
+            medians.append(stats[0])
+            row += ["%.3f" % v for v in stats]
+        if args.ref:
+            row.append("%.3f" % (medians[1] / medians[0]))
+        print("\t".join(row))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
