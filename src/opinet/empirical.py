@@ -30,6 +30,11 @@ _CHUNK_CELLS = 2 ** 19
 # sampling takes 1 / mass draws per opinion on average, so at most 100
 _MIN_IN_RANGE_MASS = 1e-2
 
+# the most standard normals the opinion sampler draws at once; its walk
+# holds a Python int per drawn value and component, and larger blocks
+# sample no faster
+_DRAW_BLOCK = 2 ** 10
+
 
 @dataclass(eq=False)
 class Grid:
@@ -224,11 +229,47 @@ class MixtureSpec:
                            self.weighted_cell_averages(grid, shares).sum(axis=0))
 
 
+def _sample_truncated(picks, centers, sigmas, rng):
+    # One opinion per pick, each the first of its component's draws
+    # centers[k] + sigmas[k] * z to land in [-1, 1]: rng.normal(loc, scale)
+    # is loc + scale * z on the next standard normal z, so this takes the
+    # same normals in the same order as a scalar rejection loop and leaves
+    # rng in the same state.  A block holds at most the opinions still
+    # missing, since each takes at least one draw; a walk over it moves each
+    # node to the next value its component accepts, and the node that finds
+    # none has rejected the rest of the block.
+    m = picks.size
+    out = np.empty(m)
+    i = 0
+    while i < m:
+        z = rng.standard_normal(min(m - i, _DRAW_BLOCK))
+        # nxt[k][t]: the first position >= t whose value component k
+        # accepts, z.size if there is none
+        nxt = np.full((centers.size, z.size + 1), z.size)
+        nxt[:, :-1] = np.where(
+            np.abs(centers[:, None] + sigmas[:, None] * z) <= 1.0,
+            np.arange(z.size), z.size)
+        nxt = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1].tolist()
+        t, took = 0, []
+        for k in picks[i:i + z.size].tolist():
+            t = nxt[k][t]
+            if t == z.size:
+                break
+            took.append(t)
+            t += 1
+        done = picks[i:i + len(took)]
+        out[i:i + len(took)] = centers[done] + sigmas[done] * z[took]
+        i += len(took)
+    return out
+
+
 def sample_initial_opinions(graph, mixture, rng):
     """Draw one opinion per node from its community's mixture.
 
     Components are chosen by weight, then the opinion is rejection-sampled
-    from the component Gaussian until it lands in [-1, 1].
+    from the component Gaussian until it lands in [-1, 1].  Opinions and
+    the final rng state equal those of one rng.normal call per draw where
+    numpy forms loc + scale * z without a fused multiply-add.
     """
     if mixture.n_groups != graph.n_groups:
         raise ConfigError("mixture: community count must match the graph")
@@ -237,12 +278,7 @@ def sample_initial_opinions(graph, mixture, rng):
         members = np.flatnonzero(graph.community == c + 1)
         weights, centers, sigmas = mixture.components(c)
         picks = rng.choice(weights.size, size=members.size, p=weights)
-        for node, k in zip(members, picks):
-            while True:
-                x = rng.normal(centers[k], sigmas[k])
-                if -1.0 <= x <= 1.0:
-                    omega[node] = x
-                    break
+        omega[members] = _sample_truncated(picks, centers, sigmas, rng)
     return omega
 
 

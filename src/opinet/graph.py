@@ -142,6 +142,12 @@ class CommunityGraph:
     def _edge_scratch(self):
         return np.empty(self.n_edges)
 
+    # the micro step's divisor max(degree, 1), held as floats so a step
+    # takes neither an integer max nor a mixed-type divide
+    @cached_property
+    def _degree_divisor(self):
+        return np.maximum(self.degrees, 1).astype(float)
+
     @property
     def n_groups(self):
         return int(self.community.max()) if self.community.size else 0
@@ -191,11 +197,17 @@ def _greedy_match(stubs, rng, keys, n, ok_pair=None):
         if keys.size:
             at = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
             ok &= keys[at] != cand
-        # the first occurrence of each remaining key is accepted
-        fresh, first = np.unique(cand[ok], return_index=True)
+        # the first occurrence of each remaining key is accepted: the
+        # least position in each run of equal sorted keys, which needs no
+        # stable sort
+        live = np.flatnonzero(ok)
+        order = np.argsort(cand[live])
+        sorted_keys = cand[live[order]]
+        starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+        fresh = sorted_keys[starts]
         keys = np.insert(keys, np.searchsorted(keys, fresh), fresh)
         rest = np.ones(cand.size, dtype=bool)
-        rest[np.flatnonzero(ok)[first]] = False
+        rest[live[np.minimum.reduceat(order, starts)]] = False
         pool = np.concatenate([pool[pool.size - odd:],
                                np.stack([u[rest], v[rest]], axis=1).ravel()])
     return keys

@@ -104,7 +104,7 @@ def micro_rhs(graph, omega, operator):
     d = operator.d(_edge_differences(graph, omega))
     sums = (np.bincount(graph.tail, weights=d, minlength=n)
             - np.bincount(graph.head, weights=d, minlength=n))
-    return sums / np.maximum(graph.degrees, 1)
+    return sums / graph._degree_divisor
 
 
 def step_size_bound(operator):

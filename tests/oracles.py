@@ -6,10 +6,11 @@ the padded zero-flux second difference of the continuum step, the step
 with each row's update as three row-scaled products, the
 row-normalized pair density eta, the cell-integrated Gaussian KDE, the
 truncated mixture pdf and its cell averages through scipy's normal CDF, the
-set-based stub matching of the graph generator, the depth-first component
-labels, the lexsorted CSR adjacency, the per-component bridging of
-ensure_connected and the micro right-hand side gathered over the CSR
-half-edges.  No workflow calls them.
+opinion sampler with one scalar draw at a time, the set-based stub matching
+of the graph generator, the depth-first component labels, the lexsorted
+CSR adjacency, the per-component bridging of ensure_connected and the
+micro right-hand side gathered over the CSR half-edges.  No workflow calls
+them.
 """
 
 import numpy as np
@@ -157,6 +158,26 @@ def cell_averages(mixture, grid, c):
         z = ndtr((grid.edges - m) / s)
         out += w * np.diff(z) / (z[-1] - z[0])
     return out / grid.dx
+
+
+def sample_initial_opinions(graph, mixture, rng):
+    """opinet.sample_initial_opinions one draw at a time: each node redraws
+    center + sigma * z on the next standard normal z until the opinion
+    lands in [-1, 1].  That is the draw rng.normal(center, sigma) takes;
+    forming it here pins the draw order, not whether numpy's C code fuses
+    the multiply-add."""
+    omega = np.empty(graph.n_nodes, dtype=float)
+    for c in range(mixture.n_groups):
+        members = np.flatnonzero(graph.community == c + 1)
+        weights, centers, sigmas = mixture.components(c)
+        picks = rng.choice(weights.size, size=members.size, p=weights)
+        for node, k in zip(members, picks):
+            while True:
+                x = centers[k] + sigmas[k] * rng.standard_normal()
+                if -1.0 <= x <= 1.0:
+                    omega[node] = x
+                    break
+    return omega
 
 
 def csr_adjacency(edges, n_nodes):
