@@ -157,6 +157,11 @@ class CommunityGraph:
         return int(self.edges.shape[0])
 
 
+def _from_keys(n, keys, community):
+    # the graph of sorted unique edge keys i n + j, i < j
+    return CommunityGraph(n, np.stack([keys // n, keys % n]).T, community)
+
+
 def graph_from_pairs(n_nodes, pairs, community=None):
     """Build a CommunityGraph from arbitrary (i, j) pairs, canonicalizing."""
     n = int(n_nodes)
@@ -169,7 +174,7 @@ def graph_from_pairs(n_nodes, pairs, community=None):
     keys = np.unique(p.min(axis=1) * n + p.max(axis=1))
     if community is None:
         community = np.ones(n, dtype=np.int64)
-    return CommunityGraph(n, np.stack([keys // n, keys % n]).T, community)
+    return _from_keys(n, keys, community)
 
 
 def _greedy_match(stubs, rng, keys, n, ok_pair=None):
@@ -234,7 +239,7 @@ def generate_community_graph(config):
 
     keys = _greedy_match(np.repeat(np.arange(n), n_inter), rng, keys, n,
                          lambda u, v: community[u] != community[v])
-    return CommunityGraph(n, np.stack([keys // n, keys % n]).T, community)
+    return _from_keys(n, keys, community)
 
 
 def _component_labels(graph):
@@ -270,6 +275,8 @@ def ensure_connected(graph):
 
     Idempotent on connected input.  The bridge ends are drawn from an rng
     seeded with the node count, so the result depends on the graph alone.
+    A bridge joins two components, so its key is new; the sorted bridge
+    keys are inserted into the graph's sorted keys, not re-sorted with them.
     """
     label, count = _component_labels(graph)
     if count <= 1:
@@ -288,9 +295,11 @@ def ensure_connected(graph):
         members = by_label[starts[c]:starts[c + 1]]
         bridges.append((members[rng.integers(members.size)],
                         pool[rng.integers(pool.size)]))
-    return graph_from_pairs(graph.n_nodes,
-                            np.concatenate([graph.edges, bridges]),
-                            graph.community)
+    n = graph.n_nodes
+    bridges = np.sort(np.min(bridges, axis=1) * n + np.max(bridges, axis=1))
+    keys = graph.tail * n + graph.head
+    return _from_keys(n, np.insert(keys, np.searchsorted(keys, bridges),
+                                   bridges), graph.community)
 
 
 def measured_mixing(graph):

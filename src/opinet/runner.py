@@ -7,6 +7,7 @@ clock and records the diagnostic time series.
 """
 
 import os
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from numpy.random import default_rng
 from .errors import ConfigError, SimulationError
 from .graph import generate_community_graph, ensure_connected
 from .micro import (DebateOperator, euler_maruyama_step, conserved_quantity,
-                    potential_v, e_micro)
+                    potential_v, e_micro, step_size_bound)
 from .empirical import (Grid, ScalarField, PairField, LabeledFields,
                         empirical_f, empirical_g_kde, split_by_group,
                         bandwidth_select, sample_initial_opinions)
@@ -48,14 +49,42 @@ def _one_group(f, g):
     return LabeledFields(f.grid, f.values[None], g.values[None, None])
 
 
+# lift: (config, graph, omega, grid, community shares, bandwidth) ->
+# LabeledFields; step: (state, operator, params) -> state; per_label: the
+# snapshot adds one f_<name>_<p> column per label
+_Closure = namedtuple("_Closure", "lift step per_label")
+
+# The continuum closures of config.MODEL_VARIANTS, in the order a run
+# lifts, steps and snapshots them; the first one requested records the
+# pair-density moments.  The entries look the package functions up when
+# called, not when the table is built, so a wrapper set on this module or
+# on MixtureSpec after import sees every call.
+_CLOSURES = {
+    "cont_unlabeled": _Closure(
+        lambda config, graph, omega, grid, shares, bandwidth: _one_group(
+            config.mixture.cell_averages(grid, shares),
+            empirical_g_kde(graph, omega, grid, bandwidth)),
+        lambda s, operator, p: _one_group(*step_unlabeled(
+            ScalarField(s.grid, s.f[0]), PairField(s.grid, s.g[0, 0]),
+            operator, p)),
+        False),
+    "cont_labeled": _Closure(
+        lambda config, graph, omega, grid, shares, bandwidth: LabeledFields(
+            grid, config.mixture.weighted_cell_averages(grid, shares),
+            split_by_group(graph, omega, grid, bandwidth).g),
+        lambda s, operator, p: step_labeled(s, operator, p),
+        True),
+}
+
+
 def build_initial_state(config):
     """The initial state of a run: (graph, omega, grid, fields).
 
     The graph and the opinions come from the config's derived seeds.
-    fields maps each requested continuum variant to its LabeledFields, the
-    unlabeled closure as one group: f from the exact cell averages of the
-    mixture at the realized community shares, g from a KDE over the edges
-    with Silverman's bandwidth.
+    fields maps each requested continuum variant, in _CLOSURES order, to
+    its LabeledFields, the unlabeled closure as one group: f from the
+    exact cell averages of the mixture at the realized community shares,
+    g from a KDE over the edges with Silverman's bandwidth.
     """
     seeds = config.seeds()
     graph = ensure_connected(generate_community_graph(
@@ -63,33 +92,28 @@ def build_initial_state(config):
     omega = sample_initial_opinions(graph, config.mixture,
                                     default_rng(seeds["sample"]))
     grid = Grid(config.grid_size)
-    variants = config.model_variants
+    names = [name for name in _CLOSURES if name in config.model_variants]
     fields = {}
-    if "cont_unlabeled" in variants or "cont_labeled" in variants:
+    if names:
         shares = np.bincount(graph.community - 1,
                              minlength=graph.n_groups) / graph.n_nodes
         bandwidth = bandwidth_select(omega, "silverman")
-        if "cont_unlabeled" in variants:
-            fields["cont_unlabeled"] = _one_group(
-                config.mixture.cell_averages(grid, shares),
-                empirical_g_kde(graph, omega, grid, bandwidth))
-        if "cont_labeled" in variants:
-            fields["cont_labeled"] = LabeledFields(
-                grid, config.mixture.weighted_cell_averages(grid, shares),
-                split_by_group(graph, omega, grid, bandwidth).g)
+        for name in names:
+            fields[name] = _CLOSURES[name].lift(config, graph, omega, grid,
+                                                shares, bandwidth)
     return graph, omega, grid, fields
 
 
 class _MicroVariant:
-    """The agent-based model: a fixed Euler-Maruyama step per interval."""
+    """The agent-based model: step = (dt, steps) Euler-Maruyama steps per
+    sample interval."""
 
-    def __init__(self, config, graph, omega, grid, operator):
+    def __init__(self, config, graph, omega, grid, operator, step):
         self.t_end = config.micro.t_end
         self._graph, self._omega, self._grid = graph, omega, grid
         self._operator = operator
         self._sigma = config.micro.noise_sigma
-        self._dt, self._steps = _chunked_dt(config.sample_interval,
-                                            config.micro.dt)
+        self._dt, self._steps = step
         self._rng = default_rng(config.seeds()["noise"])
 
     def advance(self, t_start, interval):
@@ -111,8 +135,8 @@ class _MicroVariant:
 class _ContinuumVariant:
     """One continuum closure on the sampling clock: state, steps and dts.
 
-    The state is a LabeledFields, with the unlabeled closure as k = 1.
-    step(state, params) advances it by params.dt; stepper is the
+    The state is a LabeledFields, with the unlabeled closure as k = 1; the
+    closure's _CLOSURES entry steps and snapshots it.  stepper is the
     ContinuumStepper of params.  With fixed = (dt, steps) each sample
     interval takes that many steps of that dt; with fixed = None each step
     takes CFL_SAFETY of the realized bound of the state it advances, shrunk
@@ -120,12 +144,12 @@ class _ContinuumVariant:
     with moments set also records the pair-density moments.
     """
 
-    def __init__(self, name, state, step, operator, params, stepper, fixed,
+    def __init__(self, name, state, operator, params, stepper, fixed,
                  moments):
         self.name = name
         self.state = state
         self.t_end = params.t_end
-        self._step = step
+        self._closure = _CLOSURES[name]
         self._operator = operator
         self._params = params
         self._stepper = stepper
@@ -163,7 +187,8 @@ class _ContinuumVariant:
                    t_start + interval))
 
     def _take(self, dt, t, dts):
-        self.state = self._step(self.state, replace(self._params, dt=dt))
+        self.state = self._closure.step(self.state, self._operator,
+                                        replace(self._params, dt=dt))
         self._steps += 1
         dts.append(dt)
         self._bound = self._check(t)
@@ -186,9 +211,9 @@ class _ContinuumVariant:
 
     def snapshot(self, cols):
         cols["f_" + self.name] = self.state.f_total()
-        if self.name == "cont_labeled":
+        if self._closure.per_label:
             for p in range(self.state.n_groups):
-                cols["f_cont_labeled_%d" % (p + 1)] = self.state.f[p].copy()
+                cols["f_%s_%d" % (self.name, p + 1)] = self.state.f[p].copy()
 
 
 def _fixed_step(config, operator):
@@ -212,21 +237,32 @@ def _fixed_step(config, operator):
     return fixed
 
 
-def _continuum_variants(config, grid, operator, fields, fixed):
-    if not fields:
-        return []
-    params = config.continuum
-    stepper = stepper_for(grid, operator, params)
-    steps = {
-        "cont_unlabeled": lambda s, p: _one_group(*step_unlabeled(
-            ScalarField(grid, s.f[0]), PairField(grid, s.g[0, 0]),
-            operator, p)),
-        "cont_labeled": lambda s, p: step_labeled(s, operator, p),
-    }
-    # the unlabeled closure, when it runs, gives the pair-density moments
-    return [_ContinuumVariant(name, state, steps[name], operator, params,
-                              stepper, fixed, i == 0)
-            for i, (name, state) in enumerate(fields.items())]
+def _micro_step(config, operator):
+    """The (dt, steps) per sample interval of the micro variant; None when
+    it does not run.
+
+    euler_step allows a step equal to step_size_bound, so the chunked step
+    may reach the bound but not pass it; checked before any set-up.
+    """
+    if "micro" not in config.model_variants:
+        return None
+    step = _chunked_dt(config.sample_interval, config.micro.dt)
+    bound = step_size_bound(operator)
+    if not step[0] <= bound:
+        raise ConfigError("micro.dt: %g gives a step of %g, which violates "
+                          "0 < dt <= %g" % (config.micro.dt, step[0], bound))
+    return step
+
+
+def _preflight(config, operator):
+    """(operator, micro step, fixed continuum step) of a run, all checked
+    before any set-up; operator None is the linear operator."""
+    config.validate()
+    if operator is None:
+        operator = DebateOperator.linear()
+    operator.validate()
+    return (operator, _micro_step(config, operator),
+            _fixed_step(config, operator))
 
 
 def run_experiment(config, operator=None, write_outputs=True):
@@ -235,15 +271,16 @@ def run_experiment(config, operator=None, write_outputs=True):
     When write_outputs is set, report.tsv, the resolved config, and any
     requested snapshots land in config.output_dir.
     """
-    config.validate()
-    if operator is None:
-        operator = DebateOperator.linear()
-    operator.validate()
-    fixed = _fixed_step(config, operator)
+    operator, micro_step, fixed = _preflight(config, operator)
     graph, omega, grid, fields = build_initial_state(config)
-    micro = ([_MicroVariant(config, graph, omega, grid, operator)]
-             if "micro" in config.model_variants else [])
-    cont = _continuum_variants(config, grid, operator, fields, fixed)
+    micro = ([_MicroVariant(config, graph, omega, grid, operator, micro_step)]
+             if micro_step is not None else [])
+    cont = []
+    if fields:
+        stepper = stepper_for(grid, operator, config.continuum)
+        cont = [_ContinuumVariant(name, state, operator, config.continuum,
+                                  stepper, fixed, i == 0)
+                for i, (name, state) in enumerate(fields.items())]
     variants = micro + cont
 
     si = config.sample_interval
@@ -295,20 +332,16 @@ def _fit_or_nan(times, values, t_lo):
 def run_mu_sweep(config, operator=None, write_outputs=True):
     """Run the experiment per mixing value; fit decay rates per variant.
 
-    The operator and a fixed continuum.dt are checked once, before the
-    first value.  Each mixing value gets its own derived seed.  A failing
-    value is reported with NaN rates and the sweep continues.  Returns (rows,
-    failures): rows are dicts keyed by RATE_COLUMNS, failures (mu, message)
-    pairs.
+    The operator, the micro step and a fixed continuum.dt are checked
+    once, before the first value.  Each mixing value gets its own derived
+    seed.  A failing value is reported with NaN rates and the sweep
+    continues.  Returns (rows, failures): rows are dicts keyed by
+    RATE_COLUMNS, failures (mu, message) pairs.
     """
-    config.validate()
+    # a step that fails one mixing value fails them all
+    operator, _, _ = _preflight(config, operator)
     if not config.mu_sweep:
         raise ConfigError("sweep: config.mu_sweep is empty")
-    if operator is None:
-        operator = DebateOperator.linear()
-    operator.validate()
-    # a fixed step that fails one mixing value fails them all
-    _fixed_step(config, operator)
     rows = []
     failures = []
     for i, mu in enumerate(config.mu_sweep):

@@ -269,8 +269,8 @@ def component_labels(graph):
 
 
 def ensure_connected(graph):
-    """opinet.ensure_connected with depth-first labels and a flatnonzero
-    scan per component."""
+    """opinet.ensure_connected with depth-first labels, a flatnonzero
+    scan per component and the graph rebuilt from all its pairs."""
     label, count = component_labels(graph)
     if count <= 1:
         return graph

@@ -412,6 +412,27 @@ def test_a_fixed_step_past_the_bound_is_refused_before_set_up(
     assert not (tmp_path / "out").exists()
 
 
+def test_a_micro_step_past_the_bound_is_refused_before_set_up(
+        tmp_path, capsys, monkeypatch):
+    # the bound needs only the operator and the [micro] and [run]
+    # sections, so neither command builds a graph first, and a step no
+    # mixing value can take fails the sweep once, not once per value
+    def no_graph(config):
+        raise AssertionError("a graph was generated")
+    monkeypatch.setattr(opinet.runner, "generate_community_graph", no_graph)
+    cfg = replace(small_config(tmp_path / "out"),
+                  micro=MicroParams(dt=2.0, t_end=2.0),
+                  continuum=ContinuumParams(t_end=2.0), sample_interval=2.0)
+    path = tmp_path / "cfg.ini"
+    save_config(cfg, path)
+    assert main(["run", "--config", str(path)]) == 1
+    assert main(["sweep", "--config", str(path), "--mus", "0.2,0.4"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: micro.dt: 2 gives a step of 2, which "
+        "violates 0 < dt <= 1"] * 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_replace_mixing_is_nondestructive():
     cfg = preset_three_communities()
     out = replace_mixing(cfg, 0.4)

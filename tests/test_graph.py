@@ -1,11 +1,16 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from opinet import (CommunityGraph, ConfigError, GraphConfig, ensure_connected,
                     generate_community_graph, graph_from_pairs, is_connected,
-                    laplacian, measured_mixing, spectral_gap)
+                    laplacian, load_config, measured_mixing, spectral_gap)
 from opinet.graph import LAPLACIAN_NODE_CAP, _component_labels
 import oracles
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
 
 def path3():
@@ -106,6 +111,21 @@ def test_ensure_connected_matches_the_per_component_reference():
     np.testing.assert_array_equal(label, ref_label)
     new = ensure_connected(g)
     np.testing.assert_array_equal(new.edges, oracles.ensure_connected(g).edges)
+    assert is_connected(new)
+
+
+def test_the_bridged_micro_large_graph_matches_the_reference():
+    # input seed 15 of the micro_large benchmark workload, the one seed of
+    # 0-15 that leaves any workload's graph disconnected
+    config = load_config(str(WORKLOADS / "micro_large.ini"))
+    config.seed = 15
+    g = generate_community_graph(replace(config.graph,
+                                         seed=config.seeds()["graph"]))
+    assert _component_labels(g)[1] == 2
+    new, ref = ensure_connected(g), oracles.ensure_connected(g)
+    np.testing.assert_array_equal(new.edges, ref.edges)
+    np.testing.assert_array_equal(new.community, ref.community)
+    assert new.n_edges == g.n_edges + 1
     assert is_connected(new)
 
 

@@ -1,6 +1,7 @@
 """run_experiment over every subset of model variants: which report columns
-each variant fills, and the snapshot files and columns it writes; and the
-operator check that comes before any set-up."""
+each variant fills, and the snapshot files and columns it writes; the table
+of continuum closures; and the operator and micro step checks that come
+before any set-up."""
 
 import os
 from dataclasses import replace
@@ -11,6 +12,8 @@ import pytest
 import opinet.continuum
 import opinet.runner
 from opinet.analysis import REPORT_COLUMNS
+from opinet.config import MODEL_VARIANTS
+from opinet.empirical import MixtureSpec
 from opinet import (ConfigError, ContinuumParams, DebateOperator, Grid,
                     MicroParams, preset_three_communities, run_experiment,
                     run_mu_sweep)
@@ -102,6 +105,48 @@ def test_each_variant_fills_its_own_columns_and_snapshots(run, variants):
             assert abs(mass - 1.0) <= 1e-12, (path, column, mass)
 
 
+def test_the_order_of_model_variants_changes_no_output(run):
+    # the runner lifts, steps and snapshots in table order, whatever order
+    # the config lists the variants in
+    default, _ = run(tuple(MODEL_VARIANTS))
+    reordered, _ = run(("cont_labeled", "cont_unlabeled", "micro"))
+    names = ["report.tsv"] + ["snapshot_t%g.tsv" % t for t in SNAPSHOT_TIMES]
+    for name in names:
+        with open(os.path.join(default, name), "rb") as fh:
+            expect = fh.read()
+        with open(os.path.join(reordered, name), "rb") as fh:
+            assert fh.read() == expect, name
+
+
+def test_the_closure_table_holds_every_continuum_variant():
+    assert list(opinet.runner._CLOSURES) == [
+        v for v, section in MODEL_VARIANTS.items() if section == "continuum"]
+
+
+def test_closures_look_their_lifts_up_when_called(monkeypatch):
+    # a table that bound the functions when it was built would call the
+    # originals, not these wrappers, and count nothing
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(opinet.runner, "empirical_g_kde")
+    counting(opinet.runner, "split_by_group")
+    counting(MixtureSpec, "cell_averages")
+    config = replace(config_of(("cont_unlabeled", "cont_labeled")),
+                     continuum=ContinuumParams(t_end=0.5))
+    report = run_experiment(config, write_outputs=False)
+    assert calls == {"empirical_g_kde": 1, "split_by_group": 1,
+                     "cell_averages": 1}
+    assert set(report.continuum_dts) == {"cont_unlabeled", "cont_labeled"}
+
+
 def test_bad_operator_is_refused_before_set_up(monkeypatch):
     def no_set_up(config):
         raise AssertionError("set-up ran before the operator check")
@@ -139,3 +184,36 @@ def test_a_run_takes_one_velocity_pass_per_step(monkeypatch):
     # one stepper serves both closures, found again on every step
     info = cache.cache_info()
     assert (info.hits, info.misses) == (steps, 1)
+
+
+class SetUp(Exception):
+    pass
+
+
+def micro_step_config(dt):
+    # one step per sample interval of 2, so the chunked step is dt itself
+    # when dt is 1 or 2
+    return replace(preset_three_communities(), output_dir="unused",
+                   micro=MicroParams(dt=dt, t_end=4.0),
+                   continuum=ContinuumParams(t_end=4.0), sample_interval=2.0,
+                   snapshot_times=())
+
+
+def test_a_micro_step_past_the_bound_is_refused_before_set_up(monkeypatch):
+    def no_set_up(config):
+        raise SetUp
+    monkeypatch.setattr(opinet.runner, "build_initial_state", no_set_up)
+    for entry in (run_experiment, run_mu_sweep):
+        # the linear operator's bound is 1, which euler_step allows
+        with pytest.raises(ConfigError,
+                           match=r"^micro\.dt: 2 gives a step of 2, which "
+                                 r"violates 0 < dt <= 1$"):
+            entry(micro_step_config(2.0), write_outputs=False)
+        # a step equal to the bound passes the check and reaches set-up
+        with pytest.raises(SetUp):
+            entry(micro_step_config(1.0), write_outputs=False)
+    # without the micro variant its step is never checked
+    config = replace(micro_step_config(2.0),
+                     model_variants=("cont_unlabeled",))
+    with pytest.raises(SetUp):
+        run_experiment(config, write_outputs=False)

@@ -4,9 +4,10 @@
 
 Extracts <ref> with `git archive` into a temporary directory, then runs,
 on both trees, `opinet run --seed 3` on both presets and on every
-perfbench/workloads/*.ini, and `opinet sweep --preset crossing --mus
-0.01,0.5 --seed 3`.  For each output file and each command's stdout, with
-the output path masked, it prints "identical" or the largest relative
+perfbench/workloads/*.ini, `opinet run --seed 15` on micro_large.ini (a
+bridged graph), and `opinet sweep --preset crossing --mus 0.01,0.5
+--seed 3`.  For each output file and each command's stdout, with the
+output path masked, it prints "identical" or the largest relative
 difference of the numbers in which the two differ.  Exits 1 unless every
 output is identical.  Stdlib only.
 """
@@ -25,6 +26,11 @@ RUNS = [("run_" + p, ["run", "--preset", p, "--seed", "3"])
         for p in ("three_communities", "crossing")]
 RUNS += [("run_" + ini.stem, ["run", "--config", str(ini), "--seed", "3"])
          for ini in sorted((ROOT / "perfbench" / "workloads").glob("*.ini"))]
+# of input seeds 0-15, only 15 gives a disconnected graph on any workload,
+# so this run reaches ensure_connected's bridges
+RUNS += [("run_micro_large_seed15",
+          ["run", "--config", str(ROOT / "perfbench" / "workloads"
+                                  / "micro_large.ini"), "--seed", "15"])]
 RUNS += [("sweep_crossing", ["sweep", "--preset", "crossing",
                              "--mus", "0.01,0.5", "--seed", "3"])]
 
