@@ -23,13 +23,16 @@ SEED_OFFSET_GRAPH = 11
 SEED_OFFSET_SAMPLE = 22
 SEED_OFFSET_NOISE = 33
 
+# where a sweep writes each mixing value's run, and a run each snapshot
+SWEEP_DIR = "mu_%g"
+SNAPSHOT_FILE = "snapshot_t%g.tsv"
+
 
 @dataclass
 class MicroParams:
     dt: float = 0.01
     t_end: float = 10.0
     noise_sigma: float = 0.0
-    seed: int = None
 
     def validate(self):
         if self.dt <= 0:
@@ -38,8 +41,6 @@ class MicroParams:
             raise ConfigError("micro.t_end: must be positive")
         if self.noise_sigma < 0:
             raise ConfigError("micro.noise_sigma: must be >= 0")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError("micro.seed: must be >= 0")
         return self
 
 
@@ -78,6 +79,8 @@ class ExperimentConfig:
                 replace_mixing(self, mu).graph.validate()
             except ConfigError as exc:
                 raise ConfigError("run.mu_sweep: %g: %s" % (mu, exc))
+        _one_output_each("run.mu_sweep", self.mu_sweep,
+                         [SWEEP_DIR % mu for mu in self.mu_sweep])
         si = self.sample_interval
         if si <= 0:
             raise ConfigError("run.sample_interval: must be positive")
@@ -100,6 +103,10 @@ class ExperimentConfig:
                 raise ConfigError("run.snapshot_times: %g is not a whole "
                                   "multiple of run.sample_interval, %g"
                                   % (t, si))
+        # the run names a snapshot after its tick's time
+        _one_output_each("run.snapshot_times", self.snapshot_times,
+                         [SNAPSHOT_FILE % (round(t / si) * si)
+                          for t in self.snapshot_times])
         if not self.output_dir:
             raise ConfigError("run.output_dir: must be nonempty")
         if self.seed < 0:
@@ -108,12 +115,19 @@ class ExperimentConfig:
 
     def seeds(self):
         """Independent stream seeds derived from the master seed."""
-        noise = self.micro.seed
-        if noise is None:
-            noise = self.seed + SEED_OFFSET_NOISE
         return {"graph": self.seed + SEED_OFFSET_GRAPH,
                 "sample": self.seed + SEED_OFFSET_SAMPLE,
-                "noise": noise}
+                "noise": self.seed + SEED_OFFSET_NOISE}
+
+
+def _one_output_each(key, values, names):
+    # values whose outputs share a name would overwrite one another
+    seen = {}
+    for value, name in zip(values, names):
+        if name in seen:
+            raise ConfigError("%s: %r and %r both write %s"
+                              % (key, float(seen[name]), float(value), name))
+        seen[name] = value
 
 
 def _on_clock(t, interval):
@@ -151,9 +165,8 @@ _NAMES = (_names, ", ".join)
 # holds community_1..community_k instead.
 _KEYS = {
     "graph": {"n_nodes": _INT, "n_groups": _INT, "mean_degree": _FLOAT,
-              "mixing_mu": _FLOAT, "proportions": _FLOATS},
-    "micro": {"dt": _FLOAT, "t_end": _FLOAT, "noise_sigma": _FLOAT,
-              "seed": _INT},
+              "mixing_mu": _FLOAT},
+    "micro": {"dt": _FLOAT, "t_end": _FLOAT, "noise_sigma": _FLOAT},
     "continuum": {"t_end": _FLOAT, "eta_cutoff": _FLOAT,
                   "diffusion_sigma": _FLOAT, "birth_rate": _FLOAT,
                   "death_rate": _FLOAT, "dt": _FLOAT},
@@ -229,18 +242,15 @@ def _parser():
     return parser
 
 
-def save_config(config, path_or_file):
+def save_config(config, path):
     parser = _parser()
     parser["graph"] = _encode("graph", config.graph)
     parser["mixture"] = _encode_mixture(config.mixture)
     parser["micro"] = _encode("micro", config.micro)
     parser["continuum"] = _encode("continuum", config.continuum)
     parser["run"] = _encode("run", config)
-    if hasattr(path_or_file, "write"):
-        parser.write(path_or_file)
-    else:
-        with open(path_or_file, "w") as fh:
-            parser.write(fh)
+    with open(path, "w") as fh:
+        parser.write(fh)
 
 
 def _check_keys(parser):
@@ -257,14 +267,11 @@ def _check_keys(parser):
                 raise ConfigError("config: unknown key %s.%s" % (section, key))
 
 
-def load_config(path_or_file):
+def load_config(path):
     parser = _parser()
     try:
-        if hasattr(path_or_file, "read"):
-            parser.read_file(path_or_file)
-        else:
-            with open(path_or_file) as fh:
-                parser.read_file(fh)
+        with open(path) as fh:
+            parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ConfigError("config: %s" % exc)
     _check_keys(parser)

@@ -74,16 +74,15 @@ def _dt_bound(dx, speed, params):
     # the diffusion it carries: dt (2 speed / dx + 4 sigma / dx^2) < 1,
     # then capped by the death limit of params
     bound = dx / (2.0 * speed) if speed > 0 else np.inf
-    if params is not None:
-        if params.diffusion_sigma > 0:
-            bound = 1.0 / (2.0 * speed / dx
-                           + 4.0 * params.diffusion_sigma / dx ** 2)
-        if params.death_rate > 0:
-            bound = min(bound, 1.0 / params.death_rate)
+    if params.diffusion_sigma > 0:
+        bound = 1.0 / (2.0 * speed / dx
+                       + 4.0 * params.diffusion_sigma / dx ** 2)
+    if params.death_rate > 0:
+        bound = min(bound, 1.0 / params.death_rate)
     return bound
 
 
-def cfl_max_dt(grid, operator, params=None):
+def cfl_max_dt(grid, operator, params=ContinuumParams()):
     """Strict upper bound on dt for any state: advection at the worst-case
     speed max |D(+-2)|, and the diffusion and death limits."""
     span = np.asarray([-2.0, 2.0])

@@ -34,23 +34,15 @@ class GraphConfig:
 
     n_nodes: int
     n_groups: int = 1
-    proportions: tuple = ()
     mean_degree: float = 10.0
     mixing_mu: float = 0.1
     seed: int = 0
 
     def community_sizes(self):
-        """Apportion n_nodes across communities by largest remainder."""
-        k = self.n_groups
-        props = np.asarray(self.proportions if self.proportions else [1.0 / k] * k,
-                           dtype=float)
-        props = props / props.sum()
-        quota = props * self.n_nodes
-        sizes = np.floor(quota).astype(np.int64)
-        short = self.n_nodes - int(sizes.sum())
-        order = np.argsort(-(quota - sizes), kind="stable")
-        sizes[order[:short]] += 1
-        return [int(s) for s in sizes]
+        """Equal communities; the n_nodes % n_groups extra nodes go to the
+        first ones."""
+        q, r = divmod(self.n_nodes, self.n_groups)
+        return [q + 1] * r + [q] * (self.n_groups - r)
 
     def validate(self):
         if self.n_nodes < 2:
@@ -65,20 +57,13 @@ class GraphConfig:
             raise ConfigError("graph.mean_degree: must be positive and finite")
         if self.mean_degree >= self.n_nodes - 1:
             raise ConfigError("graph.mean_degree: must be below n_nodes - 1")
-        if self.proportions:
-            if len(self.proportions) != self.n_groups:
-                raise ConfigError("graph.proportions: length must equal n_groups")
-            if min(self.proportions) <= 0:
-                raise ConfigError("graph.proportions: must be positive")
-        sizes = self.community_sizes()
-        if min(sizes) == 0:
-            raise ConfigError("graph.proportions: a community came out empty")
         # a community must be able to host its members' intra-community stubs
+        smallest = self.n_nodes // self.n_groups
         intra_target = (1.0 - self.mixing_mu) * self.mean_degree
-        if intra_target >= min(sizes):
+        if intra_target >= smallest:
             raise ConfigError(
                 "graph: community of size %d cannot host intra-community degree "
-                "target %.3g" % (min(sizes), intra_target))
+                "target %.3g" % (smallest, intra_target))
 
 
 @dataclass(eq=False)

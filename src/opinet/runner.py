@@ -24,7 +24,8 @@ from .continuum import cfl_max_dt, stepper_for, step_unlabeled, step_labeled
 from .analysis import (REPORT_COLUMNS, RunReport, e_cont, consensus_value_cont,
                        first_moment, lyapunov_tilde, fit_exponential_rate,
                        write_table)
-from .config import MODEL_VARIANTS, replace_mixing, save_config
+from .config import (MODEL_VARIANTS, SNAPSHOT_FILE, SWEEP_DIR,
+                     replace_mixing, save_config)
 
 # the report's error series; a sweep fits a decay rate to each of them
 _ERROR_SERIES = tuple(c for c in REPORT_COLUMNS if c.startswith("E_"))
@@ -216,53 +217,43 @@ class _ContinuumVariant:
                 cols["f_%s_%d" % (self.name, p + 1)] = self.state.f[p].copy()
 
 
-def _fixed_step(config, operator):
-    """The (dt, steps) per sample interval of a configured continuum.dt;
-    None when it is unset or no continuum variant runs.
-
-    A fixed step must be stable for every state, not only the first, so
-    it must lie below cfl_max_dt, which needs neither the graph nor the
-    lift and does not depend on the mixing parameter.
-    """
-    params = config.continuum
-    if params.dt is None or "continuum" not in {
-            MODEL_VARIANTS[v] for v in config.model_variants}:
-        return None
-    fixed = _chunked_dt(config.sample_interval, params.dt)
-    bound = cfl_max_dt(Grid(config.grid_size), operator, params)
-    if not fixed[0] < bound:
-        raise ConfigError("continuum.dt: %g gives a step of %g, which "
-                          "violates 0 < dt < %g"
-                          % (params.dt, fixed[0], bound))
-    return fixed
-
-
-def _micro_step(config, operator):
-    """The (dt, steps) per sample interval of the micro variant; None when
-    it does not run.
-
-    euler_step allows a step equal to step_size_bound, so the chunked step
-    may reach the bound but not pass it; checked before any set-up.
-    """
-    if "micro" not in config.model_variants:
-        return None
-    step = _chunked_dt(config.sample_interval, config.micro.dt)
-    bound = step_size_bound(operator)
-    if not step[0] <= bound:
-        raise ConfigError("micro.dt: %g gives a step of %g, which violates "
-                          "0 < dt <= %g" % (config.micro.dt, step[0], bound))
+def _checked_step(config, key, dt, bound, closed):
+    """The (dt, steps) per sample interval of the configured step dt of
+    key; ConfigError unless the chunked step lies below bound, or may
+    reach it when closed."""
+    step = _chunked_dt(config.sample_interval, dt)
+    if not (step[0] <= bound if closed else step[0] < bound):
+        raise ConfigError("%s: %g gives a step of %g, which violates "
+                          "0 < dt %s %g" % (key, dt, step[0],
+                                            "<=" if closed else "<", bound))
     return step
 
 
 def _preflight(config, operator):
     """(operator, micro step, fixed continuum step) of a run, all checked
-    before any set-up; operator None is the linear operator."""
+    before any set-up; operator None is the linear operator, and a step
+    is None when its variants do not run or, for continuum, dt is unset.
+
+    euler_step allows a step equal to step_size_bound.  A fixed continuum
+    step must be stable for every state, not only the first, so it must
+    lie below cfl_max_dt, which needs neither the graph nor the lift and
+    does not depend on the mixing parameter.
+    """
     config.validate()
     if operator is None:
         operator = DebateOperator.linear()
     operator.validate()
-    return (operator, _micro_step(config, operator),
-            _fixed_step(config, operator))
+    sections = {MODEL_VARIANTS[v] for v in config.model_variants}
+    micro = fixed = None
+    if "micro" in sections:
+        micro = _checked_step(config, "micro.dt", config.micro.dt,
+                              step_size_bound(operator), True)
+    params = config.continuum
+    if "continuum" in sections and params.dt is not None:
+        fixed = _checked_step(config, "continuum.dt", params.dt,
+                              cfl_max_dt(Grid(config.grid_size), operator,
+                                         params), False)
+    return operator, micro, fixed
 
 
 def run_experiment(config, operator=None, write_outputs=True):
@@ -313,8 +304,7 @@ def run_experiment(config, operator=None, write_outputs=True):
         report.write_tsv(os.path.join(config.output_dir, "report.tsv"))
         save_config(config, os.path.join(config.output_dir, "config.ini"))
         for k, cols in snapshots.items():
-            path = os.path.join(config.output_dir,
-                                "snapshot_t%g.tsv" % times[k])
+            path = os.path.join(config.output_dir, SNAPSHOT_FILE % times[k])
             write_table(path, cols.keys(), cols.values())
     return report
 
@@ -348,7 +338,7 @@ def run_mu_sweep(config, operator=None, write_outputs=True):
         sub = replace_mixing(config, mu)
         sub = replace(sub, seed=config.seed + 1009 * (i + 1),
                       output_dir=os.path.join(config.output_dir,
-                                              "mu_%g" % mu))
+                                              SWEEP_DIR % mu))
         row = {name: np.nan for name in RATE_COLUMNS}
         row["mu"] = mu
         try:

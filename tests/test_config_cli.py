@@ -1,5 +1,4 @@
 import configparser
-import io
 import os
 import re
 from dataclasses import replace
@@ -33,14 +32,16 @@ def small_config(out, seed=5):
         seed=seed)
 
 
-def saved_text(config):
-    buf = io.StringIO()
-    save_config(config, buf)
-    return buf.getvalue()
+def saved_text(config, tmp_path):
+    path = tmp_path / "saved.ini"
+    save_config(config, path)
+    return path.read_text()
 
 
-def loaded(text):
-    return load_config(io.StringIO(text))
+def loaded(text, tmp_path):
+    path = tmp_path / "loaded.ini"
+    path.write_text(text)
+    return load_config(path)
 
 
 THREE_COMMUNITIES_INI = """\
@@ -114,8 +115,7 @@ mu_sweep = 0.001, 0.01, 0.1, 0.5
 def every_optional_key():
     cfg = preset_crossing()
     return replace(
-        cfg, graph=replace(cfg.graph, proportions=(0.25, 0.75)),
-        micro=replace(cfg.micro, noise_sigma=0.01, seed=7),
+        cfg, micro=replace(cfg.micro, noise_sigma=0.01),
         continuum=replace(cfg.continuum, dt=0.005),
         model_variants=("micro", "cont_labeled"), snapshot_times=(0.0, 2.5))
 
@@ -123,8 +123,7 @@ def every_optional_key():
 # the optional keys follow the ones that are always written
 EVERY_OPTIONAL_KEY_INI = (
     CROSSING_INI
-    .replace("mixing_mu = 0.001\n", "mixing_mu = 0.001\nproportions = 0.25, 0.75\n")
-    .replace("noise_sigma = 0.0\n", "noise_sigma = 0.01\nseed = 7\n")
+    .replace("noise_sigma = 0.0\n", "noise_sigma = 0.01\n")
     .replace("death_rate = 0.0\n", "death_rate = 0.0\ndt = 0.005\n")
     .replace("cont_unlabeled, cont_labeled", "cont_labeled")
     .replace("0.1, 0.5\n", "0.1, 0.5\nsnapshot_times = 0.0, 2.5\n"))
@@ -135,20 +134,20 @@ EVERY_OPTIONAL_KEY_INI = (
     (preset_crossing(), CROSSING_INI),
     (every_optional_key(), EVERY_OPTIONAL_KEY_INI),
 ], ids=["three_communities", "crossing", "every_optional_key"])
-def test_saved_text_is_pinned(config, text):
-    assert saved_text(config) == text
-    assert loaded(text) == config
+def test_saved_text_is_pinned(tmp_path, config, text):
+    assert saved_text(config, tmp_path) == text
+    assert loaded(text, tmp_path) == config
 
 
-def test_string_roundtrip_is_exact():
+def test_string_roundtrip_is_exact(tmp_path):
     cfg = small_config("somewhere")
     # floats that do not have short decimal forms, and numpy floats, must
     # survive the trip
     cfg = replace(cfg, micro=MicroParams(dt=1 / 3, t_end=0.75,
-                                         noise_sigma=np.pi / 10, seed=42),
+                                         noise_sigma=np.pi / 10),
                   graph=replace(cfg.graph, mean_degree=np.float64(6.5)),
                   mu_sweep=(np.float64(0.1), 0.2))
-    back = loaded(saved_text(cfg))
+    back = loaded(saved_text(cfg, tmp_path), tmp_path)
     assert back == cfg
 
 
@@ -168,29 +167,47 @@ def test_presets_are_valid():
     assert preset_crossing().graph.mixing_mu == pytest.approx(1e-3)
 
 
-def test_unknown_key_rejected():
-    text = saved_text(small_config("x"))
+def test_unknown_key_rejected(tmp_path):
+    text = saved_text(small_config("x"), tmp_path)
     with pytest.raises(ConfigError):
-        loaded(text + "\n[graph]\nbogus = 1\n")
+        loaded(text + "\n[graph]\nbogus = 1\n", tmp_path)
 
 
-def test_bad_value_type_rejected():
-    text = saved_text(small_config("x"))
+@pytest.mark.parametrize("section, key, value", [
+    ("graph", "proportions", "0.25, 0.75"), ("micro", "seed", "7")],
+    ids=["graph.proportions", "micro.seed"])
+def test_a_removed_key_is_refused_as_unknown(tmp_path, capsys, section, key,
+                                             value):
+    # keys that no workflow set were deleted; a file that still sets one
+    # is refused, not run without it
+    path = small_config_file(tmp_path, section, key, value)
+    with pytest.raises(ConfigError, match=r"unknown key %s\.%s$"
+                       % (section, key)):
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "configuration error: config: unknown key %s.%s\n" % (section, key)
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_value_type_rejected(tmp_path):
+    text = saved_text(small_config("x"), tmp_path)
     with pytest.raises(ConfigError):
-        loaded(text.replace("n_nodes = 60", "n_nodes = sixty"))
+        loaded(text.replace("n_nodes = 60", "n_nodes = sixty"), tmp_path)
 
 
-def test_missing_section_rejected():
-    text = saved_text(small_config("x"))
+def test_missing_section_rejected(tmp_path):
+    text = saved_text(small_config("x"), tmp_path)
     head = text.split("[micro]")[0]
     with pytest.raises(ConfigError):
-        loaded(head)
+        loaded(head, tmp_path)
 
 
 def test_missing_required_key_is_named(tmp_path, capsys):
-    text = saved_text(small_config("x")).replace("n_nodes = 60\n", "")
+    text = saved_text(small_config("x"), tmp_path).replace("n_nodes = 60\n",
+                                                           "")
     with pytest.raises(ConfigError, match=r"graph\.n_nodes"):
-        loaded(text)
+        loaded(text, tmp_path)
     path = tmp_path / "cfg.ini"
     path.write_text(text)
     assert main(["run", "--config", str(path)]) == 1
@@ -210,8 +227,8 @@ def test_non_finite_float_is_refused_by_name(tmp_path, capsys, section, key,
                                              value):
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    parser.read_string(saved_text(small_config(tmp_path / "out")))
-    parser[section][key] = value if key != "proportions" else value + ", 1"
+    parser.read_string(saved_text(small_config(tmp_path / "out"), tmp_path))
+    parser[section][key] = value
     path = tmp_path / "cfg.ini"
     with open(path, "w") as fh:
         parser.write(fh)
@@ -230,7 +247,7 @@ def test_non_finite_mixture_component_is_refused_by_name(tmp_path, capsys,
     # an infinite sigma had the rejection sampler draw forever
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    parser.read_string(saved_text(small_config(tmp_path / "out")))
+    parser.read_string(saved_text(small_config(tmp_path / "out"), tmp_path))
     parser["mixture"]["community_1"] = "0.5:0.0:0.1, " + component
     path = tmp_path / "cfg.ini"
     with open(path, "w") as fh:
@@ -247,7 +264,7 @@ def test_wide_mixture_component_is_refused_quickly(tmp_path, capsys):
     # sampler would take about a million draws per opinion
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    parser.read_string(saved_text(preset_crossing()))
+    parser.read_string(saved_text(preset_crossing(), tmp_path))
     parser["mixture"]["community_1"] = "1.0:-0.5:1e6"
     parser["run"]["output_dir"] = str(tmp_path / "out")
     path = tmp_path / "cfg.ini"
@@ -273,7 +290,7 @@ def small_config_file(tmp_path, section, key, value):
     """small_config saved to tmp_path / cfg.ini with one key set to value."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    parser.read_string(saved_text(small_config(tmp_path / "out")))
+    parser.read_string(saved_text(small_config(tmp_path / "out"), tmp_path))
     parser[section][key] = value
     path = tmp_path / "cfg.ini"
     with open(path, "w") as fh:
@@ -345,23 +362,17 @@ def test_group_count_must_match_mixture():
 
 def test_seed_offsets():
     cfg = small_config("x", seed=7)
-    s = cfg.seeds()
-    assert s == {"graph": 18, "sample": 29, "noise": 40}
-    # an explicit micro seed overrides only the noise stream
-    cfg2 = replace(cfg, micro=replace(cfg.micro, seed=99))
-    assert cfg2.seeds() == {"graph": 18, "sample": 29, "noise": 99}
+    assert cfg.seeds() == {"graph": 18, "sample": 29, "noise": 40}
 
 
-@pytest.mark.parametrize("section", ["run", "micro"])
-def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, section):
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys):
     # numpy refuses a negative stream seed only inside the run, with exit 2
     # and no key named, and seeds -1 to -11 get past it through the offsets
-    path = small_config_file(tmp_path, section, "seed", "-2")
-    with pytest.raises(ConfigError, match=r"%s\.seed: must be >= 0"
-                       % section):
+    path = small_config_file(tmp_path, "run", "seed", "-2")
+    with pytest.raises(ConfigError, match=r"run\.seed: must be >= 0"):
         load_config(str(path))
     assert main(["run", "--config", str(path)]) == 1
-    assert "%s.seed" % section in capsys.readouterr().err
+    assert "run.seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -387,6 +398,41 @@ def test_a_sweep_value_the_graph_cannot_host_is_refused(tmp_path, capsys):
         load_config(str(path))
     assert main(["sweep", "--config", str(path)]) == 1
     assert "run.mu_sweep" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("changes, named, shared", [
+    ({"mu_sweep": (0.1, 0.1000001)}, "run.mu_sweep", "mu_0.1"),
+    ({"mu_sweep": (0.2, 0.4, 0.2)}, "run.mu_sweep", "mu_0.2"),
+    ({"snapshot_times": (0.25, 0.2500001), "sample_interval": 1e-7},
+     "run.snapshot_times", "snapshot_t0.25.tsv"),
+    ({"snapshot_times": (0.5, 0.75, 0.5)}, "run.snapshot_times",
+     "snapshot_t0.5.tsv")],
+    ids=["mu_alike_under_g", "mu_repeated", "snapshot_alike_under_g",
+         "snapshot_repeated"])
+def test_values_that_share_an_output_are_refused(changes, named, shared):
+    # the later value's output used to overwrite the earlier one's
+    cfg = replace(small_config("x"), **changes)
+    with pytest.raises(ConfigError, match=r"^%s: .* both write %s$"
+                       % (re.escape(named), re.escape(shared))):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("args, changes, named", [
+    (["run"], {"snapshot_times": (0.5, 0.75, 0.5)}, "run.snapshot_times"),
+    (["sweep", "--mus", "0.1,0.1000001"], {}, "run.mu_sweep")],
+    ids=["run_snapshots", "sweep_mus"])
+def test_a_shared_output_is_refused_before_set_up(tmp_path, capsys,
+                                                  monkeypatch, args, changes,
+                                                  named):
+    def no_graph(config):
+        raise AssertionError("a graph was generated")
+    monkeypatch.setattr(opinet.runner, "generate_community_graph", no_graph)
+    path = tmp_path / "cfg.ini"
+    save_config(replace(small_config(tmp_path / "out"), **changes), path)
+    assert main([*args, "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "configuration error: %s: " % named)
     assert not (tmp_path / "out").exists()
 
 

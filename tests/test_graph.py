@@ -150,9 +150,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         GraphConfig(n_nodes=50, mixing_mu=1.5).validate()
     with pytest.raises(ConfigError):
-        GraphConfig(n_nodes=50, n_groups=2,
-                    proportions=(0.3, 0.3, 0.4)).validate()
-    with pytest.raises(ConfigError):
         GraphConfig(n_nodes=50, mean_degree=49.0).validate()
     # intra-community degree demand must stay below the community size
     with pytest.raises(ConfigError):
@@ -163,13 +160,19 @@ def test_config_validation():
 
 
 def test_community_sizes_largest_remainder():
-    cfg = GraphConfig(n_nodes=10, n_groups=3,
-                      proportions=(1 / 3, 1 / 3, 1 / 3), mean_degree=3.0,
+    cfg = GraphConfig(n_nodes=10, n_groups=3, mean_degree=3.0,
                       mixing_mu=0.5, seed=0)
     g = generate_community_graph(cfg)
     sizes = np.bincount(g.community - 1, minlength=3)
     np.testing.assert_array_equal(sizes, [4, 3, 3])
     assert sizes.sum() == 10
+    # the communities are as equal as they can be, the larger ones first
+    for n in range(2, 200):
+        for k in range(1, min(n, 12) + 1):
+            sizes = GraphConfig(n_nodes=n, n_groups=k).community_sizes()
+            assert sum(sizes) == n and len(sizes) == k
+            assert max(sizes) - min(sizes) <= 1
+            assert sizes == sorted(sizes, reverse=True)
 
 
 def test_generation_is_deterministic():

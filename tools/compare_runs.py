@@ -8,8 +8,10 @@ perfbench/workloads/*.ini, `opinet run --seed 15` on micro_large.ini (a
 bridged graph), and `opinet sweep --preset crossing --mus 0.01,0.5
 --seed 3`.  For each output file and each command's stdout, with the
 output path masked, it prints "identical" or the largest relative
-difference of the numbers in which the two differ.  Exits 1 unless every
-output is identical.  Stdlib only.
+difference of the numbers in which the two differ.  Then it prints, for
+both trees, the line count of src/opinet/*.py and the number of names the
+package exports, counted as tests/test_public_api.py counts them.  Exits 1
+unless every output is identical.  Stdlib only.
 """
 
 import io
@@ -33,6 +35,24 @@ RUNS += [("run_micro_large_seed15",
                                   / "micro_large.ini"), "--seed", "15"])]
 RUNS += [("sweep_crossing", ["sweep", "--preset", "crossing",
                              "--mus", "0.01,0.5", "--seed", "3"])]
+# the package's public names, as tests/test_public_api.py collects them
+COUNT_EXPORTS = ("import types, opinet; print(sum(1 for n in dir(opinet) "
+                 "if not n.startswith('_') and not isinstance("
+                 "getattr(opinet, n), types.ModuleType)))")
+
+
+def python(tree, *args, **kwargs):
+    """Run this interpreter with tree's package on the path."""
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+                          stdout=subprocess.PIPE, check=True, **kwargs)
+
+
+def size(tree):
+    """(lines of src/opinet/*.py, names the package exports) of tree."""
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (tree / "src" / "opinet").glob("*.py"))
+    return lines, int(python(tree, "-c", COUNT_EXPORTS).stdout)
 
 
 def outputs(tree, out):
@@ -41,10 +61,8 @@ def outputs(tree, out):
     found = {}
     for name, args in RUNS:
         dest = out / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "opinet.cli", *args, "--out", str(dest)],
-            env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-            stdout=subprocess.PIPE, check=True, cwd=out)
+        proc = python(tree, "-m", "opinet.cli", *args, "--out", str(dest),
+                      cwd=out)
         # the output path differs between the trees, in stdout and in the
         # saved config.ini files
         mask = str(dest).encode()
@@ -84,6 +102,7 @@ def main(ref):
             tar.extractall(tmp / "ref", filter="data")
         old = outputs(tmp / "ref", tmp / "old")
         new = outputs(ROOT, tmp / "new")
+        sizes = size(tmp / "ref"), size(ROOT)
     same = True
     for key in sorted(old.keys() | new.keys()):
         if key not in old or key not in new:
@@ -96,6 +115,9 @@ def main(ref):
                        else "largest relative difference %.3g" % worst)
         same = same and verdict == "identical"
         print("%s: %s" % (key, verdict))
+    for what, old_n, new_n in zip(("src lines", "public names"), *sizes):
+        print("%s: %d at %s, %d here (%+d)"
+              % (what, old_n, ref, new_n, new_n - old_n))
     return 0 if same else 1
 
 
