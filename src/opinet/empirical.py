@@ -7,9 +7,13 @@ into the one-body density f and the two-body edge density g, the latter by
 Gaussian product-kernel density estimation over the edge set, with the
 bandwidth from Silverman's normal-reference rule.  The edge density has
 one lift, by community blocks g[p, q]; the unlabeled g is its k = 1 case.
-The lift sums each node's neighbour kernels over chunks of edges, so its
-working set is the N x n kernel matrix plus one chunk of gathered rows,
-O(N n + chunk n), never one row per edge, O(E n).
+The lift sums each node's neighbour kernels over chunks of edges and
+forms each chunk's kernel rows as it goes, exp(log(1 / (sqrt(2 pi) h)) -
+(a*mid - a*omega)^2) with a = 1 / (sqrt(2) h), so it holds no row per
+edge, O(E n), and no row per node, O(N n): its working set is one chunk
+of rows plus the k^2 n^2 blocks and O(E) edge indices.  Only when the
+whole N x n kernel matrix fits in one chunk does it form that matrix once
+and take rows from it, which gives the same rows bit for bit.
 """
 
 import math
@@ -22,9 +26,15 @@ from .errors import ConfigError, SimulationError
 _SQRT2PI = float(np.sqrt(2.0 * np.pi))
 _SQRT2 = math.sqrt(2.0)
 
-# kernel-matrix cells gathered per chunk of edges in the lift: 2**19
-# float64 cells are 4 MiB, max(1, 2**19 // n) edges per chunk
+# cells of the tails' kernel rows a chunk of edges forms in the lift:
+# 2**19 float64 cells are 4 MiB, max(1, 2**19 // n) edges per chunk.  A
+# lift whose whole N x n kernel matrix fits in one chunk forms that matrix
+# once instead
 _CHUNK_CELLS = 2 ** 19
+
+# cells per ufunc pass when forming kernel rows: 2**16 float64 cells are
+# 512 KiB, so each pass reads a block the last one left in cache
+_BLOCK_CELLS = 2 ** 16
 
 # least Gaussian mass a mixture component keeps inside [-1, 1]; rejection
 # sampling takes 1 / mass draws per opinion on average, so at most 100
@@ -293,66 +303,108 @@ def empirical_f(omega, grid):
     return ScalarField(grid, counts / (omega.size * grid.dx))
 
 
-def _kernel_matrix(omega, grid, bandwidth):
-    # rows: one normalized 1-D Gaussian kernel per node at the cell
-    # midpoints, exp(-x^2 / 2) / (sqrt(2 pi) bandwidth) with
-    # x = (mid - omega) / bandwidth, built in one N x n buffer
+def _opinions(graph, omega):
+    # the lifts' opinions as floats, one per node and all in [-1, 1]; NaN
+    # fails the range test
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (graph.n_nodes,):
+        raise ConfigError("empirical: need one opinion per node, got shape "
+                          "%s for %d nodes" % (omega.shape, graph.n_nodes))
+    if not np.all(np.abs(omega) <= 1.0):
+        raise ConfigError("empirical: opinions must lie in [-1, 1]")
+    return omega
+
+
+def _kernel_rows(omega, grid, bandwidth):
+    # the row source of the lift: rows(nodes, out) fills out[r] with node
+    # nodes[r]'s normalized 1-D Gaussian kernel at the cell midpoints,
+    # exp(log(1 / (sqrt(2 pi) h)) - (a*mid - a*omega)^2), a = 1 / (sqrt(2) h),
+    # in ufunc passes over blocks of at most _BLOCK_CELLS cells.  Copying
+    # a*mid into a block and subtracting a*omega in place is ~20% faster
+    # than one broadcast subtract into it, for the same bits.  When the
+    # whole N x n matrix is no larger than one chunk it is formed once and
+    # rows are taken from it; mode="clip" keeps np.take from buffering its
+    # out=.  Both give the same rows bit for bit.
     if bandwidth <= 0 or not np.isfinite(bandwidth):
         raise ConfigError("kde: bandwidth must be positive and finite")
-    omega = np.asarray(omega, dtype=float)[:, None]
-    kern = grid.mids[None, :] - omega
-    kern /= bandwidth
-    np.square(kern, out=kern)
-    kern *= -0.5
-    np.exp(kern, out=kern)
-    kern /= _SQRT2PI
-    kern /= bandwidth
-    return kern
+    a = 1.0 / (_SQRT2 * bandwidth)
+    scale = math.log(1.0 / (_SQRT2PI * bandwidth))
+    a_mids, a_omega = a * grid.mids, a * omega
+    n = grid.n_cells
+    step = max(1, _BLOCK_CELLS // n)
+
+    def rows(nodes, out):
+        for start in range(0, nodes.size, step):
+            block = out[start:start + step]
+            np.copyto(block, a_mids)
+            block -= a_omega[nodes[start:start + step], None]
+            np.square(block, out=block)
+            np.subtract(scale, block, out=block)
+            np.exp(block, out=block)
+
+    if omega.size * n > _CHUNK_CELLS:
+        return rows
+    kern = np.empty((omega.size, n))
+    rows(np.arange(omega.size), kern)
+    return lambda nodes, out: np.take(kern, nodes, axis=0, mode="clip",
+                                      out=out)
 
 
-def _lift_g(graph, kern, grid, labels, k):
+def _lift_g(graph, rows, grid, labels, k):
     # g[p, q] sums the product kernels of the edges from label p to label q
-    # in both orientations, with one normalization to total mass 1.  The
-    # edges are stably sorted by their (label, label) pair, so within each
-    # label segment they stay sorted by head i, and each chunk of a label
-    # segment splits into runs of one head (a head whose neighbours
-    # straddle two chunks contributes from both).  The runs, longest first,
-    # sum their tails' rows K[j] position by position: one gather puts the
-    # r-th rows of the runs longer than r next to each other, and one add
-    # per position joins them to a prefix of the sums, so a chunk takes as
-    # many adds as its longest run.  K[heads]^T sums then joins one block
-    # s[p, q], and no array holds a row per edge.  g = s + s^T over the
-    # (omega, m) axes is bit-symmetric: g[q, p] == g[p, q].T.
+    # in both orientations, with one normalization to total mass 1; rows
+    # is a row source as _kernel_rows returns.  The edges are stably sorted
+    # by their (label, label) pair, so within each label segment they stay
+    # sorted by head i, and each chunk of a label segment splits into runs
+    # of one head (a head whose neighbours straddle two chunks contributes
+    # from both).  The runs, longest first, sum their tails' rows K[j]
+    # position by position: the tails' rows are formed with the r-th rows
+    # of the runs longer than r next to each other, and one add per
+    # position joins them to a prefix of the sums, so a chunk takes as many
+    # adds as its longest run.  K[heads]^T sums then joins one block s[p,
+    # q].  A chunk forms its tails' rows into one buffer and its heads'
+    # rows, one per run, into a second, so no array holds a row per edge,
+    # nor one per node unless the rows come from one kernel matrix.  g = s
+    # + s^T over the (omega, m) axes is bit-symmetric: g[q, p] == g[p, q].T.
     if graph.n_edges == 0:
         raise ConfigError("kde: graph has no edges")
     n = grid.n_cells
-    chunk = max(1, _CHUNK_CELLS // n)
     keys = labels[graph.tail] * k + labels[graph.head]
-    edges = graph.edges[np.argsort(keys, kind="stable")]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(keys,
-                                                        minlength=k * k))])
+    by_key = np.argsort(keys, kind="stable")
+    sizes = np.bincount(keys, minlength=k * k)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    # no chunk is longer than the longest label segment; the heads' buffer
+    # grows to the most runs a chunk has
+    chunk = min(max(1, _CHUNK_CELLS // n), int(sizes.max()))
+    tail_buf, head_buf = np.empty((chunk, n)), np.empty((0, n))
     s = np.zeros((k, k, n, n))
     for key in range(k * k):
         block, end = s[divmod(key, k)], bounds[key + 1]
         for start in range(bounds[key], end, chunk):
-            heads, tails = edges[start:min(start + chunk, end)].T
+            heads, tails = graph.edges[by_key[start:min(start + chunk,
+                                                        end)]].T
             first = np.flatnonzero(np.diff(heads, prepend=-1))
             lengths = np.diff(first, append=heads.size)
             order = np.argsort(-lengths, kind="stable")
             rank = np.empty_like(order)
             rank[order] = np.arange(order.size)
             # longer[r] runs are longer than r; their r-th rows start at
-            # offsets[r] of the gathered rows, in the order of the sums
+            # offsets[r] of the tails' rows, in the order of the sums
             longer = first.size - np.cumsum(np.bincount(lengths))
             offsets = np.cumsum(longer) - longer
             at = offsets[np.arange(heads.size) - np.repeat(first, lengths)]
             picks = np.empty_like(tails)
             picks[at + np.repeat(rank, lengths)] = tails
-            rows = kern[picks]
-            sums = rows[:first.size]
+            tail_rows = tail_buf[:heads.size]
+            rows(picks, tail_rows)
+            sums = tail_rows[:first.size]
             for m, o in zip(longer[1:-1].tolist(), offsets[1:-1].tolist()):
-                sums[:m] += rows[o:o + m]
-            block += kern[heads[first[order]]].T @ sums
+                sums[:m] += tail_rows[o:o + m]
+            if first.size > head_buf.shape[0]:
+                head_buf = np.empty((first.size, n))
+            head_rows = head_buf[:first.size]
+            rows(heads[first[order]], head_rows)
+            block += head_rows.T @ sums
     g = s + s.transpose(1, 0, 3, 2)
     total = grid.dx ** 2 * g.sum()
     if total <= 0:
@@ -366,10 +418,12 @@ def empirical_g_kde(graph, omega, grid, bandwidth):
     Every undirected edge (i, j) contributes kernels at (omega_i, omega_j)
     and at the mirrored point, so the estimate is symmetric bit for bit.
     Cell values use the midpoint rule.  This is the labeled lift with k = 1.
+    omega needs one opinion in [-1, 1] per node.
     """
-    kern = _kernel_matrix(omega, grid, bandwidth)
+    omega = _opinions(graph, omega)
+    rows = _kernel_rows(omega, grid, bandwidth)
     labels = np.zeros(graph.n_nodes, dtype=np.int64)
-    return PairField(grid, _lift_g(graph, kern, grid, labels, 1)[0, 0])
+    return PairField(grid, _lift_g(graph, rows, grid, labels, 1)[0, 0])
 
 
 def split_by_group(graph, omega, grid, bandwidth):
@@ -380,19 +434,18 @@ def split_by_group(graph, omega, grid, bandwidth):
     collects the product kernels of the p-q edges; the blocks share one
     normalization, giving the labeled array total mass 1, and cross blocks
     are exact transposes of each other.  Cell values use the midpoint rule.
+    omega needs one opinion in [-1, 1] per node.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.min() < -1.0 or omega.max() > 1.0:
-        raise ConfigError("empirical: opinions must lie in [-1, 1]")
+    omega = _opinions(graph, omega)
     k = graph.n_groups
     f = np.empty((k, grid.n_cells))
     for p in range(k):
         counts, _ = np.histogram(omega[graph.community == p + 1],
                                  bins=grid.edges)
         f[p] = counts / (omega.size * grid.dx)
-    kern = _kernel_matrix(omega, grid, bandwidth)
+    rows = _kernel_rows(omega, grid, bandwidth)
     return LabeledFields(grid, f,
-                         _lift_g(graph, kern, grid, graph.community - 1, k))
+                         _lift_g(graph, rows, grid, graph.community - 1, k))
 
 
 def _silverman(data):

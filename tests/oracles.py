@@ -121,13 +121,16 @@ def eta_discrete(g, dx, cutoff):
 
 def exact_g_kde(graph, omega, grid, bandwidth):
     """empirical_g_kde with the kernels integrated over the cells instead
-    of sampled at the midpoints."""
-    omega = np.asarray(omega, dtype=float)[:, None]
-    upper = ndtr((grid.edges[None, 1:] - omega) / bandwidth)
-    lower = ndtr((grid.edges[None, :-1] - omega) / bandwidth)
-    kern = (upper - lower) / grid.dx
+    of sampled at the midpoints, formed row by row as the lift asks."""
+    omega = np.asarray(omega, dtype=float)
+
+    def rows(nodes, out):
+        at = omega[nodes, None]
+        out[:] = (ndtr((grid.edges[None, 1:] - at) / bandwidth)
+                  - ndtr((grid.edges[None, :-1] - at) / bandwidth)) / grid.dx
+
     labels = np.zeros(graph.n_nodes, dtype=np.int64)
-    return PairField(grid, _lift_g(graph, kern, grid, labels, 1)[0, 0])
+    return PairField(grid, _lift_g(graph, rows, grid, labels, 1)[0, 0])
 
 
 def _phi(x):

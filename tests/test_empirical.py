@@ -252,23 +252,71 @@ def test_split_by_group_with_interleaved_labels():
                                rtol=0, atol=1e-13 * brute.max())
 
 
-def test_lift_working_set_does_not_grow_with_the_edges():
-    # N = 2000, mean degree ~40, n = 202: two E x n gathers would take
-    # 2 E n 8 bytes, ~129 MB; the kernel matrix is N n 8 bytes, ~3.2 MB
-    rng = np.random.default_rng(5)
-    n_nodes, grid = 2000, Grid(202)
-    pairs = rng.integers(0, n_nodes, size=(40000, 2))
+def random_lift_case(n_nodes, n_pairs, seed=5):
+    """(graph, opinions) of n_pairs random node pairs, loops dropped."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n_nodes, size=(n_pairs, 2))
     g = graph_from_pairs(n_nodes, pairs[pairs[:, 0] != pairs[:, 1]])
-    om = rng.uniform(-0.95, 0.95, n_nodes)
-    budget = 3 * n_nodes * grid.n_cells * 8 + _CHUNK_CELLS * 8
-    assert 2 * g.n_edges * grid.n_cells * 8 > 8 * budget
+    return g, rng.uniform(-0.95, 0.95, n_nodes)
+
+
+def lift_peak(g, om, grid):
+    """Peak traced bytes of empirical_g_kde at bandwidth 0.1."""
     tracemalloc.start()
     try:
         empirical_g_kde(g, om, grid, 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < budget
+
+
+def test_lift_working_set_does_not_grow_with_the_edges():
+    # N = 2000, mean degree ~40, n = 202: two E x n gathers would take
+    # 2 E n 8 bytes, ~129 MB.  N n = 404000 cells fit in one chunk, so the
+    # lift forms the kernel matrix once; the matrix and one chunk of tails'
+    # rows are two chunks, and the third covers the heads' rows (one per
+    # run), the edge indices and the blocks
+    grid = Grid(202)
+    g, om = random_lift_case(2000, 40000)
+    assert g.n_nodes * grid.n_cells <= _CHUNK_CELLS
+    budget = 3 * _CHUNK_CELLS * 8
+    assert 2 * g.n_edges * grid.n_cells * 8 > 8 * budget
+    assert lift_peak(g, om, grid) < budget
+
+
+def test_lift_working_set_does_not_grow_with_the_nodes():
+    # n = 202 and mean degree ~20 at N = 2000, where the kernel matrix
+    # fits in one chunk, and at N = 16000, where the lift streams its rows
+    # and the matrix would take 26 MB
+    grid = Grid(202)
+    small = random_lift_case(2000, 20000)
+    large = random_lift_case(16000, 160000)
+    assert large[0].n_nodes * grid.n_cells * 8 > 6 * _CHUNK_CELLS * 8
+    assert abs(lift_peak(*large, grid) - lift_peak(*small, grid)) \
+        < _CHUNK_CELLS * 8
+
+
+@pytest.mark.parametrize("lift", [empirical_g_kde, split_by_group])
+def test_both_lifts_refuse_bad_opinions_before_forming_rows(lift,
+                                                            monkeypatch):
+    g = crossing_graph(seed=1, n=40)
+    om = np.random.default_rng(1).uniform(-0.9, 0.9, g.n_nodes)
+
+    def no_rows(*args):
+        raise AssertionError("formed kernel rows")
+
+    monkeypatch.setattr(opinet.empirical, "_kernel_rows", no_rows)
+    for bad, what in ((om[:-1], "one opinion per node"),
+                      (np.append(om, 0.0), "one opinion per node"),
+                      (om.reshape(2, -1), "one opinion per node"),
+                      (np.where(np.arange(g.n_nodes) == 3, 1.5, om),
+                       r"lie in \[-1, 1\]"),
+                      (np.where(np.arange(g.n_nodes) == 3, -1.0 - 1e-12, om),
+                       r"lie in \[-1, 1\]"),
+                      (np.where(np.arange(g.n_nodes) == 3, np.nan, om),
+                       r"lie in \[-1, 1\]")):
+        with pytest.raises(ConfigError, match=what):
+            lift(g, bad, Grid(16), 0.1)
 
 
 def run_fresh(code):

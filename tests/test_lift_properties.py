@@ -2,14 +2,16 @@
 
 Small chunk sizes split a hub's neighbour list and the label segments over
 several chunks; every block must still match the per-edge sum of
-K[i] (x) K[j], stay bit-symmetric and carry mass 1.
+K[i] (x) K[j], stay bit-symmetric and carry mass 1, and rows streamed per
+chunk must give the same g bit for bit as rows taken from one kernel
+matrix.
 """
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import assume, given, strategies as st  # noqa: E402
 
 from opinet import (Grid, empirical_g_kde, graph_from_pairs,  # noqa: E402
                     split_by_group)
@@ -17,8 +19,8 @@ from opinet import empirical  # noqa: E402
 
 
 @st.composite
-def lifts(draw):
-    k = draw(st.sampled_from([1, 2, 3]))
+def lifts(draw, groups=(1, 2, 3)):
+    k = draw(st.sampled_from(groups))
     n_nodes = draw(st.integers(k + 2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     # labels shuffled over the nodes, so the canonical i < j edges run
@@ -69,3 +71,21 @@ def test_chunked_lift_matches_the_per_edge_sum(case):
     np.testing.assert_array_equal(unl.values, unl.values.T)
     assert abs(grid.dx ** 2 * lab.g.sum() - 1.0) < 1e-12
     assert abs(unl.mass() - 1.0) < 1e-12
+
+
+@given(lifts(groups=(1, 3)))
+def test_streamed_rows_and_the_kernel_matrix_give_the_same_g(case):
+    graph, omega, grid, h, chunk = case
+    # more nodes than a chunk has rows, so the second source streams
+    assume(graph.n_nodes > chunk)
+    labels, k = graph.community - 1, graph.n_groups
+    with pytest.MonkeyPatch.context() as mp:
+        # the whole N x n matrix fits in one chunk: rows come from it
+        mp.setattr(empirical, "_CHUNK_CELLS", graph.n_nodes * grid.n_cells)
+        whole = empirical._kernel_rows(omega, grid, h)
+        mp.setattr(empirical, "_CHUNK_CELLS", chunk * grid.n_cells)
+        streamed = empirical._kernel_rows(omega, grid, h)
+        # both lifts take the same chunks of 1, 3 or 7 edges
+        from_matrix = empirical._lift_g(graph, whole, grid, labels, k)
+        from_rows = empirical._lift_g(graph, streamed, grid, labels, k)
+    np.testing.assert_array_equal(from_rows, from_matrix)

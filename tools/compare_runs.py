@@ -8,10 +8,12 @@ perfbench/workloads/*.ini, `opinet run --seed 15` on micro_large.ini (a
 bridged graph), and `opinet sweep --preset crossing --mus 0.01,0.5
 --seed 3`.  For each output file and each command's stdout, with the
 output path masked, it prints "identical" or the largest relative
-difference of the numbers in which the two differ.  Then it prints, for
-both trees, the line count of src/opinet/*.py and the number of names the
-package exports, counted as tests/test_public_api.py counts them.  Exits 1
-unless every output is identical.  Stdlib only.
+difference of the numbers in which the two differ; each stdout line also
+gives the command's peak RSS on both trees, from os.wait4 of the child.
+Then it prints, for both trees, the line count of src/opinet/*.py and the
+number of names the package exports, counted as tests/test_public_api.py
+counts them.  Exits 1 unless every output is identical.  Stdlib only,
+Unix only (os.wait4).
 """
 
 import io
@@ -41,11 +43,15 @@ COUNT_EXPORTS = ("import types, opinet; print(sum(1 for n in dir(opinet) "
                  "getattr(opinet, n), types.ModuleType)))")
 
 
-def python(tree, *args, **kwargs):
-    """Run this interpreter with tree's package on the path."""
-    return subprocess.run([sys.executable, *args],
-                          env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-                          stdout=subprocess.PIPE, check=True, **kwargs)
+def tree_env(tree):
+    """This environment with tree's package on the path."""
+    return dict(os.environ, PYTHONPATH=str(tree / "src"))
+
+
+def python(tree, *args):
+    """Run this interpreter on tree's package."""
+    return subprocess.run([sys.executable, *args], env=tree_env(tree),
+                          stdout=subprocess.PIPE, check=True)
 
 
 def size(tree):
@@ -55,23 +61,38 @@ def size(tree):
     return lines, int(python(tree, "-c", COUNT_EXPORTS).stdout)
 
 
+def run_cli(tree, args, cwd):
+    """(stdout, peak RSS in MB) of `opinet.cli args` run on tree."""
+    proc = subprocess.Popen([sys.executable, "-m", "opinet.cli", *args],
+                            env=tree_env(tree), stdout=subprocess.PIPE,
+                            cwd=cwd)
+    stdout = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    # ru_maxrss is in KiB on Linux
+    return stdout, usage.ru_maxrss / 1024
+
+
 def outputs(tree, out):
-    """Run every command on tree; {relative path: bytes} of what it made."""
+    """Run every command on tree: ({relative path: bytes} of what it made,
+    {command name: peak RSS in MB})."""
     out.mkdir()
-    found = {}
+    found, rss = {}, {}
     for name, args in RUNS:
         dest = out / name
-        proc = python(tree, "-m", "opinet.cli", *args, "--out", str(dest),
-                      cwd=out)
+        stdout, rss[name] = run_cli(tree, [*args, "--out", str(dest)], out)
         # the output path differs between the trees, in stdout and in the
         # saved config.ini files
         mask = str(dest).encode()
-        found[name + "/stdout"] = proc.stdout.replace(mask, b"<out>")
+        found[name + "/stdout"] = stdout.replace(mask, b"<out>")
         for path in sorted(dest.rglob("*")):
             if path.is_file():
                 found[str(path.relative_to(out))] = \
                     path.read_bytes().replace(mask, b"<out>")
-    return found
+    return found, rss
 
 
 def largest_difference(old, new):
@@ -100,8 +121,8 @@ def main(ref):
                                  stdout=subprocess.PIPE, check=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "ref", filter="data")
-        old = outputs(tmp / "ref", tmp / "old")
-        new = outputs(ROOT, tmp / "new")
+        old, old_rss = outputs(tmp / "ref", tmp / "old")
+        new, new_rss = outputs(ROOT, tmp / "new")
         sizes = size(tmp / "ref"), size(ROOT)
     same = True
     for key in sorted(old.keys() | new.keys()):
@@ -114,6 +135,10 @@ def main(ref):
             verdict = ("differs in text" if worst is None
                        else "largest relative difference %.3g" % worst)
         same = same and verdict == "identical"
+        name, _, what = key.partition("/")
+        if what == "stdout":
+            verdict += " (peak RSS %.1f MB at %s, %.1f MB here)" % (
+                old_rss[name], ref, new_rss[name])
         print("%s: %s" % (key, verdict))
     for what, old_n, new_n in zip(("src lines", "public names"), *sizes):
         print("%s: %d at %s, %d here (%+d)"
