@@ -8,12 +8,11 @@ Gaussian product-kernel density estimation over the edge set, with the
 bandwidth from Silverman's normal-reference rule.  The edge density has
 one lift, by community blocks g[p, q]; the unlabeled g is its k = 1 case.
 The lift sums each node's neighbour kernels over chunks of edges and
-forms each chunk's kernel rows as it goes, exp(log(1 / (sqrt(2 pi) h)) -
-(a*mid - a*omega)^2) with a = 1 / (sqrt(2) h), so it holds no row per
-edge, O(E n), and no row per node, O(N n): its working set is one chunk
-of rows plus the k^2 n^2 blocks and O(E) edge indices.  Only when the
-whole N x n kernel matrix fits in one chunk does it form that matrix once
-and take rows from it, which gives the same rows bit for bit.
+forms each chunk's kernel rows as it goes, exp(-(mid - omega)^2 /
+(2 h^2)) with the constant factor left to the normalization, so it holds
+no row per edge, O(E n), and no row per node, O(N n): its working set is
+two chunks of rows plus the k^2 n^2 blocks and O(E) edge indices, at any
+N.
 """
 
 import math
@@ -23,18 +22,11 @@ import numpy as np
 
 from .errors import ConfigError, SimulationError
 
-_SQRT2PI = float(np.sqrt(2.0 * np.pi))
 _SQRT2 = math.sqrt(2.0)
 
 # cells of the tails' kernel rows a chunk of edges forms in the lift:
-# 2**19 float64 cells are 4 MiB, max(1, 2**19 // n) edges per chunk.  A
-# lift whose whole N x n kernel matrix fits in one chunk forms that matrix
-# once instead
+# 2**19 float64 cells are 4 MiB, max(1, 2**19 // n) edges per chunk
 _CHUNK_CELLS = 2 ** 19
-
-# cells per ufunc pass when forming kernel rows: 2**16 float64 cells are
-# 512 KiB, so each pass reads a block the last one left in cache
-_BLOCK_CELLS = 2 ** 16
 
 # least Gaussian mass a mixture component keeps inside [-1, 1]; rejection
 # sampling takes 1 / mass draws per opinion on average, so at most 100
@@ -316,38 +308,26 @@ def _opinions(graph, omega):
 
 
 def _kernel_rows(omega, grid, bandwidth):
-    # the row source of the lift: rows(nodes, out) fills out[r] with node
-    # nodes[r]'s normalized 1-D Gaussian kernel at the cell midpoints,
-    # exp(log(1 / (sqrt(2 pi) h)) - (a*mid - a*omega)^2), a = 1 / (sqrt(2) h),
-    # in ufunc passes over blocks of at most _BLOCK_CELLS cells.  Copying
-    # a*mid into a block and subtracting a*omega in place is ~20% faster
-    # than one broadcast subtract into it, for the same bits.  When the
-    # whole N x n matrix is no larger than one chunk it is formed once and
-    # rows are taken from it; mode="clip" keeps np.take from buffering its
-    # out=.  Both give the same rows bit for bit.
+    # the row source of the lift: rows(nodes, out) fills out, one row per
+    # node, with node nodes[r]'s 1-D Gaussian kernel at the cell midpoints
+    # up to its constant factor, exp(-(mid - omega)^2 / (2 h^2)), in five
+    # ufunc passes; the lift's normalization to mass 1 takes the factor.
+    # Subtracting before scaling keeps the round-off relative to mid -
+    # omega at any h, where a*mid - a*omega would carry an error growing
+    # as 1 / h.  Copying mid into out and subtracting omega in place is
+    # faster than one broadcast subtract into it, for the same bits.
     if bandwidth <= 0 or not np.isfinite(bandwidth):
         raise ConfigError("kde: bandwidth must be positive and finite")
-    a = 1.0 / (_SQRT2 * bandwidth)
-    scale = math.log(1.0 / (_SQRT2PI * bandwidth))
-    a_mids, a_omega = a * grid.mids, a * omega
-    n = grid.n_cells
-    step = max(1, _BLOCK_CELLS // n)
+    scale = -0.5 / bandwidth ** 2
 
     def rows(nodes, out):
-        for start in range(0, nodes.size, step):
-            block = out[start:start + step]
-            np.copyto(block, a_mids)
-            block -= a_omega[nodes[start:start + step], None]
-            np.square(block, out=block)
-            np.subtract(scale, block, out=block)
-            np.exp(block, out=block)
+        np.copyto(out, grid.mids)
+        out -= omega[nodes, None]
+        np.square(out, out=out)
+        out *= scale
+        np.exp(out, out=out)
 
-    if omega.size * n > _CHUNK_CELLS:
-        return rows
-    kern = np.empty((omega.size, n))
-    rows(np.arange(omega.size), kern)
-    return lambda nodes, out: np.take(kern, nodes, axis=0, mode="clip",
-                                      out=out)
+    return rows
 
 
 def _lift_g(graph, rows, grid, labels, k):
@@ -363,9 +343,9 @@ def _lift_g(graph, rows, grid, labels, k):
     # position joins them to a prefix of the sums, so a chunk takes as many
     # adds as its longest run.  K[heads]^T sums then joins one block s[p,
     # q].  A chunk forms its tails' rows into one buffer and its heads'
-    # rows, one per run, into a second, so no array holds a row per edge,
-    # nor one per node unless the rows come from one kernel matrix.  g = s
-    # + s^T over the (omega, m) axes is bit-symmetric: g[q, p] == g[p, q].T.
+    # rows, one per run, into a second, so no array holds a row per edge
+    # or one per node.  g = s + s^T over the (omega, m) axes is
+    # bit-symmetric: g[q, p] == g[p, q].T.
     if graph.n_edges == 0:
         raise ConfigError("kde: graph has no edges")
     n = grid.n_cells

@@ -101,11 +101,10 @@ class CommunityGraph:
                 raise ConfigError("graph: edges must satisfy i < j")
             # i N + j orders the rows lexicographically, so consecutive
             # keys must strictly increase
-            keys = self.tail * n
-            keys += self.head
-            if np.any(keys[1:] < keys[:-1]):
+            step = np.diff(self.tail * n + self.head)
+            if np.any(step < 0):
                 raise ConfigError("graph: edges must be lexicographically sorted")
-            if np.any(keys[1:] == keys[:-1]):
+            if np.any(step == 0):
                 raise ConfigError("graph: duplicate edge")
         self.degrees = np.bincount(e.ravel(order="K"),
                                    minlength=n).astype(np.int64)
@@ -144,12 +143,8 @@ class CommunityGraph:
 
 
 def _from_keys(n, keys, community):
-    # the graph of sorted unique edge keys i n + j, i < j, split straight
-    # into the columns of the graph's column-major edge array
-    edges = np.empty((keys.size, 2), dtype=np.int64, order="F")
-    np.floor_divide(keys, n, out=edges[:, 0])
-    np.remainder(keys, n, out=edges[:, 1])
-    return CommunityGraph(n, edges, community)
+    # the graph of sorted unique edge keys i n + j, i < j
+    return CommunityGraph(n, np.stack([keys // n, keys % n]).T, community)
 
 
 def graph_from_pairs(n_nodes, pairs, community=None):
@@ -287,8 +282,7 @@ def ensure_connected(graph):
                         pool[rng.integers(pool.size)]))
     n = graph.n_nodes
     bridges = np.sort(np.min(bridges, axis=1) * n + np.max(bridges, axis=1))
-    keys = graph.tail * n
-    keys += graph.head
+    keys = graph.tail * n + graph.head
     return _from_keys(n, np.insert(keys, np.searchsorted(keys, bridges),
                                    bridges), graph.community)
 

@@ -272,22 +272,18 @@ def lift_peak(g, om, grid):
 
 def test_lift_working_set_does_not_grow_with_the_edges():
     # N = 2000, mean degree ~40, n = 202: two E x n gathers would take
-    # 2 E n 8 bytes, ~129 MB.  N n = 404000 cells fit in one chunk, so the
-    # lift forms the kernel matrix once; the matrix and one chunk of tails'
-    # rows are two chunks, and the third covers the heads' rows (one per
-    # run), the edge indices and the blocks
+    # 2 E n 8 bytes, ~129 MB.  One chunk holds the tails' rows; the heads'
+    # rows (one per run), the edge indices and the block fit in a second
     grid = Grid(202)
     g, om = random_lift_case(2000, 40000)
-    assert g.n_nodes * grid.n_cells <= _CHUNK_CELLS
-    budget = 3 * _CHUNK_CELLS * 8
+    budget = 2 * _CHUNK_CELLS * 8
     assert 2 * g.n_edges * grid.n_cells * 8 > 8 * budget
     assert lift_peak(g, om, grid) < budget
 
 
 def test_lift_working_set_does_not_grow_with_the_nodes():
-    # n = 202 and mean degree ~20 at N = 2000, where the kernel matrix
-    # fits in one chunk, and at N = 16000, where the lift streams its rows
-    # and the matrix would take 26 MB
+    # n = 202 and mean degree ~20 at N = 2000 and at N = 16000, where a
+    # kernel matrix would take 26 MB
     grid = Grid(202)
     small = random_lift_case(2000, 20000)
     large = random_lift_case(16000, 160000)
