@@ -55,14 +55,14 @@ def e_cont(field, omega_inf):
 def lyapunov_tilde(g, operator):
     """Pairwise potential integral dx^2 sum_ij W(mid_i - mid_j) g_ij.
 
-    Labeled densities are summed over blocks.
+    Labeled densities are summed over blocks.  W is a view of its 2n - 1
+    distinct values, so the products, formed in one n x n array, are the
+    only n x n temporary.
     """
-    vals = np.asarray(g.values if hasattr(g, "values") else g.g_total(),
-                      dtype=float)
-    grid = g.grid
-    wmat = np.asarray(operator.w(grid.mids[:, None] - grid.mids[None, :]),
-                      dtype=float)
-    return float(grid.dx ** 2 * np.sum(wmat * vals))
+    terms = (np.array(g.values, dtype=float) if hasattr(g, "values")
+             else g.g_total())
+    terms *= g.grid.difference_matrix(operator.w)
+    return float(g.grid.dx ** 2 * terms.sum())
 
 
 def fit_exponential_rate(times, values, t_lo=None, t_hi=None, floor_factor=3.0):
@@ -127,10 +127,19 @@ class RunReport:
                     [self.series[name] for name in REPORT_COLUMNS])
 
 
+def _cell(value):
+    # a number as %.17g, so that it reads back exactly; a string with each
+    # run of whitespace made one space, so that it keeps to its cell
+    if isinstance(value, str):
+        return " ".join(value.split())
+    return "%.17g" % value
+
+
 def write_table(path, names, columns):
     """Write equal-length columns as tab-separated text under a header of
-    names, each value as %.17g so that it reads back exactly."""
+    names: each number as %.17g, so that it reads back exactly, and each
+    string on one line with its whitespace runs made single spaces."""
     with open(path, "w") as fh:
         fh.write("\t".join(names) + "\n")
         for row in zip(*columns):
-            fh.write("\t".join("%.17g" % x for x in row) + "\n")
+            fh.write("\t".join(_cell(x) for x in row) + "\n")

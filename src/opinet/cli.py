@@ -77,7 +77,8 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     config = _resolve_config(args)
     rows, failures = run_mu_sweep(config)
-    print("wrote %s/rates.tsv and rates.gp" % config.output_dir)
+    print("wrote %s/rates.tsv, failures.tsv and rates.gp"
+          % config.output_dir)
     print("\t".join(RATE_COLUMNS))
     for row in rows:
         print("\t".join("%.6g" % row[c] for c in RATE_COLUMNS))

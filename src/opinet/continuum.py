@@ -52,11 +52,6 @@ class ContinuumParams:
         return self
 
 
-def _d_matrix(grid, operator):
-    return np.asarray(operator.d(grid.mids[:, None] - grid.mids[None, :]),
-                      dtype=float)
-
-
 def _speeds(g4, dmat, dx, cutoff):
     # a[p, i] = sum_{q,j} g[p,q,i,j] D(mid_i - mid_j) / sum_{q,j} g[p,q,i,j],
     # returned with the row masses dx sum_{q,j} g[p,q,i,j]
@@ -141,8 +136,8 @@ class ContinuumStepper:
     """Local Lax-Friedrichs step for k labels on one grid and operator.
 
     f is (k, n) and g is (k, k, n, n); the unlabeled model is k = 1.  The
-    parameters are validated and the D matrix built once, when the stepper
-    is built; dt is passed per step.  g must be bit-symmetric, g[q, p] ==
+    parameters are validated and D evaluated once, when the stepper is
+    built; dt is passed per step.  g must be bit-symmetric, g[q, p] ==
     g[p, q].T for every p and q, the diagonal blocks included: each block
     takes its axis-1 update from its mirror block, so an asymmetric g gets
     a step that is not the LLF scheme, and nothing checks this.  Only the
@@ -177,7 +172,11 @@ class ContinuumStepper:
 
     The stepper holds one n x n scratch block, used by every k it
     advances, so a step allocates little beyond its outputs; a stepper
-    must not be advanced from two threads at once.
+    must not be advanced from two threads at once.  D(mid_i - mid_j)
+    depends only on i - j, so dmat is a read-only n x n view of D's 2n - 1
+    distinct values (Grid.difference_matrix): the stepper holds n^2 + O(n)
+    floats, and the speeds pass streams g against a matrix that stays in
+    cache.
 
     The speeds that max_dt computes for a g are kept, one entry per
     array, until the next advance of that array, so a caller that checks a
@@ -189,8 +188,7 @@ class ContinuumStepper:
     def __init__(self, grid, operator, params):
         self.grid = grid
         self.params = params.validate()
-        self.dmat = _d_matrix(grid, operator)
-        self.dmat.flags.writeable = False
+        self.dmat = grid.difference_matrix(operator.d)
         self._memo = {}     # identity of g -> (g, its speeds) from max_dt
         # a transposed block, then a birth term
         self._work = np.empty((grid.n_cells, grid.n_cells))
@@ -276,7 +274,7 @@ def stepper_for(grid, operator, params):
     """The ContinuumStepper for grid, operator and params (dt is ignored).
 
     Steppers are cached, so the step functions validate the parameters and
-    build the D matrix once per grid, operator and parameter set.
+    evaluate D once per grid, operator and parameter set.
     """
     return _cached_stepper(grid, operator, replace(params, dt=None))
 

@@ -10,9 +10,11 @@ one lift, by community blocks g[p, q]; the unlabeled g is its k = 1 case.
 The lift sums each node's neighbour kernels over chunks of edges and
 forms each chunk's kernel rows as it goes, exp(-(mid - omega)^2 /
 (2 h^2)) with the constant factor left to the normalization, so it holds
-no row per edge, O(E n), and no row per node, O(N n): its working set is
-two chunks of rows plus the k^2 n^2 blocks and O(E) edge indices, at any
-N.
+no row per edge, O(E n), and no row per node, O(N n).  Its working set
+is two buffers of rows and the k^2 n^2 sums, then the sums and g, once
+the buffers are gone; with k labels it also holds the E-sized order of
+the edges by label pair, and with one label none, as the stored order is
+that order.
 """
 
 import math
@@ -25,8 +27,8 @@ from .errors import ConfigError, SimulationError
 _SQRT2 = math.sqrt(2.0)
 
 # cells of the tails' kernel rows a chunk of edges forms in the lift:
-# 2**19 float64 cells are 4 MiB, max(1, 2**19 // n) edges per chunk
-_CHUNK_CELLS = 2 ** 19
+# 2**18 float64 cells are 2 MiB, max(1, 2**18 // n) edges per chunk
+_CHUNK_CELLS = 2 ** 18
 
 # least Gaussian mass a mixture component keeps inside [-1, 1]; rejection
 # sampling takes 1 / mass draws per opinion on average, so at most 100
@@ -64,6 +66,20 @@ class Grid:
         edges[-1] = 1.0
         self.edges = edges
         self.mids = (np.arange(n) - (n - 1) / 2.0) * self.dx
+
+    def difference_matrix(self, fn):
+        """fn((i - j) dx) at (i, j): an operator on the midpoint differences.
+
+        fn is evaluated once, on the 2n - 1 distinct differences, and the
+        n x n matrix is a read-only view of those values, entry (i, j)
+        being u[n - 1 - i + j] of u[t] = fn((n - 1 - t) dx), so it holds
+        O(n) bytes.  (i - j) dx is mid_i - mid_j to within an ulp, and an
+        odd fn gives an exactly antisymmetric matrix, an even one an
+        exactly symmetric one.
+        """
+        n = self.n_cells
+        u = np.asarray(fn(np.arange(n - 1, -n, -1) * self.dx), dtype=float)
+        return np.lib.stride_tricks.sliding_window_view(u, n)[::-1]
 
 
 @dataclass(eq=False)
@@ -330,28 +346,28 @@ def _kernel_rows(omega, grid, bandwidth):
     return rows
 
 
-def _lift_g(graph, rows, grid, labels, k):
-    # g[p, q] sums the product kernels of the edges from label p to label q
-    # in both orientations, with one normalization to total mass 1; rows
-    # is a row source as _kernel_rows returns.  The edges are stably sorted
-    # by their (label, label) pair, so within each label segment they stay
-    # sorted by head i, and each chunk of a label segment splits into runs
-    # of one head (a head whose neighbours straddle two chunks contributes
-    # from both).  The runs, longest first, sum their tails' rows K[j]
-    # position by position: the tails' rows are formed with the r-th rows
-    # of the runs longer than r next to each other, and one add per
-    # position joins them to a prefix of the sums, so a chunk takes as many
-    # adds as its longest run.  K[heads]^T sums then joins one block s[p,
-    # q].  A chunk forms its tails' rows into one buffer and its heads'
-    # rows, one per run, into a second, so no array holds a row per edge
-    # or one per node.  g = s + s^T over the (omega, m) axes is
-    # bit-symmetric: g[q, p] == g[p, q].T.
-    if graph.n_edges == 0:
-        raise ConfigError("kde: graph has no edges")
-    n = grid.n_cells
-    keys = labels[graph.tail] * k + labels[graph.head]
-    by_key = np.argsort(keys, kind="stable")
-    sizes = np.bincount(keys, minlength=k * k)
+def _block_sums(graph, rows, n, labels, k):
+    # s[p, q] = sum of K[i] (x) K[j] over the edges (i, j) from label p to
+    # label q, in the edges' stored orientation; rows is a row source as
+    # _kernel_rows returns.  The edges are stably sorted by their (label,
+    # label) pair, which keeps the stored order when k = 1, so within each
+    # label segment they stay sorted by head i, and each chunk of a label
+    # segment splits into runs of one head (a head whose neighbours
+    # straddle two chunks contributes from both).  The runs, longest first,
+    # sum their tails' rows K[j] position by position: the tails' rows are
+    # formed with the r-th rows of the runs longer than r next to each
+    # other, and one add per position joins them to a prefix of the sums,
+    # so a chunk takes as many adds as its longest run.  K[heads]^T sums
+    # then joins one block s[p, q].  A chunk forms its tails' rows into one
+    # buffer and its heads' rows, one per run, into a second, so no array
+    # holds a row per edge or one per node; both buffers go when this
+    # returns.
+    if k == 1:
+        by_key, sizes = None, np.array([graph.n_edges])
+    else:
+        keys = labels[graph.tail] * k + labels[graph.head]
+        by_key = np.argsort(keys, kind="stable")
+        sizes = np.bincount(keys, minlength=k * k)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     # no chunk is longer than the longest label segment; the heads' buffer
     # grows to the most runs a chunk has
@@ -361,8 +377,9 @@ def _lift_g(graph, rows, grid, labels, k):
     for key in range(k * k):
         block, end = s[divmod(key, k)], bounds[key + 1]
         for start in range(bounds[key], end, chunk):
-            heads, tails = graph.edges[by_key[start:min(start + chunk,
-                                                        end)]].T
+            part = slice(start, min(start + chunk, end))
+            heads, tails = graph.edges[part if by_key is None
+                                       else by_key[part]].T
             first = np.flatnonzero(np.diff(heads, prepend=-1))
             lengths = np.diff(first, append=heads.size)
             order = np.argsort(-lengths, kind="stable")
@@ -385,11 +402,24 @@ def _lift_g(graph, rows, grid, labels, k):
             head_rows = head_buf[:first.size]
             rows(heads[first[order]], head_rows)
             block += head_rows.T @ sums
+    return s
+
+
+def _lift_g(graph, rows, grid, labels, k):
+    # g[p, q] sums the product kernels of the edges from label p to label q
+    # in both orientations, with one normalization to total mass 1; rows
+    # is a row source as _kernel_rows returns, and labels (0 .. k - 1 per
+    # node) are not read when k = 1.  g = s + s^T over the (omega, m) axes
+    # is bit-symmetric: g[q, p] == g[p, q].T.
+    if graph.n_edges == 0:
+        raise ConfigError("kde: graph has no edges")
+    s = _block_sums(graph, rows, grid.n_cells, labels, k)
     g = s + s.transpose(1, 0, 3, 2)
     total = grid.dx ** 2 * g.sum()
     if total <= 0:
         raise SimulationError("kde: estimate has no mass on the grid")
-    return g / total
+    g /= total
+    return g
 
 
 def empirical_g_kde(graph, omega, grid, bandwidth):
@@ -402,8 +432,7 @@ def empirical_g_kde(graph, omega, grid, bandwidth):
     """
     omega = _opinions(graph, omega)
     rows = _kernel_rows(omega, grid, bandwidth)
-    labels = np.zeros(graph.n_nodes, dtype=np.int64)
-    return PairField(grid, _lift_g(graph, rows, grid, labels, 1)[0, 0])
+    return PairField(grid, _lift_g(graph, rows, grid, None, 1)[0, 0])
 
 
 def split_by_group(graph, omega, grid, bandwidth):

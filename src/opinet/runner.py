@@ -326,7 +326,9 @@ def run_mu_sweep(config, operator=None, write_outputs=True):
     once, before the first value.  Each mixing value gets its own derived
     seed.  A failing value is reported with NaN rates and the sweep
     continues.  Returns (rows, failures): rows are dicts keyed by
-    RATE_COLUMNS, failures (mu, message) pairs.
+    RATE_COLUMNS, failures (mu, message) pairs.  With write_outputs, the
+    rates go to rates.tsv and the failures, one (mu, message) row each, to
+    failures.tsv, which has only its header when every value ran.
     """
     # a step that fails one mixing value fails them all
     operator, _, _ = _preflight(config, operator)
@@ -357,6 +359,9 @@ def run_mu_sweep(config, operator=None, write_outputs=True):
         write_table(os.path.join(config.output_dir, "rates.tsv"),
                     RATE_COLUMNS, [[row[c] for row in rows]
                                    for c in RATE_COLUMNS])
+        write_table(os.path.join(config.output_dir, "failures.tsv"),
+                    ("mu", "message"), [[mu for mu, _ in failures],
+                                        [text for _, text in failures]])
         _write_gnuplot(os.path.join(config.output_dir, "rates.gp"))
     return rows, failures
 

@@ -3,8 +3,9 @@
 Each one computes, by a separate and plainer route, something the package
 computes for its workflows: the local Lax-Friedrichs interface fluxes and
 the padded zero-flux second difference of the continuum step, the step
-with each row's update as three row-scaled products, the
-row-normalized pair density eta, the cell-integrated Gaussian KDE, the
+with each row's update as three row-scaled products, an operator on the
+dense matrix of midpoint differences, the row-normalized pair density
+eta, the cell-integrated Gaussian KDE, the
 truncated mixture pdf and its cell averages through scipy's normal CDF, the
 opinion sampler with one scalar draw at a time, the set-based stub matching
 of the graph generator, the depth-first component labels, the lexsorted
@@ -106,6 +107,13 @@ def three_point_transport(f, g, a, dt, dx, params):
     return f_new, g_new
 
 
+def difference_matrix(grid, fn):
+    """fn(mid_i - mid_j) at (i, j), evaluated on the dense n x n matrix
+    of midpoint differences."""
+    return np.asarray(fn(grid.mids[:, None] - grid.mids[None, :]),
+                      dtype=float)
+
+
 def eta_discrete(g, dx, cutoff):
     """Row-normalized pair density: g_ij / (dx sum_k g_ik).
 
@@ -129,8 +137,7 @@ def exact_g_kde(graph, omega, grid, bandwidth):
         out[:] = (ndtr((grid.edges[None, 1:] - at) / bandwidth)
                   - ndtr((grid.edges[None, :-1] - at) / bandwidth)) / grid.dx
 
-    labels = np.zeros(graph.n_nodes, dtype=np.int64)
-    return PairField(grid, _lift_g(graph, rows, grid, labels, 1)[0, 0])
+    return PairField(grid, _lift_g(graph, rows, grid, None, 1)[0, 0])
 
 
 def _phi(x):

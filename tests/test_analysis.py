@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,28 @@ def test_lyapunov_labeled_sums_blocks():
     g = np.stack([np.stack([off, off]), np.stack([off, off])])
     lab = LabeledFields(grid, np.full((2, 2), 0.25), g)
     assert lyapunov_tilde(lab, LIN) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_lyapunov_tilde_forms_one_n_by_n_temporary(k):
+    # W is a view of its 2n - 1 values, so the products (and for labeled
+    # fields the block sum they are formed in) are the one n x n array;
+    # a dense W matrix or a second temporary would pass 2 n^2 floats
+    n = 300
+    grid = Grid(n)
+    vals = np.random.default_rng(2).uniform(0.0, 1.0, (n, n))
+    if k is None:
+        g = PairField(grid, vals)
+    else:
+        g = LabeledFields(grid, np.ones((k, n)),
+                          np.broadcast_to(vals, (k, k, n, n)) / k ** 2)
+    tracemalloc.start()
+    try:
+        lyapunov_tilde(g, LIN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 def test_fit_exact_exponential():

@@ -598,3 +598,34 @@ def test_a_failing_mixing_value_gives_a_nan_row(tmp_path, capsys,
                               "state")]
     assert rows[0]["mu"] == 0.4
     assert all(np.isnan(rows[0][c]) for c in RATE_COLUMNS[1:])
+
+
+def test_sweep_failures_reach_failures_tsv(tmp_path, monkeypatch):
+    run = opinet.runner.run_experiment
+
+    def fail_at_04(config, **kwargs):
+        if config.graph.mixing_mu == 0.4:
+            raise SimulationError("cont_labeled: step 3 returned\ta\n"
+                                  "non-finite state")
+        return run(config, **kwargs)
+    monkeypatch.setattr(opinet.runner, "run_experiment", fail_at_04)
+    cfg = replace(small_config(tmp_path / "sweep"), sample_interval=0.05)
+    cfg_path = tmp_path / "cfg.ini"
+    save_config(cfg, cfg_path)
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--mus", "0.2,0.4,0.3"]) == 0
+    # one row per failing value, its message on one line in one cell
+    lines = (tmp_path / "sweep" / "failures.tsv").read_text().splitlines()
+    assert lines == ["mu\tmessage",
+                     "0.40000000000000002\tcont_labeled: step 3 returned a "
+                     "non-finite state"]
+    assert float(lines[1].split("\t")[0]) == 0.4
+    # the other values still get their rates
+    rows = np.loadtxt(tmp_path / "sweep" / "rates.tsv", skiprows=1)
+    assert rows[:, 0].tolist() == [0.2, 0.4, 0.3]
+    assert np.isfinite(rows[[0, 2]]).all()
+    assert np.isnan(rows[1, 1:]).all()
+    # a sweep in which every value runs writes the header alone
+    assert main(["sweep", "--config", str(cfg_path), "--mus", "0.2"]) == 0
+    assert (tmp_path / "sweep" / "failures.tsv").read_text() \
+        == "mu\tmessage\n"

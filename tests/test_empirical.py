@@ -281,6 +281,19 @@ def test_lift_working_set_does_not_grow_with_the_edges():
     assert lift_peak(g, om, grid) < budget
 
 
+def test_unlabeled_lift_holds_no_edge_sized_array():
+    # N = 2000 and n = 202 at E ~ 4e4 and ~ 8e4, mean degrees high enough
+    # that the heads' rows of a chunk stay small: the one-label lift takes
+    # the edges in their stored order, so the added edges move its peak by
+    # less than the 16 bytes per edge of an E-sized key and sort order
+    grid = Grid(202)
+    small = random_lift_case(2000, 40000)
+    large = random_lift_case(2000, 80000)
+    added = large[0].n_edges - small[0].n_edges
+    assert added > 35000
+    assert lift_peak(*large, grid) - lift_peak(*small, grid) < 8 * added
+
+
 def test_lift_working_set_does_not_grow_with_the_nodes():
     # n = 202 and mean degree ~20 at N = 2000 and at N = 16000, where a
     # kernel matrix would take 26 MB
