@@ -1,4 +1,4 @@
-"""Community graphs: planted-partition generation and Laplacian diagnostics.
+"""Community graphs: planted-partition generation, sparse Laplacian gap.
 
 The generator follows the usual planted-partition recipe: every node draws a
 target degree near the requested mean, declares a share of its stubs
@@ -21,9 +21,6 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import ConfigError, SimulationError
-
-# Dense spectral diagnostics are a desk-scale tool; refuse bigger graphs.
-LAPLACIAN_NODE_CAP = 2048
 
 _MATCH_ROUNDS = 8
 
@@ -296,44 +293,46 @@ def measured_mixing(graph):
     return float(np.mean(inter))
 
 
-def laplacian(graph):
-    """Dense combinatorial Laplacian: diag(degrees) minus adjacency."""
-    n = graph.n_nodes
-    if n > LAPLACIAN_NODE_CAP:
-        raise ConfigError("graph: %d nodes exceeds the dense Laplacian cap %d"
-                          % (n, LAPLACIAN_NODE_CAP))
-    lap = np.zeros((n, n))
-    lap[graph.tail, graph.head] = -1.0
-    lap[graph.head, graph.tail] = -1.0
-    lap[np.arange(n), np.arange(n)] = graph.degrees
-    return lap
-
-
 def spectral_gap(graph):
     """Smallest nonzero Laplacian eigenvalue (0 for disconnected graphs).
 
     The gap is undefined below two nodes, which is refused.  A disconnected
     graph gets exactly 0 without a solve, at any size.  A connected one
-    takes a dense symmetric eigensolve, refused above LAPLACIAN_NODE_CAP
-    nodes; the kernel is checked explicitly: the constant vector must be
-    annihilated and the bottom eigenvalue must vanish to relative
-    tolerance 1e-10.
+    takes one sparse Lanczos solve (ARPACK eigsh) at any size: the smallest
+    eigenvalue of L + (s/N) 11^T, s = 2 max degree >= lambda_max(L)
+    (Gershgorin).  The shift moves the kernel's zero exactly to s, so
+    lambda_2 <= s is the smallest and no kernel check is needed.  The start
+    vector is seeded with N, so a graph always gets the same bits.  scipy is
+    imported here only, so a run never loads it; without it the call raises
+    ImportError.  Non-convergence, or a result that is not finite or lies
+    outside (0, s], raises SimulationError.
     """
-    if graph.n_nodes < 2:
+    n = graph.n_nodes
+    if n < 2:
         raise ConfigError("graph: spectral gap needs at least two nodes")
     # the solve would give round-off of either sign for the second zero
     if _component_labels(graph)[1] > 1:
         return 0.0
-    lap = laplacian(graph)
-    n = graph.n_nodes
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                     eigsh)
+
+    nodes = np.arange(n)
+    lap = csr_array(
+        (np.concatenate([np.full(2 * graph.n_edges, -1.0), graph.degrees]),
+         (np.concatenate([graph.tail, graph.head, nodes]),
+          np.concatenate([graph.head, graph.tail, nodes]))), shape=(n, n))
+    s = 2.0 * float(graph.degrees.max())
+    shifted = LinearOperator((n, n), dtype=float,
+                             matvec=lambda x: lap @ x + s / n * x.sum())
     try:
-        vals = np.linalg.eigvalsh(lap)
-    except np.linalg.LinAlgError as exc:
+        vals = eigsh(shifted, k=1, which="SA", tol=1e-10,
+                     v0=default_rng(n).standard_normal(n),
+                     return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
         raise SimulationError("graph: eigensolver did not converge: %s" % exc)
-    scale = max(1.0, float(vals[-1]))
-    if abs(float(vals[0])) > 1e-10 * scale:
-        raise SimulationError("graph: bottom Laplacian eigenvalue is not 0")
-    resid = np.max(np.abs(lap @ np.ones(n)))
-    if resid > 1e-10 * scale:
-        raise SimulationError("graph: constant vector is not in the kernel")
-    return float(vals[1])
+    gap = float(vals[0])
+    if not 0.0 < gap <= s:
+        raise SimulationError("graph: Laplacian gap %r outside (0, %g]"
+                              % (gap, s))
+    return gap

@@ -9,9 +9,9 @@ eta, the cell-integrated Gaussian KDE, the
 truncated mixture pdf and its cell averages through scipy's normal CDF, the
 opinion sampler with one scalar draw at a time, the set-based stub matching
 of the graph generator, the depth-first component labels, the lexsorted
-CSR adjacency, the per-component bridging of ensure_connected and the
-micro right-hand side gathered over the CSR half-edges.  No workflow calls
-them.
+CSR adjacency, the per-component bridging of ensure_connected, the dense
+Laplacian whose eigenvalues check spectral_gap and the micro right-hand
+side gathered over the CSR half-edges.  No workflow calls them.
 """
 
 import numpy as np
@@ -199,6 +199,16 @@ def csr_adjacency(edges, n_nodes):
     order = np.lexsort((tails, heads))
     deg = np.bincount(heads, minlength=n_nodes)
     return heads[order], tails[order], np.concatenate([[0], np.cumsum(deg)])
+
+
+def laplacian(graph):
+    """Dense combinatorial Laplacian: diag(degrees) minus adjacency."""
+    n = graph.n_nodes
+    lap = np.zeros((n, n))
+    lap[graph.tail, graph.head] = -1.0
+    lap[graph.head, graph.tail] = -1.0
+    lap[np.arange(n), np.arange(n)] = graph.degrees
+    return lap
 
 
 def neighbor_lists(graph):

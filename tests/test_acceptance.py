@@ -80,7 +80,11 @@ def test_a02_micro_consensus_all_mu():
             omega = euler_step(graph, omega, LIN, 0.01)
         dev = float(np.max(np.abs(omega - target)))
         if dev >= 1e-4:
-            misses.append("mu=%g: max deviation %.3e" % (mu, dev))
+            # the slowest mode decays at a rate of at most lambda_2 over
+            # the least degree, so a 1e4-fold decay needs lambda_2 T > 9.2
+            gap = spectral_gap(graph)
+            misses.append("mu=%g: max deviation %.3e, lambda_2 %.3g, "
+                          "lambda_2*T %.3g" % (mu, dev, gap, 30 * gap))
     assert not misses, \
         "consensus not reached by T=30 at: " + "; ".join(misses)
 

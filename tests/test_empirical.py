@@ -352,6 +352,15 @@ def test_building_the_preset_state_leaves_scipy_unloaded():
         "build_initial_state(preset_three_communities())\n")
 
 
+def test_import_and_a_preset_run_leave_scipy_unloaded():
+    # spectral_gap imports scipy.sparse.linalg when called, which would add
+    # ~17% to a preset run's peak RSS if anything on the run path called it
+    assert not loads_scipy(
+        "import opinet\n"
+        "opinet.run_experiment(opinet.preset_three_communities(),\n"
+        "                      write_outputs=False)\n")
+
+
 def test_the_first_preset_state_imports_no_module():
     # numpy loads numpy.random on first use, so a package that reaches it
     # through np.random would import it inside the first build

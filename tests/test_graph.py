@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 
 from opinet import (CommunityGraph, ConfigError, GraphConfig, ensure_connected,
                     generate_community_graph, graph_from_pairs, is_connected,
-                    laplacian, load_config, measured_mixing, spectral_gap)
-from opinet.graph import LAPLACIAN_NODE_CAP, _component_labels
+                    load_config, measured_mixing, spectral_gap)
+from opinet.graph import _component_labels
 import oracles
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -225,7 +226,7 @@ def test_ensure_connected():
 
 
 def test_laplacian_hand_value():
-    L = laplacian(path3())
+    L = oracles.laplacian(path3())
     np.testing.assert_allclose(L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
 
@@ -263,19 +264,37 @@ def test_spectral_gap_star_graph():
     assert spectral_gap(star) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_spectral_gap_without_scipy_names_it(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    with pytest.raises(ImportError, match="scipy"):
+        spectral_gap(path3())
+
+
 def test_laplacian_rows_sum_to_zero():
     for seed in range(4):
         g = generate_community_graph(GraphConfig(
             n_nodes=60, n_groups=2, mean_degree=6.0, mixing_mu=0.3,
             seed=seed))
-        L = laplacian(g)
+        L = oracles.laplacian(g)
         np.testing.assert_allclose(L @ np.ones(60), 0.0, atol=1e-12)
         np.testing.assert_allclose(L, L.T)
 
 
-def test_laplacian_size_cap():
-    n = LAPLACIAN_NODE_CAP + 1
-    g = graph_from_pairs(n, [(i, i + 1) for i in range(n - 1)])
-    with pytest.raises(ConfigError, match="cap 2048"):
-        laplacian(g)
-    assert laplacian(graph_from_pairs(n - 1, [(0, 1)])).shape == (n - 1, n - 1)
+def test_spectral_gap_at_large_n_matches_closed_forms():
+    # the hypercube Q_14 has gap 2; the m x m torus has the gap of the
+    # m-cycle, 2 - 2 cos(2 pi / m)
+    d = 14
+    nodes = np.arange(1 << d)
+    cube = graph_from_pairs(1 << d, np.concatenate(
+        [np.stack([low, low | 1 << b], axis=1) for b in range(d)
+         for low in [nodes[nodes & 1 << b == 0]]]))
+    assert spectral_gap(cube) == pytest.approx(2.0, rel=1e-9)
+    m = 141
+    ij = np.arange(m * m).reshape(m, m)
+    torus = graph_from_pairs(m * m, np.concatenate(
+        [np.stack([ij.ravel(), np.roll(ij, 1, axis).ravel()], axis=1)
+         for axis in (0, 1)]))
+    gap = spectral_gap(torus)
+    assert gap == pytest.approx(2.0 - 2.0 * np.cos(2.0 * np.pi / m), rel=1e-9)
+    # the seeded start vector makes the solve deterministic
+    assert spectral_gap(torus) == gap

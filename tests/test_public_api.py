@@ -17,7 +17,7 @@ EXPORTS = {
     "conserved_quantity", "e_cont", "e_micro", "empirical_f",
     "empirical_g_kde", "ensure_connected", "euler_maruyama_step",
     "euler_step", "fit_exponential_rate", "generate_community_graph",
-    "graph_from_pairs", "is_connected", "laplacian", "load_config",
+    "graph_from_pairs", "is_connected", "load_config",
     "lyapunov_tilde", "measured_mixing", "micro_rhs", "potential_v",
     "preset_crossing", "preset_three_communities", "replace_mixing",
     "run_experiment", "run_mu_sweep", "sample_initial_opinions",
@@ -27,7 +27,7 @@ EXPORTS = {
 
 # references the tests compare against, kept in tests/oracles.py
 ORACLES = {"llf_flux_f", "llf_flux_g", "eta_discrete", "community_pdf",
-           "mirrored_laplacian", "exact_g_kde"}
+           "mirrored_laplacian", "exact_g_kde", "laplacian"}
 
 
 def test_exports_are_pinned():
