@@ -35,12 +35,13 @@ class MicroParams:
     noise_sigma: float = 0.0
 
     def validate(self):
-        if self.dt <= 0:
-            raise ConfigError("micro.dt: must be positive")
-        if self.t_end <= 0:
-            raise ConfigError("micro.t_end: must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigError("micro.noise_sigma: must be >= 0")
+        # NaN fails every test here, as it fails the INI reader
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("micro.dt: must be positive and finite")
+        if not 0 < self.t_end < math.inf:
+            raise ConfigError("micro.t_end: must be positive and finite")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError("micro.noise_sigma: must be >= 0 and finite")
         return self
 
 
@@ -82,8 +83,9 @@ class ExperimentConfig:
         _one_output_each("run.mu_sweep", self.mu_sweep,
                          [SWEEP_DIR % mu for mu in self.mu_sweep])
         si = self.sample_interval
-        if si <= 0:
-            raise ConfigError("run.sample_interval: must be positive")
+        if not 0 < si < math.inf:
+            raise ConfigError("run.sample_interval: must be positive and "
+                              "finite")
         # the run advances and records on the sampling clock only, so each
         # requested end and each snapshot must fall on one of its ticks
         for v in self.model_variants:
@@ -237,7 +239,8 @@ def _decode_mixture(section):
 
 
 def _parser():
-    parser = configparser.ConfigParser()
+    # values are literal: a "%" in output_dir is a character, not a lookup
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     return parser
 

@@ -39,16 +39,18 @@ class ContinuumParams:
     death_rate: float = 0.0
 
     def validate(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("continuum.dt: must be positive when given")
-        if self.t_end <= 0:
-            raise ConfigError("continuum.t_end: must be positive")
-        if self.eta_cutoff <= 0:
-            raise ConfigError("continuum.eta_cutoff: must be positive")
-        if self.diffusion_sigma < 0:
-            raise ConfigError("continuum.diffusion_sigma: must be >= 0")
-        if self.birth_rate < 0 or self.death_rate < 0:
-            raise ConfigError("continuum: birth/death rates must be >= 0")
+        # NaN fails every test here, as it fails the INI reader
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ConfigError("continuum.dt: must be positive and finite "
+                              "when given")
+        for key in ("t_end", "eta_cutoff"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ConfigError("continuum.%s: must be positive and finite"
+                                  % key)
+        for key in ("diffusion_sigma", "birth_rate", "death_rate"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ConfigError("continuum.%s: must be >= 0 and finite"
+                                  % key)
         return self
 
 
@@ -122,16 +124,6 @@ def _half_update(w, g, out):
     np.einsum("pt,pqtj->pqj", w[:, :2, -1], g[:, :, -2:], out=out[:, :, -1])
 
 
-# states a stepper keeps speeds for; a run steps at most two (its closures)
-_MEMO_ENTRIES = 4
-
-
-def _identity(arr):
-    # equal for any two views of one buffer with one layout, such as two
-    # values[None, None] of one PairField
-    return arr.__array_interface__["data"][0], arr.shape, arr.strides
-
-
 class ContinuumStepper:
     """Local Lax-Friedrichs step for k labels on one grid and operator.
 
@@ -178,18 +170,15 @@ class ContinuumStepper:
     floats, and the speeds pass streams g against a matrix that stays in
     cache.
 
-    The speeds that max_dt computes for a g are kept, one entry per
-    array, until the next advance of that array, so a caller that checks a
-    state before stepping it pays for one velocity pass, not two, even when
-    several states share the stepper.  The array must not change in
-    between.
+    advance steps at the speeds a that its caller gives it, and check
+    returns them with the state's bound, so a caller that checks a state
+    before stepping it pays for one velocity pass, not two.
     """
 
     def __init__(self, grid, operator, params):
         self.grid = grid
         self.params = params.validate()
         self.dmat = grid.difference_matrix(operator.d)
-        self._memo = {}     # identity of g -> (g, its speeds) from max_dt
         # a transposed block, then a birth term
         self._work = np.empty((grid.n_cells, grid.n_cells))
 
@@ -197,8 +186,9 @@ class ContinuumStepper:
         """Per-label speeds a (k, n) and row masses (k, n) of g."""
         return _speeds(g, self.dmat, self.grid.dx, self.params.eta_cutoff)
 
-    def max_dt(self, f, g):
-        """Realized stability bound of a state, and the state's total mass.
+    def check(self, f, g):
+        """Realized stability bound of a state, its speeds a (k, n) and its
+        total mass: (bound, a, mass).
 
         The bound is dx / (2 max|a|) at the state's own speeds, with the
         diffusion limit combined into it and capped by the death limit.
@@ -206,27 +196,21 @@ class ContinuumStepper:
         and is not finite whenever f or g holds a value that is not finite.
         """
         a, rows = self.speeds(g)
-        if len(self._memo) >= _MEMO_ENTRIES:
-            del self._memo[next(iter(self._memo))]
-        # g itself is kept so that its buffer, and with it the key, stays
-        # unique while the entry lives
-        self._memo[_identity(g)] = (g, a)
         mass = self.grid.dx * f.sum() + self.grid.dx * rows.sum()
         return _dt_bound(self.grid.dx, float(np.max(np.abs(a))),
-                         self.params), float(mass)
+                         self.params), a, float(mass)
 
-    def advance(self, f, g, dt):
-        """Advance (f, g) by dt; returns new arrays.
+    def advance(self, f, g, dt, a):
+        """Advance (f, g) by dt at the speeds a; returns new arrays.
 
-        Raises ConfigError unless 0 < dt < the realized bound of max_dt.
+        a is meant to be the speeds of g, as check or speeds returns them.
+        Raises ConfigError unless 0 < dt < the realized bound at a.
         """
         if dt is None:
             raise ConfigError("continuum: dt must be given for a step")
         params = self.params
         dx = self.grid.dx
         k = f.shape[0]
-        memo = self._memo.pop(_identity(g), None)
-        a = memo[1] if memo is not None else self.speeds(g)[0]
         bound = _dt_bound(dx, float(np.max(np.abs(a))), params)
         if not (dt > 0 and dt < bound):
             raise ConfigError("continuum: dt=%g violates 0 < dt < %g"
@@ -264,7 +248,6 @@ class ContinuumStepper:
         return f_new, g_new
 
 
-# each stepper may hold a few states' g for its speed memo, so keep few
 @lru_cache(maxsize=2)
 def _cached_stepper(grid, operator, params):
     return ContinuumStepper(grid, operator, params)
@@ -279,24 +262,30 @@ def stepper_for(grid, operator, params):
     return _cached_stepper(grid, operator, replace(params, dt=None))
 
 
-def step_unlabeled(f, g, operator, params):
+def step_unlabeled(f, g, operator, params, speeds=None):
     """Advance (f, g) one step; returns new fields on the same grid.
 
-    g.values must be bit-symmetric, as ContinuumStepper requires.
+    This is step_labeled with one label, so speeds, when given, are the
+    (1, n) speeds of g.  g.values must be bit-symmetric, as
+    ContinuumStepper requires.
     """
     if f.grid is not g.grid and f.grid.n_cells != g.grid.n_cells:
         raise ConfigError("continuum: f and g live on different grids")
-    f_new, g_new = stepper_for(f.grid, operator, params).advance(
-        f.values[None, :], g.values[None, None, :, :], params.dt)
-    return ScalarField(f.grid, f_new[0]), PairField(f.grid, g_new[0, 0])
+    out = step_labeled(LabeledFields(f.grid, f.values[None],
+                                     g.values[None, None]),
+                       operator, params, speeds=speeds)
+    return ScalarField(f.grid, out.f[0]), PairField(f.grid, out.g[0, 0])
 
 
-def step_labeled(fields, operator, params):
+def step_labeled(fields, operator, params, speeds=None):
     """Advance labeled (f, g) one step; label p transports with its own speed.
 
     fields.g must be bit-symmetric, g[q, p] == g[p, q].T, as
-    ContinuumStepper requires.
+    ContinuumStepper requires.  speeds, the (k, n) speeds of fields.g, are
+    computed from it when not given.
     """
-    f_new, g_new = stepper_for(fields.grid, operator, params).advance(
-        fields.f, fields.g, params.dt)
+    stepper = stepper_for(fields.grid, operator, params)
+    if speeds is None:
+        speeds = stepper.speeds(fields.g)[0]
+    f_new, g_new = stepper.advance(fields.f, fields.g, params.dt, speeds)
     return LabeledFields(fields.grid, f_new, g_new)

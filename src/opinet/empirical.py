@@ -305,7 +305,8 @@ def empirical_f(omega, grid):
     omega = np.asarray(omega, dtype=float)
     if omega.size == 0:
         raise ConfigError("empirical: no opinions to bin")
-    if omega.min() < -1.0 or omega.max() > 1.0:
+    # NaN fails the range test
+    if not np.all(np.abs(omega) <= 1.0):
         raise ConfigError("empirical: opinions must lie in [-1, 1]")
     counts, _ = np.histogram(omega, bins=grid.edges)
     return ScalarField(grid, counts / (omega.size * grid.dx))

@@ -45,35 +45,38 @@ def _chunked_dt(sample_interval, dt_target):
 
 
 def _one_group(f, g):
-    # the unlabeled fields as labeled ones with k = 1; the [None, None] view
-    # keeps the identity that the stepper's speed memo keys on
+    # the unlabeled fields as labeled ones with k = 1
     return LabeledFields(f.grid, f.values[None], g.values[None, None])
 
 
 # lift: (config, graph, omega, grid, community shares, bandwidth) ->
-# LabeledFields; step: (state, operator, params) -> state; per_label: the
-# snapshot adds one f_<name>_<p> column per label
+# LabeledFields; step: (state, operator, params, speeds) -> state, with the
+# state's speeds from ContinuumStepper.check; per_label: the snapshot adds
+# one f_<name>_<p> column per label
 _Closure = namedtuple("_Closure", "lift step per_label")
 
 # The continuum closures of config.MODEL_VARIANTS, in the order a run
 # lifts, steps and snapshots them; the first one requested records the
 # pair-density moments.  The entries look the package functions up when
 # called, not when the table is built, so a wrapper set on this module or
-# on MixtureSpec after import sees every call.
+# on MixtureSpec after import sees every call.  The speeds go by keyword,
+# so such a wrapper sees three or four positional arguments, the ones
+# perfbench's trace probes unpack.
 _CLOSURES = {
     "cont_unlabeled": _Closure(
         lambda config, graph, omega, grid, shares, bandwidth: _one_group(
             config.mixture.cell_averages(grid, shares),
             empirical_g_kde(graph, omega, grid, bandwidth)),
-        lambda s, operator, p: _one_group(*step_unlabeled(
+        lambda s, operator, p, speeds: _one_group(*step_unlabeled(
             ScalarField(s.grid, s.f[0]), PairField(s.grid, s.g[0, 0]),
-            operator, p)),
+            operator, p, speeds=speeds)),
         False),
     "cont_labeled": _Closure(
         lambda config, graph, omega, grid, shares, bandwidth: LabeledFields(
             grid, config.mixture.weighted_cell_averages(grid, shares),
             split_by_group(graph, omega, grid, bandwidth).g),
-        lambda s, operator, p: step_labeled(s, operator, p),
+        lambda s, operator, p, speeds: step_labeled(s, operator, p,
+                                                    speeds=speeds),
         True),
 }
 
@@ -189,14 +192,17 @@ class _ContinuumVariant:
 
     def _take(self, dt, t, dts):
         self.state = self._closure.step(self.state, self._operator,
-                                        replace(self._params, dt=dt))
+                                        replace(self._params, dt=dt),
+                                        self._speeds)
         self._steps += 1
         dts.append(dt)
         self._bound = self._check(t)
 
     def _check(self, t):
-        # the realized bound's reductions double as the finiteness check
-        bound, mass = self._stepper.max_dt(self.state.f, self.state.g)
+        # the realized bound's reductions double as the finiteness check;
+        # the speeds are kept for the state's next step
+        bound, self._speeds, mass = self._stepper.check(self.state.f,
+                                                        self.state.g)
         if not np.isfinite(mass):
             raise SimulationError(
                 "%s: step %d returned a non-finite state at t=%.6g"

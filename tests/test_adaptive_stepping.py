@@ -21,24 +21,34 @@ def cont_config(t_end=1.0, **continuum):
 
 def record_steps(monkeypatch):
     """Wrap the runner's step functions; returns the list of
-    (variant, dt, max|a| of the state the step advances, params) they see."""
+    (variant, dt, max|a| of the state the step advances, params) they see.
+
+    The runner must pass the speeds by keyword, after the 3 or 4
+    positional arguments that perfbench's trace probes unpack, and they
+    must be the speeds of the state, bit for bit."""
     seen = []
     step_unlabeled, step_labeled = runner.step_unlabeled, runner.step_labeled
 
-    def speed(g4, grid, operator, params):
+    def speed(g4, grid, operator, params, speeds):
         a, _ = stepper_for(grid, operator, params).speeds(g4)
+        assert np.array_equal(speeds.view(np.int64), a.view(np.int64))
         return float(np.max(np.abs(a)))
 
-    def unlabeled(f, g, operator, params):
+    def unlabeled(*args, speeds):
+        assert len(args) == 4
+        f, g, operator, params = args
         seen.append(("cont_unlabeled", params.dt,
-                     speed(g.values[None, None], f.grid, operator, params),
-                     params))
-        return step_unlabeled(f, g, operator, params)
+                     speed(g.values[None, None], f.grid, operator, params,
+                           speeds), params))
+        return step_unlabeled(*args, speeds=speeds)
 
-    def labeled(fields, operator, params):
+    def labeled(*args, speeds):
+        assert len(args) == 3
+        fields, operator, params = args
         seen.append(("cont_labeled", params.dt,
-                     speed(fields.g, fields.grid, operator, params), params))
-        return step_labeled(fields, operator, params)
+                     speed(fields.g, fields.grid, operator, params, speeds),
+                     params))
+        return step_labeled(*args, speeds=speeds)
 
     monkeypatch.setattr(runner, "step_unlabeled", unlabeled)
     monkeypatch.setattr(runner, "step_labeled", labeled)
@@ -125,8 +135,8 @@ def test_non_finite_state_fails_with_its_step_and_time(monkeypatch):
     step_labeled = runner.step_labeled
     clock = []
 
-    def poisoned(fields, operator, params):
-        out = step_labeled(fields, operator, params)
+    def poisoned(fields, operator, params, speeds):
+        out = step_labeled(fields, operator, params, speeds=speeds)
         clock.append(params.dt)
         if len(clock) == 5:
             out.g[1, 2, 40, 7] = np.nan
@@ -146,8 +156,8 @@ def test_a_negative_cell_fails_the_run_at_its_sample(monkeypatch):
     _, steps = _chunked_dt(config.sample_interval, 0.004)
     clock = []
 
-    def negative(fields, operator, params):
-        out = step_labeled(fields, operator, params)
+    def negative(fields, operator, params, speeds):
+        out = step_labeled(fields, operator, params, speeds=speeds)
         clock.append(params.dt)
         if len(clock) == 2 * steps:
             # the last step of the second interval leaves a mirrored pair

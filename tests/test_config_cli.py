@@ -240,6 +240,43 @@ def test_non_finite_float_is_refused_by_name(tmp_path, capsys, section, key,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS,
+                         ids=[".".join(k) for k in FLOAT_KEYS])
+def test_a_non_finite_dataclass_float_is_refused_by_name(section, key,
+                                                         value):
+    # the Python API refuses what the INI reader refuses
+    config = small_config("unused")
+    if config_module._KEYS[section][key] is config_module._FLOATS:
+        value = (value,)
+    if section == "run":
+        config = replace(config, **{key: value})
+    else:
+        config = replace(config, **{section: replace(
+            getattr(config, section), **{key: value})})
+    with pytest.raises(ConfigError, match=r"^%s\.%s: " % (section, key)):
+        config.validate()
+
+
+@pytest.mark.parametrize("out", ["res%1", "a%%b", "out%20dir"])
+def test_a_percent_sign_in_output_dir_is_literal(tmp_path, out):
+    cfg = small_config(tmp_path / out)
+    text = saved_text(cfg, tmp_path)
+    assert "output_dir = %s\n" % (tmp_path / out) in text
+    assert loaded(text, tmp_path) == cfg
+
+
+def test_a_run_into_a_percent_directory_writes_its_config(tmp_path):
+    cfg_path = tmp_path / "cfg.ini"
+    save_config(replace(small_config(tmp_path / "out%20dir"),
+                        snapshot_times=(0.5,)), cfg_path)
+    out = tmp_path / "res%1"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert load_config(out / "config.ini").output_dir == str(out)
+    assert (out / "snapshot_t0.5.tsv").exists()
+    assert not (tmp_path / "out%20dir").exists()
+
+
 @pytest.mark.parametrize("component", ["nan:-0.5:0.05", "1.0:inf:0.05",
                                        "1.0:-0.5:inf", "1.0:-0.5:nan"])
 def test_non_finite_mixture_component_is_refused_by_name(tmp_path, capsys,

@@ -9,12 +9,10 @@ from opinet import (ConfigError, ContinuumParams, DebateOperator, GraphConfig,
                     ensure_connected, generate_community_graph,
                     graph_from_pairs, sample_initial_opinions, split_by_group,
                     step_labeled, step_unlabeled)
-from opinet import continuum
 from opinet.continuum import ContinuumStepper, stepper_for
 from oracles import eta_discrete, llf_flux_f, llf_flux_g
 
 LIN = DebateOperator.linear()
-speeds_of = continuum._speeds
 
 
 def speeds(g, grid):
@@ -324,34 +322,12 @@ def test_a_shared_stepper_leaks_nothing_between_states():
     rng = np.random.default_rng(11)
     for k in (1, 3, 1, 3, 3, 1, 1):
         f, g = random_state(rng, grid, k)
-        dt = 0.5 * shared.max_dt(f, g)[0]
-        f1, g1 = shared.advance(f, g, dt)
-        f2, g2 = ContinuumStepper(grid, LIN, params).advance(f, g, dt)
+        bound, a, _ = shared.check(f, g)
+        f1, g1 = shared.advance(f, g, 0.5 * bound, a)
+        fresh = ContinuumStepper(grid, LIN, params)
+        f2, g2 = fresh.advance(f, g, 0.5 * bound, fresh.speeds(g)[0])
         assert np.array_equal(f1.view(np.int64), f2.view(np.int64))
         assert np.array_equal(g1.view(np.int64), g2.view(np.int64))
-
-
-def test_an_evicted_speed_memo_entry_is_recomputed(monkeypatch):
-    # the memo keeps the speeds of the last four states that max_dt saw
-    passes = []
-    monkeypatch.setattr(continuum, "_speeds",
-                        lambda *args: passes.append(1) or speeds_of(*args))
-    grid = Grid(29)
-    params = ContinuumParams(diffusion_sigma=1e-3)
-    stepper = ContinuumStepper(grid, LIN, params)
-    rng = np.random.default_rng(4)
-    states = [random_state(rng, grid, k) for k in (1, 3, 1, 3, 1)]
-    dts = [0.5 * stepper.max_dt(f, g)[0] for f, g in states]
-    assert len(passes) == 5
-    for i in (0, 4):
-        f, g = states[i]
-        f1, g1 = stepper.advance(f, g, dts[i])
-        f2, g2 = ContinuumStepper(grid, LIN, params).advance(f, g, dts[i])
-        assert np.array_equal(f1.view(np.int64), f2.view(np.int64))
-        assert np.array_equal(g1.view(np.int64), g2.view(np.int64))
-    # the fifth state evicted the first, so only the first is recomputed,
-    # besides the two fresh steppers' passes
-    assert len(passes) == 5 + 1 + 2
 
 
 def traced(call):
@@ -381,9 +357,9 @@ def test_a_step_allocates_only_its_outputs():
     # transpose and are written back transposed
     for k in (1, 3):
         f, g = random_state(np.random.default_rng(5), grid, k)
-        dt = 0.5 * stepper.max_dt(f, g)[0]
-        stepper.advance(f, g, dt)
-        out, _, peak = traced(lambda: stepper.advance(f, g, dt))
+        bound, a, _ = stepper.check(f, g)
+        stepper.advance(f, g, 0.5 * bound, a)
+        out, _, peak = traced(lambda: stepper.advance(f, g, 0.5 * bound, a))
         assert out[1].shape == g.shape
         # the new f and g, and O(n) bytes of speeds and face weights; one
         # n x n temporary alone would be six times the margin

@@ -149,6 +149,13 @@ def test_empirical_f_rejects_out_of_range():
         empirical_f(np.array([0.0, 1.5]), Grid(8))
 
 
+def test_empirical_f_rejects_nan_opinions():
+    # min and max comparisons pass NaN, which np.histogram then drops, so
+    # the density would lose a third of its mass
+    with pytest.raises(ConfigError, match=r"lie in \[-1, 1\]"):
+        empirical_f(np.array([0.1, np.nan, 0.3]), Grid(10))
+
+
 def test_kde_mass_and_symmetry():
     g = crossing_graph(seed=2)
     om = sample_initial_opinions(g, MixtureSpec.crossing(),

@@ -166,8 +166,9 @@ def test_bad_operator_is_refused_before_set_up(monkeypatch):
 
 
 def test_a_run_takes_one_velocity_pass_per_step(monkeypatch):
-    # max_dt keeps the speeds of the state it checks for the step that
-    # follows, so each closure pays one pass per step plus its first check
+    # check returns the speeds of the state it checks, which the runner
+    # passes to the step that follows, so each closure pays one pass per
+    # step plus its first check
     speeds = opinet.continuum._speeds
     passes = []
     monkeypatch.setattr(opinet.continuum, "_speeds",

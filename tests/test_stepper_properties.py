@@ -4,8 +4,10 @@ The reference is the k^2 block update assembled from the flux functions
 llf_flux_f / llf_flux_g, the padded zero-flux second difference and the
 birth-death splitting stage in tests/oracles.py, with the stepper's speeds.
 The step must also equal, bit for bit, the one with each row's update
-formed as three row-scaled products, and keep every cell nonnegative up to
-0.99 of the realized bound.
+formed as three row-scaled products, at whatever speeds it is given, and
+keep every cell nonnegative up to 0.99 of the realized bound.  The step
+functions given the speeds that check returns must equal the ones that
+compute them.
 """
 
 from dataclasses import replace
@@ -83,7 +85,7 @@ def states(draw):
 def test_stepper_matches_the_flux_reference(state):
     grid, f, g, name, params = state
     operator = OPERATORS[name]
-    bound, _ = stepper_for(grid, operator, params).max_dt(f, g)
+    bound, _, _ = stepper_for(grid, operator, params).check(f, g)
     # 0.9 of the realized bound, or any step when nothing limits it
     dt = 0.9 * bound if np.isfinite(bound) else 0.1
     params = replace(params, dt=dt)
@@ -127,13 +129,51 @@ def test_the_step_matches_three_products_bit_for_bit(state):
     # form the same products and sums
     grid, f, g, name, params = state
     stepper = ContinuumStepper(grid, OPERATORS[name], params)
-    bound, _ = stepper.max_dt(f, g)
+    bound, a, _ = stepper.check(f, g)
     dt = 0.9 * bound if np.isfinite(bound) else 0.1
-    a = stepper.speeds(g)[0]
-    f_new, g_new = stepper.advance(f, g, dt)
+    f_new, g_new = stepper.advance(f, g, dt, a)
     f_ref, g_ref = three_point_transport(f, g, a, dt, grid.dx, params)
     assert np.array_equal(f_new.view(np.int64), f_ref.view(np.int64))
     assert np.array_equal(g_new.view(np.int64), g_ref.view(np.int64))
+
+
+@settings(max_examples=100)
+@given(states(), st.integers(0, 2 ** 32 - 1))
+def test_advance_follows_the_speeds_it_is_given(state, seed):
+    # speeds of another state on the same grid: advance must step at them,
+    # not at speeds of its own
+    grid, f, g, name, params = state
+    k, n = f.shape
+    stepper = ContinuumStepper(grid, OPERATORS[name], params)
+    other = np.random.default_rng(seed).uniform(0.0, 1.0, (k, k, n, n))
+    bound, a, _ = stepper.check(f, other + other.transpose(1, 0, 3, 2))
+    dt = 0.9 * bound if np.isfinite(bound) else 0.1
+    f_new, g_new = stepper.advance(f, g, dt, a)
+    f_ref, g_ref = three_point_transport(f, g, a, dt, grid.dx, params)
+    assert np.array_equal(f_new.view(np.int64), f_ref.view(np.int64))
+    assert np.array_equal(g_new.view(np.int64), g_ref.view(np.int64))
+
+
+@settings(max_examples=100)
+@given(states().filter(lambda s: s[1].shape[0] in (1, 3)))
+def test_given_speeds_step_as_computed_ones(state):
+    # the runner passes the speeds of check; a one-shot call computes them
+    grid, f, g, name, params = state
+    operator = OPERATORS[name]
+    bound, a, _ = stepper_for(grid, operator, params).check(f, g)
+    params = replace(params, dt=0.9 * bound if np.isfinite(bound) else 0.1)
+    if f.shape[0] == 1:
+        args = (ScalarField(grid, f[0]), PairField(grid, g[0, 0]), operator,
+                params)
+        (fa, ga), (fb, gb) = (step_unlabeled(*args, speeds=a),
+                              step_unlabeled(*args))
+        pairs = [(fa.values, fb.values), (ga.values, gb.values)]
+    else:
+        args = (LabeledFields(grid, f, g), operator, params)
+        explicit, computed = step_labeled(*args, speeds=a), step_labeled(*args)
+        pairs = [(explicit.f, computed.f), (explicit.g, computed.g)]
+    for x, y in pairs:
+        assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 @settings(max_examples=200)
@@ -143,9 +183,9 @@ def test_a_step_near_the_bound_stays_positive_and_symmetric(state):
     # nonnegative up to the bound
     grid, f, g, name, params = state
     stepper = ContinuumStepper(grid, OPERATORS[name], params)
-    bound, _ = stepper.max_dt(f, g)
+    bound, a, _ = stepper.check(f, g)
     dt = 0.99 * bound if np.isfinite(bound) else 0.1
-    f_new, g_new = stepper.advance(f, g, dt)
+    f_new, g_new = stepper.advance(f, g, dt, a)
     assert f_new.min() >= 0.0 and g_new.min() >= 0.0
     k = f.shape[0]
     for p in range(k):

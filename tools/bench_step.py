@@ -6,15 +6,16 @@
 For each grid size n (by default 101, 202 and 404 cells), each label
 count k (by default 1 and 3), and the physics off (no diffusion, no
 birth-death) or on (diffusion_sigma = 1e-3, birth and death rates 0.1),
-it times a ContinuumStepper's max_dt + advance pair as the runner takes
-them, each step at 0.9 of the realized bound of the state it advances,
+it times a ContinuumStepper's check + advance pair as the runner takes
+them, advance at the speeds that check returns, each step at 0.9 of the realized bound of the state it advances,
 starting from a random state with g[q, p] = g[p, q].T.  Each repeat runs
 every case in a fresh subprocess for about S seconds and gives one time
 per step per case.  The table shows the median and quartiles of the
 repeats, in ms per step.  With --ref, the ref is extracted with `git
 archive` and the repeats alternate between its tree and this one, and
 which of them goes first; the table then shows both and the ratio of the
-medians.  Stdlib and numpy only.
+medians.  A ref whose stepper has no check is timed on its max_dt +
+advance pair.  Stdlib and numpy only.
 """
 
 import argparse
@@ -55,9 +56,16 @@ def time_cases(sizes, labels, seconds):
         f /= grid.dx * f.sum()
         g /= grid.dx ** 2 * g.sum()
 
-        def step(f, g):
-            bound, _ = stepper.max_dt(f, g)
-            return stepper.advance(f, g, SAFETY * bound)
+        if hasattr(stepper, "check"):
+            def step(f, g):
+                bound, a, _ = stepper.check(f, g)
+                return stepper.advance(f, g, SAFETY * bound, a)
+        else:
+            # a --ref tree from before the speeds were explicit, whose
+            # max_dt kept them for the advance of the same g
+            def step(f, g):
+                bound, _ = stepper.max_dt(f, g)
+                return stepper.advance(f, g, SAFETY * bound)
 
         for _ in range(2):
             f, g = step(f, g)
