@@ -47,7 +47,7 @@ def _resolve_config(args):
         config.output_dir = args.out
     if args.seed is not None:
         config.seed = args.seed
-    if getattr(args, "mus", None):
+    if getattr(args, "mus", None) is not None:
         try:
             config.mu_sweep = tuple(float(s) for s in args.mus.split(",")
                                     if s.strip())

@@ -175,18 +175,20 @@ class MixtureSpec:
             if not comps:
                 raise ConfigError("mixture: empty component list")
             for w, c, s in comps:
-                if w <= 0:
-                    raise ConfigError("mixture: component weights must be positive")
-                if s <= 0:
-                    raise ConfigError("mixture: component sigma must be positive")
+                name = "mixture: component %g:%g:%g" % (w, c, s)
+                if not 0 < w < math.inf:
+                    raise ConfigError(name + ": weight must be positive "
+                                      "and finite")
+                if not 0 < s < math.inf:
+                    raise ConfigError(name + ": sigma must be positive "
+                                      "and finite")
                 if not -1.0 <= c <= 1.0:
-                    raise ConfigError("mixture: component centers lie in [-1, 1]")
+                    raise ConfigError(name + ": center must lie in [-1, 1]")
                 lo, hi = _normal_cdf(np.array([-1.0 - c, 1.0 - c]) / s)
                 if not hi - lo >= _MIN_IN_RANGE_MASS:
-                    raise ConfigError(
-                        "mixture: component %g:%g:%g keeps mass %.3g "
-                        "inside [-1, 1], below %g"
-                        % (w, c, s, hi - lo, _MIN_IN_RANGE_MASS))
+                    raise ConfigError("%s keeps mass %.3g inside [-1, 1], "
+                                      "below %g" % (name, hi - lo,
+                                                    _MIN_IN_RANGE_MASS))
 
     @property
     def n_groups(self):
@@ -458,22 +460,22 @@ def split_by_group(graph, omega, grid, bandwidth):
                          _lift_g(graph, rows, grid, graph.community - 1, k))
 
 
-def _silverman(data):
-    sd = float(np.std(data, ddof=1))
-    if sd == 0.0:
-        raise ConfigError("bandwidth: sample is degenerate")
-    return 1.06 * sd * data.size ** (-0.2)
-
-
 def bandwidth_select(data, method="silverman"):
     """Gaussian-KDE bandwidth for a 1-D sample.
 
     The only method is 'silverman', the normal-reference rule
-    1.06 sd n^(-1/5).  Needs at least two samples with spread.
+    1.06 sd n^(-1/5).  Needs at least two finite samples, not all equal.
     """
     if method != "silverman":
         raise ConfigError("bandwidth: unknown method %r" % (method,))
     data = np.asarray(data, dtype=float).ravel()
     if data.size < 2:
         raise ConfigError("bandwidth: need at least two samples")
-    return _silverman(data)
+    # min and max carry a NaN through, so they check finiteness as well;
+    # an all-equal sample can have a tiny nonzero sd from its rounded mean
+    lo, hi = float(data.min()), float(data.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError("bandwidth: sample has a value that is not finite")
+    if lo == hi:
+        raise ConfigError("bandwidth: sample is degenerate")
+    return 1.06 * float(np.std(data, ddof=1)) * data.size ** (-0.2)

@@ -14,18 +14,6 @@ import numpy as np
 from .errors import ConfigError
 
 
-# products, not np.power, which takes the general pow path and is ~100x
-# slower; -z * -z equals z * z, so D stays odd and W even bit for bit
-def _quartic_d(z):
-    z = np.asarray(z, dtype=float)
-    return -(z * z * z)
-
-
-def _quartic_w(z):
-    z = np.asarray(z, dtype=float)
-    return 0.25 * ((z * z) * (z * z))
-
-
 @dataclass(frozen=True)
 class DebateOperator:
     """Interaction rule D with its potential W and a bound on |D'|.
@@ -44,39 +32,6 @@ class DebateOperator:
         return cls(d=lambda z: -np.asarray(z, dtype=float),
                    w=lambda z: 0.5 * np.square(z),
                    lipschitz=1.0)
-
-    @classmethod
-    def quartic(cls):
-        # W(z) = z^4 / 4 on differences in (-2, 2); |W''| <= 12 there
-        return cls(d=_quartic_d, w=_quartic_w, lipschitz=12.0)
-
-    @classmethod
-    def zero(cls):
-        return cls(d=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-                   w=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-                   lipschitz=0.0)
-
-    def validate(self):
-        """Sample-based sanity checks: D odd nonincreasing, W even, W(0)=0."""
-        # opinions in [-1, 1] differ by at most 2
-        z = np.linspace(-2.0, 2.0, 401)
-        dz = np.asarray(self.d(z), dtype=float)
-        wz = np.asarray(self.w(z), dtype=float)
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(dz))))
-        if abs(float(self.d(np.asarray(0.0)))) > tol:
-            raise ConfigError("operator: D(0) must vanish")
-        if np.max(np.abs(dz + dz[::-1])) > tol:
-            raise ConfigError("operator: D must be odd")
-        if np.any(np.diff(dz) > tol):
-            raise ConfigError("operator: D must be nonincreasing")
-        wtol = 1e-10 * max(1.0, float(np.max(np.abs(wz))))
-        if abs(float(self.w(np.asarray(0.0)))) > wtol:
-            raise ConfigError("operator: W(0) must vanish")
-        if np.max(np.abs(wz - wz[::-1])) > wtol:
-            raise ConfigError("operator: W must be even")
-        if self.lipschitz < 0 or not np.isfinite(self.lipschitz):
-            raise ConfigError("operator: lipschitz bound must be finite and >= 0")
-        return self
 
 
 def _edge_differences(graph, omega):

@@ -49,34 +49,36 @@ def _one_group(f, g):
     return LabeledFields(f.grid, f.values[None], g.values[None, None])
 
 
+# the debate operator of every run: the paper's consensus model D(z) = -z
+_OPERATOR = DebateOperator.linear()
+
 # lift: (config, graph, omega, grid, community shares, bandwidth) ->
-# LabeledFields; step: (state, operator, params, speeds) -> state, with the
-# state's speeds from ContinuumStepper.check; per_label: the snapshot adds
-# one f_<name>_<p> column per label
+# LabeledFields; step: (state, params, speeds) -> state, with the state's
+# speeds from ContinuumStepper.check; per_label: the snapshot adds one
+# f_<name>_<p> column per label
 _Closure = namedtuple("_Closure", "lift step per_label")
 
 # The continuum closures of config.MODEL_VARIANTS, in the order a run
 # lifts, steps and snapshots them; the first one requested records the
 # pair-density moments.  The entries look the package functions up when
 # called, not when the table is built, so a wrapper set on this module or
-# on MixtureSpec after import sees every call.  The speeds go by keyword,
-# so such a wrapper sees three or four positional arguments, the ones
-# perfbench's trace probes unpack.
+# on MixtureSpec after import sees every call.  The operator goes third
+# and the speeds by keyword, so such a wrapper sees three or four
+# positional arguments, the ones perfbench's trace probes unpack.
 _CLOSURES = {
     "cont_unlabeled": _Closure(
         lambda config, graph, omega, grid, shares, bandwidth: _one_group(
             config.mixture.cell_averages(grid, shares),
             empirical_g_kde(graph, omega, grid, bandwidth)),
-        lambda s, operator, p, speeds: _one_group(*step_unlabeled(
+        lambda s, p, speeds: _one_group(*step_unlabeled(
             ScalarField(s.grid, s.f[0]), PairField(s.grid, s.g[0, 0]),
-            operator, p, speeds=speeds)),
+            _OPERATOR, p, speeds=speeds)),
         False),
     "cont_labeled": _Closure(
         lambda config, graph, omega, grid, shares, bandwidth: LabeledFields(
             grid, config.mixture.weighted_cell_averages(grid, shares),
             split_by_group(graph, omega, grid, bandwidth).g),
-        lambda s, operator, p, speeds: step_labeled(s, operator, p,
-                                                    speeds=speeds),
+        lambda s, p, speeds: step_labeled(s, _OPERATOR, p, speeds=speeds),
         True),
 }
 
@@ -112,10 +114,9 @@ class _MicroVariant:
     """The agent-based model: step = (dt, steps) Euler-Maruyama steps per
     sample interval."""
 
-    def __init__(self, config, graph, omega, grid, operator, step):
+    def __init__(self, config, graph, omega, grid, step):
         self.t_end = config.micro.t_end
         self._graph, self._omega, self._grid = graph, omega, grid
-        self._operator = operator
         self._sigma = config.micro.noise_sigma
         self._dt, self._steps = step
         self._rng = default_rng(config.seeds()["noise"])
@@ -123,14 +124,14 @@ class _MicroVariant:
     def advance(self, t_start, interval):
         for _ in range(self._steps):
             self._omega = euler_maruyama_step(
-                self._graph, self._omega, self._operator, self._dt,
+                self._graph, self._omega, _OPERATOR, self._dt,
                 self._sigma, self._rng)
 
     def record(self, k, series):
         graph, omega = self._graph, self._omega
         series["E_micro"][k] = e_micro(graph, omega)
         series["conserved_micro"][k] = conserved_quantity(graph, omega)
-        series["V_micro"][k] = potential_v(graph, omega, self._operator)
+        series["V_micro"][k] = potential_v(graph, omega, _OPERATOR)
 
     def snapshot(self, cols):
         cols["f_micro"] = empirical_f(self._omega, self._grid).values
@@ -148,13 +149,11 @@ class _ContinuumVariant:
     with moments set also records the pair-density moments.
     """
 
-    def __init__(self, name, state, operator, params, stepper, fixed,
-                 moments):
+    def __init__(self, name, state, params, stepper, fixed, moments):
         self.name = name
         self.state = state
         self.t_end = params.t_end
         self._closure = _CLOSURES[name]
-        self._operator = operator
         self._params = params
         self._stepper = stepper
         self._fixed = fixed
@@ -191,7 +190,7 @@ class _ContinuumVariant:
                    t_start + interval))
 
     def _take(self, dt, t, dts):
-        self.state = self._closure.step(self.state, self._operator,
+        self.state = self._closure.step(self.state,
                                         replace(self._params, dt=dt),
                                         self._speeds)
         self._steps += 1
@@ -214,7 +213,7 @@ class _ContinuumVariant:
         if self._moments:
             g = PairField(self.state.grid, self.state.g_total())
             series["g_first_moment"][k] = first_moment(g)
-            series["lyapunov_tilde"][k] = lyapunov_tilde(g, self._operator)
+            series["lyapunov_tilde"][k] = lyapunov_tilde(g, _OPERATOR)
 
     def snapshot(self, cols):
         cols["f_" + self.name] = self.state.f_total()
@@ -235,10 +234,10 @@ def _checked_step(config, key, dt, bound, closed):
     return step
 
 
-def _preflight(config, operator):
-    """(operator, micro step, fixed continuum step) of a run, all checked
-    before any set-up; operator None is the linear operator, and a step
-    is None when its variants do not run or, for continuum, dt is unset.
+def _preflight(config):
+    """(micro step, fixed continuum step) of a run, both checked before
+    any set-up; a step is None when its variants do not run or, for
+    continuum, dt is unset.
 
     euler_step allows a step equal to step_size_bound.  A fixed continuum
     step must be stable for every state, not only the first, so it must
@@ -246,37 +245,34 @@ def _preflight(config, operator):
     does not depend on the mixing parameter.
     """
     config.validate()
-    if operator is None:
-        operator = DebateOperator.linear()
-    operator.validate()
     sections = {MODEL_VARIANTS[v] for v in config.model_variants}
     micro = fixed = None
     if "micro" in sections:
         micro = _checked_step(config, "micro.dt", config.micro.dt,
-                              step_size_bound(operator), True)
+                              step_size_bound(_OPERATOR), True)
     params = config.continuum
     if "continuum" in sections and params.dt is not None:
         fixed = _checked_step(config, "continuum.dt", params.dt,
-                              cfl_max_dt(Grid(config.grid_size), operator,
+                              cfl_max_dt(Grid(config.grid_size), _OPERATOR,
                                          params), False)
-    return operator, micro, fixed
+    return micro, fixed
 
 
-def run_experiment(config, operator=None, write_outputs=True):
+def run_experiment(config):
     """Run the configured experiment; returns the RunReport.
 
-    When write_outputs is set, report.tsv, the resolved config, and any
-    requested snapshots land in config.output_dir.
+    report.tsv, the resolved config, and any requested snapshots land in
+    config.output_dir.
     """
-    operator, micro_step, fixed = _preflight(config, operator)
+    micro_step, fixed = _preflight(config)
     graph, omega, grid, fields = build_initial_state(config)
-    micro = ([_MicroVariant(config, graph, omega, grid, operator, micro_step)]
+    micro = ([_MicroVariant(config, graph, omega, grid, micro_step)]
              if micro_step is not None else [])
     cont = []
     if fields:
-        stepper = stepper_for(grid, operator, config.continuum)
-        cont = [_ContinuumVariant(name, state, operator, config.continuum,
-                                  stepper, fixed, i == 0)
+        stepper = stepper_for(grid, _OPERATOR, config.continuum)
+        cont = [_ContinuumVariant(name, state, config.continuum, stepper,
+                                  fixed, i == 0)
                 for i, (name, state) in enumerate(fields.items())]
     variants = micro + cont
 
@@ -305,13 +301,12 @@ def run_experiment(config, operator=None, write_outputs=True):
 
     report = RunReport(series, {v.name: v.dts for v in cont})
 
-    if write_outputs:
-        os.makedirs(config.output_dir, exist_ok=True)
-        report.write_tsv(os.path.join(config.output_dir, "report.tsv"))
-        save_config(config, os.path.join(config.output_dir, "config.ini"))
-        for k, cols in snapshots.items():
-            path = os.path.join(config.output_dir, SNAPSHOT_FILE % times[k])
-            write_table(path, cols.keys(), cols.values())
+    os.makedirs(config.output_dir, exist_ok=True)
+    report.write_tsv(os.path.join(config.output_dir, "report.tsv"))
+    save_config(config, os.path.join(config.output_dir, "config.ini"))
+    for k, cols in snapshots.items():
+        path = os.path.join(config.output_dir, SNAPSHOT_FILE % times[k])
+        write_table(path, cols.keys(), cols.values())
     return report
 
 
@@ -325,19 +320,19 @@ def _fit_or_nan(times, values, t_lo):
         return np.nan, np.nan
 
 
-def run_mu_sweep(config, operator=None, write_outputs=True):
+def run_mu_sweep(config):
     """Run the experiment per mixing value; fit decay rates per variant.
 
-    The operator, the micro step and a fixed continuum.dt are checked
-    once, before the first value.  Each mixing value gets its own derived
-    seed.  A failing value is reported with NaN rates and the sweep
-    continues.  Returns (rows, failures): rows are dicts keyed by
-    RATE_COLUMNS, failures (mu, message) pairs.  With write_outputs, the
-    rates go to rates.tsv and the failures, one (mu, message) row each, to
-    failures.tsv, which has only its header when every value ran.
+    The micro step and a fixed continuum.dt are checked once, before the
+    first value.  Each mixing value gets its own derived seed.  A failing
+    value is reported with NaN rates and the sweep continues.  Returns
+    (rows, failures): rows are dicts keyed by RATE_COLUMNS, failures (mu,
+    message) pairs.  The rates go to rates.tsv and the failures, one (mu,
+    message) row each, to failures.tsv, which has only its header when
+    every value ran.
     """
     # a step that fails one mixing value fails them all
-    operator, _, _ = _preflight(config, operator)
+    _preflight(config)
     if not config.mu_sweep:
         raise ConfigError("sweep: config.mu_sweep is empty")
     rows = []
@@ -350,8 +345,7 @@ def run_mu_sweep(config, operator=None, write_outputs=True):
         row = {name: np.nan for name in RATE_COLUMNS}
         row["mu"] = mu
         try:
-            report = run_experiment(sub, operator=operator,
-                                    write_outputs=write_outputs)
+            report = run_experiment(sub)
             t_lo = 0.2 * float(report.t[-1])
             for name in _ERROR_SERIES:
                 rate, err = _fit_or_nan(report.t, report.series[name], t_lo)
@@ -360,15 +354,13 @@ def run_mu_sweep(config, operator=None, write_outputs=True):
         except (ConfigError, SimulationError) as exc:
             failures.append((mu, str(exc)))
         rows.append(row)
-    if write_outputs:
-        os.makedirs(config.output_dir, exist_ok=True)
-        write_table(os.path.join(config.output_dir, "rates.tsv"),
-                    RATE_COLUMNS, [[row[c] for row in rows]
-                                   for c in RATE_COLUMNS])
-        write_table(os.path.join(config.output_dir, "failures.tsv"),
-                    ("mu", "message"), [[mu for mu, _ in failures],
-                                        [text for _, text in failures]])
-        _write_gnuplot(os.path.join(config.output_dir, "rates.gp"))
+    os.makedirs(config.output_dir, exist_ok=True)
+    write_table(os.path.join(config.output_dir, "rates.tsv"),
+                RATE_COLUMNS, [[row[c] for row in rows] for c in RATE_COLUMNS])
+    write_table(os.path.join(config.output_dir, "failures.tsv"),
+                ("mu", "message"), [[mu for mu, _ in failures],
+                                    [text for _, text in failures]])
+    _write_gnuplot(os.path.join(config.output_dir, "rates.gp"))
     return rows, failures
 
 

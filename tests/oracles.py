@@ -11,13 +11,16 @@ opinion sampler with one scalar draw at a time, the set-based stub matching
 of the graph generator, the depth-first component labels, the lexsorted
 CSR adjacency, the per-component bridging of ensure_connected, the dense
 Laplacian whose eigenvalues check spectral_gap and the micro right-hand
-side gathered over the CSR half-edges.  No workflow calls them.
+side gathered over the CSR half-edges.  No workflow calls them.  Besides
+the runs' linear operator, the tests step two more: QUARTIC, with
+W(z) = z^4 / 4, and ZERO, which moves nothing.
 """
 
 import numpy as np
 from scipy.special import ndtr
 
-from opinet import CommunityGraph, ConfigError, PairField, graph_from_pairs
+from opinet import (CommunityGraph, ConfigError, DebateOperator, PairField,
+                    graph_from_pairs)
 from opinet.empirical import _lift_g
 from opinet.graph import _MATCH_ROUNDS
 
@@ -319,3 +322,22 @@ def micro_rhs(graph, omega, operator):
                        minlength=graph.n_nodes)
     deg = graph.degrees
     return np.where(deg > 0, sums / np.maximum(deg, 1), 0.0)
+
+
+# products, not np.power, which takes the general pow path and is ~100x
+# slower; -z * -z equals z * z, so D stays odd and W even bit for bit
+def _quartic_d(z):
+    z = np.asarray(z, dtype=float)
+    return -(z * z * z)
+
+
+def _quartic_w(z):
+    z = np.asarray(z, dtype=float)
+    return 0.25 * ((z * z) * (z * z))
+
+
+# W(z) = z^4 / 4 on differences in (-2, 2); |W''| <= 12 there
+QUARTIC = DebateOperator(d=_quartic_d, w=_quartic_w, lipschitz=12.0)
+ZERO = DebateOperator(d=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
+                      w=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
+                      lipschitz=0.0)

@@ -21,7 +21,7 @@ from opinet import (ContinuumParams, DebateOperator, GraphConfig, Grid,
                     sample_initial_opinions, spectral_gap, split_by_group,
                     step_labeled, step_unlabeled)
 from opinet.continuum import stepper_for
-from oracles import eta_discrete, neighbor_lists
+from oracles import ZERO, eta_discrete, neighbor_lists
 
 LIN = DebateOperator.linear()
 
@@ -264,14 +264,15 @@ def test_a11_rate_increases_with_mu():
         "rates not strictly increasing: " + pairs
 
 
-def test_a12_labeling_matters():
+def test_a12_labeling_matters(tmp_path):
     """At mu=1e-3 with crossing initial data the labeled continuum tracks
     the micro rate and the unlabeled one stalls in a spike near zero."""
     base = preset_crossing()
     diffs_lab, diffs_unl = [], []
     for s in range(5):
-        config = replace(base, seed=2 + s)
-        report = run_experiment(config, write_outputs=False)
+        config = replace(base, seed=2 + s,
+                         output_dir=str(tmp_path / str(s)))
+        report = run_experiment(config)
         t_lo = 0.2 * config.micro.t_end
         r_mic, r_lab, r_unl = (
             fit_exponential_rate(report.t, report.series[name], t_lo=t_lo)[0]
@@ -349,7 +350,7 @@ def test_a14_noise_variance():
     rng = np.random.default_rng(77)
     sigma, dt, t_end = 0.01, 0.01, 0.5
     for _ in range(int(round(t_end / dt))):
-        omega = euler_maruyama_step(ring, omega, DebateOperator.zero(), dt,
+        omega = euler_maruyama_step(ring, omega, ZERO, dt,
                                     sigma, rng)
     var = float(np.var(omega))
     expect = 2 * sigma * t_end

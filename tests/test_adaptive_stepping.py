@@ -6,17 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opinet import (ConfigError, ContinuumParams, DebateOperator, Grid,
-                    SimulationError, preset_three_communities, run_experiment)
+from opinet import (ConfigError, ContinuumParams, Grid, SimulationError,
+                    preset_three_communities, run_experiment)
 from opinet import runner
 from opinet.continuum import stepper_for
 from opinet.runner import CFL_SAFETY, _chunked_dt
+from oracles import ZERO
 
 
-def cont_config(t_end=1.0, **continuum):
+def cont_config(out, t_end=1.0, **continuum):
     config = preset_three_communities()
     return replace(config, model_variants=("cont_unlabeled", "cont_labeled"),
-                   continuum=ContinuumParams(t_end=t_end, **continuum))
+                   continuum=ContinuumParams(t_end=t_end, **continuum),
+                   output_dir=str(out))
 
 
 def record_steps(monkeypatch):
@@ -55,10 +57,10 @@ def record_steps(monkeypatch):
     return seen
 
 
-def test_chunks_land_on_the_sampling_clock():
-    config = cont_config()
+def test_chunks_land_on_the_sampling_clock(tmp_path):
+    config = cont_config(tmp_path)
     si = config.sample_interval
-    report = run_experiment(config, write_outputs=False)
+    report = run_experiment(config)
     n_chunks = int(round(config.continuum.t_end / si))
     np.testing.assert_array_equal(report.t, np.arange(n_chunks + 1) * si)
     assert set(report.continuum_dts) == {"cont_unlabeled", "cont_labeled"}
@@ -77,10 +79,11 @@ def test_chunks_land_on_the_sampling_clock():
     {"diffusion_sigma": 0.004},
     {"birth_rate": 40.0, "death_rate": 40.0},
 ])
-def test_every_step_respects_the_realized_bound(monkeypatch, continuum):
+def test_every_step_respects_the_realized_bound(monkeypatch, tmp_path,
+                                                continuum):
     seen = record_steps(monkeypatch)
-    config = cont_config(**continuum)
-    run_experiment(config, write_outputs=False)
+    config = cont_config(tmp_path, **continuum)
+    run_experiment(config)
     dx = Grid(config.grid_size).dx
     tol = 1.0 + 1e-12
     binding = 0
@@ -100,10 +103,10 @@ def test_every_step_respects_the_realized_bound(monkeypatch, continuum):
     assert binding > 0 or not continuum
 
 
-def test_explicit_dt_keeps_the_chunked_step(monkeypatch):
+def test_explicit_dt_keeps_the_chunked_step(monkeypatch, tmp_path):
     seen = record_steps(monkeypatch)
-    config = cont_config(dt=0.004)
-    report = run_experiment(config, write_outputs=False)
+    config = cont_config(tmp_path, dt=0.004)
+    report = run_experiment(config)
     dt, steps = _chunked_dt(config.sample_interval, 0.004)
     for chunks in report.continuum_dts.values():
         for dts in chunks:
@@ -112,7 +115,7 @@ def test_explicit_dt_keeps_the_chunked_step(monkeypatch):
     assert all(s[1] == dt for s in seen)
     # a fixed step must be stable at the worst-case speed
     with pytest.raises(ConfigError, match="violates"):
-        run_experiment(cont_config(dt=0.025), write_outputs=False)
+        run_experiment(cont_config(tmp_path, dt=0.025))
 
 
 @pytest.mark.parametrize("continuum, steps", [
@@ -122,16 +125,17 @@ def test_explicit_dt_keeps_the_chunked_step(monkeypatch):
     ({"birth_rate": 1.0, "death_rate": 20.0}, int(np.ceil(
         0.1 / (CFL_SAFETY / 20.0)))),
 ])
-def test_zero_speed_takes_the_fewest_steps(continuum, steps):
+def test_zero_speed_takes_the_fewest_steps(monkeypatch, tmp_path, continuum,
+                                           steps):
     # D = 0 moves nothing, so only the diffusion and death limits bind
-    config = cont_config(**continuum)
-    report = run_experiment(config, operator=DebateOperator.zero(),
-                            write_outputs=False)
+    monkeypatch.setattr(runner, "_OPERATOR", ZERO)
+    report = run_experiment(cont_config(tmp_path, **continuum))
     for chunks in report.continuum_dts.values():
         assert [dts.size for dts in chunks] == [steps] * len(chunks)
 
 
-def test_non_finite_state_fails_with_its_step_and_time(monkeypatch):
+def test_non_finite_state_fails_with_its_step_and_time(monkeypatch,
+                                                       tmp_path):
     step_labeled = runner.step_labeled
     clock = []
 
@@ -144,15 +148,15 @@ def test_non_finite_state_fails_with_its_step_and_time(monkeypatch):
 
     monkeypatch.setattr(runner, "step_labeled", poisoned)
     with pytest.raises(SimulationError) as err:
-        run_experiment(cont_config(), write_outputs=False)
+        run_experiment(cont_config(tmp_path))
     assert str(err.value) == (
         "cont_labeled: step 5 returned a non-finite state at t=%.6g"
         % sum(clock))
 
 
-def test_a_negative_cell_fails_the_run_at_its_sample(monkeypatch):
+def test_a_negative_cell_fails_the_run_at_its_sample(monkeypatch, tmp_path):
     step_labeled = runner.step_labeled
-    config = cont_config(dt=0.004)
+    config = cont_config(tmp_path, dt=0.004)
     _, steps = _chunked_dt(config.sample_interval, 0.004)
     clock = []
 
@@ -167,7 +171,7 @@ def test_a_negative_cell_fails_the_run_at_its_sample(monkeypatch):
 
     monkeypatch.setattr(runner, "step_labeled", negative)
     with pytest.raises(SimulationError) as err:
-        run_experiment(config, write_outputs=False)
+        run_experiment(config)
     assert str(err.value) == (
         "cont_labeled: steps %d-%d left a negative cell by t=%.6g"
         % (steps + 1, 2 * steps, 2 * config.sample_interval))

@@ -315,6 +315,24 @@ def test_wide_mixture_component_is_refused_quickly(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_sample_of_equal_opinions_is_refused(tmp_path, capsys):
+    # sigma 1e-300 puts every opinion on the center; at 0.3 their sd came
+    # out nonzero and the lift failed with no mass on the grid
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(saved_text(small_config(tmp_path / "out"), tmp_path))
+    parser["graph"]["n_groups"] = "1"
+    parser.remove_option("mixture", "community_2")
+    parser["mixture"]["community_1"] = "1.0:0.3:1e-300"
+    path = tmp_path / "cfg.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == ("configuration error: bandwidth: "
+                                       "sample is degenerate\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_component_keeps_a_share_of_its_mass_in_range():
     # at center 0 the in-range mass is about 0.8 / sigma for a wide sigma
     MixtureSpec((((1.0, 0.0, 70.0),),))
@@ -548,6 +566,15 @@ def test_cli_config_errors_return_1(tmp_path, capsys):
     assert all(line.startswith("configuration error: ") for line in err)
 
 
+def test_an_empty_mus_is_refused(tmp_path, capsys):
+    # an empty --mus used to run the config's own mixing values
+    assert main(["sweep", "--preset", "crossing", "--mus", "",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("configuration error: sweep: "
+                                       "config.mu_sweep is empty\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_failures_keep_their_traceback(tmp_path, capsys, monkeypatch):
     def fail(config):
         raise RuntimeError("no state")
@@ -611,11 +638,11 @@ def test_a_failing_mixing_value_gives_a_nan_row(tmp_path, capsys,
                                                 monkeypatch):
     run = opinet.runner.run_experiment
 
-    def fail_at_04(config, **kwargs):
+    def fail_at_04(config):
         if config.graph.mixing_mu == 0.4:
             raise SimulationError("cont_labeled: step 3 returned a "
                                   "non-finite state")
-        return run(config, **kwargs)
+        return run(config)
     monkeypatch.setattr(opinet.runner, "run_experiment", fail_at_04)
     # samples enough for every fit of the value that runs
     cfg = replace(small_config(tmp_path / "sweep"), sample_interval=0.05)
@@ -629,8 +656,8 @@ def test_a_failing_mixing_value_gives_a_nan_row(tmp_path, capsys,
     assert rows[:, 0].tolist() == [0.2, 0.4]
     assert np.isfinite(rows[0]).all()
     assert np.isnan(rows[1, 1:]).all()
-    rows, failures = opinet.runner.run_mu_sweep(replace(cfg, mu_sweep=(0.4,)),
-                                                write_outputs=False)
+    rows, failures = opinet.runner.run_mu_sweep(
+        replace(cfg, mu_sweep=(0.4,), output_dir=str(tmp_path / "one")))
     assert failures == [(0.4, "cont_labeled: step 3 returned a non-finite "
                               "state")]
     assert rows[0]["mu"] == 0.4
@@ -640,11 +667,11 @@ def test_a_failing_mixing_value_gives_a_nan_row(tmp_path, capsys,
 def test_sweep_failures_reach_failures_tsv(tmp_path, monkeypatch):
     run = opinet.runner.run_experiment
 
-    def fail_at_04(config, **kwargs):
+    def fail_at_04(config):
         if config.graph.mixing_mu == 0.4:
             raise SimulationError("cont_labeled: step 3 returned\ta\n"
                                   "non-finite state")
-        return run(config, **kwargs)
+        return run(config)
     monkeypatch.setattr(opinet.runner, "run_experiment", fail_at_04)
     cfg = replace(small_config(tmp_path / "sweep"), sample_interval=0.05)
     cfg_path = tmp_path / "cfg.ini"

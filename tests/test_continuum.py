@@ -10,7 +10,7 @@ from opinet import (ConfigError, ContinuumParams, DebateOperator, GraphConfig,
                     graph_from_pairs, sample_initial_opinions, split_by_group,
                     step_labeled, step_unlabeled)
 from opinet.continuum import ContinuumStepper, stepper_for
-from oracles import eta_discrete, llf_flux_f, llf_flux_g
+from oracles import QUARTIC, ZERO, eta_discrete, llf_flux_f, llf_flux_g
 
 LIN = DebateOperator.linear()
 
@@ -52,7 +52,7 @@ def test_speeds_apply_the_eta_cutoff():
     # other row is the eta-weighted mean of D over its label's blocks
     grid = Grid(12)
     params = ContinuumParams(eta_cutoff=1e-10)
-    stepper = stepper_for(grid, DebateOperator.quartic(), params)
+    stepper = stepper_for(grid, QUARTIC, params)
     rng = np.random.default_rng(4)
     g = rng.uniform(0.0, 1.0, (2, 2, 12, 12))
     g = g + g.transpose(1, 0, 3, 2)
@@ -131,9 +131,9 @@ def test_llf_flux_shape_checks():
 def test_cfl_bound_values():
     # linear D spans [-2, 2], so |D| peaks at 2
     assert cfl_max_dt(Grid(303), LIN) == pytest.approx(1 / 606)
-    assert cfl_max_dt(Grid(5), DebateOperator.zero()) == np.inf
+    assert cfl_max_dt(Grid(5), ZERO) == np.inf
     p = ContinuumParams(dt=1e-4, diffusion_sigma=0.05)
-    assert cfl_max_dt(Grid(5), DebateOperator.zero(), p) == pytest.approx(
+    assert cfl_max_dt(Grid(5), ZERO, p) == pytest.approx(
         0.4 ** 2 / (4 * 0.05))
     p2 = ContinuumParams(dt=1e-4, death_rate=100.0)
     assert cfl_max_dt(Grid(5), LIN, p2) == pytest.approx(0.01)
@@ -237,7 +237,6 @@ def test_diffusion_variance_growth():
     mix = MixtureSpec((((1.0, 0.0, 0.1),),))
     f = mix.cell_averages(grid, [1.0])
     gk = PairField(grid, np.outer(f.values, f.values))
-    zero = DebateOperator.zero()
     sigma = 0.005
     steps, t_end = 60, 0.5
     params = ContinuumParams(dt=t_end / steps, diffusion_sigma=sigma)
@@ -248,7 +247,7 @@ def test_diffusion_variance_growth():
 
     v0 = variance(f)
     for _ in range(steps):
-        f, gk = step_unlabeled(f, gk, zero, params)
+        f, gk = step_unlabeled(f, gk, ZERO, params)
     assert variance(f) - v0 == pytest.approx(2 * sigma * t_end, rel=1e-10)
     assert f.mass() == pytest.approx(1.0, abs=1e-12)
 
@@ -262,9 +261,8 @@ def test_birth_death_exact_update():
     f = mix.cell_averages(grid, [1.0])
     g0 = np.outer(f.values, f.values)
     gk = PairField(grid, g0.copy())
-    zero = DebateOperator.zero()
     params = ContinuumParams(dt=0.01, birth_rate=2.0, death_rate=3.0)
-    f1, g1 = step_unlabeled(f, gk, zero, params)
+    f1, g1 = step_unlabeled(f, gk, ZERO, params)
     np.testing.assert_array_equal(f1.values, f.values)
     expect = g0 * (1.0 - 0.01 * 3.0)
     expect += np.outer(f.values, f.values) * (0.01 * 2.0)
@@ -281,7 +279,7 @@ def test_birth_death_labeled_blocks():
     gvals = np.einsum("pi,qj->pqij", fvals, fvals)
     lab = LabeledFields(grid, fvals, gvals.copy())
     params = ContinuumParams(dt=0.05, birth_rate=1.5, death_rate=0.5)
-    out = step_labeled(lab, DebateOperator.zero(), params)
+    out = step_labeled(lab, ZERO, params)
     for p in range(2):
         for q in range(2):
             expect = gvals[p, q] * (1.0 - 0.05 * 0.5)
@@ -300,7 +298,7 @@ def test_death_rate_tightens_dt_bound():
     gk = PairField(grid, np.outer(f.values, f.values))
     params = ContinuumParams(dt=0.5, death_rate=2.0)
     with pytest.raises(ConfigError):
-        step_unlabeled(f, gk, DebateOperator.zero(), params)
+        step_unlabeled(f, gk, ZERO, params)
 
 
 def random_state(rng, grid, k):

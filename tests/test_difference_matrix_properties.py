@@ -15,10 +15,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from opinet import DebateOperator, Grid  # noqa: E402
-from oracles import difference_matrix  # noqa: E402
+from oracles import QUARTIC, ZERO, difference_matrix  # noqa: E402
 
-OPERATORS = [DebateOperator.linear(), DebateOperator.quartic(),
-             DebateOperator.zero()]
+OPERATORS = [DebateOperator.linear(), QUARTIC, ZERO]
 
 
 @given(st.integers(2, 600), st.sampled_from(OPERATORS),

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -47,6 +48,17 @@ def test_mixture_validation():
         MixtureSpec((((-0.5, 0.0, 0.1),),))  # nonpositive weight
     with pytest.raises(ConfigError):
         MixtureSpec(())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mixture_refuses_a_non_finite_weight_or_sigma(value):
+    # a NaN weight passed a w <= 0 check and failed in the sampler
+    with pytest.raises(ConfigError, match=re.escape(
+            "mixture: component %g:0:0.1: weight" % value)):
+        MixtureSpec((((value, 0.0, 0.1),),))
+    with pytest.raises(ConfigError, match=re.escape(
+            "mixture: component 1:0:%g: sigma" % value)):
+        MixtureSpec((((1.0, 0.0, value),),))
 
 
 def test_mixture_presets_shape():
@@ -206,6 +218,19 @@ def test_bandwidth_select_rejects_unknown_method():
         bandwidth_select(np.zeros(10) + np.arange(10), "amise")
 
 
+def test_bandwidth_refuses_an_all_equal_sample():
+    # the rounded mean of three 0.2s leaves an sd of about 3e-17
+    for data in ([0.2] * 3, [0.0] * 5):
+        with pytest.raises(ConfigError, match="degenerate"):
+            bandwidth_select(data)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_bandwidth_refuses_a_non_finite_sample(value):
+    with pytest.raises(ConfigError, match="not finite"):
+        bandwidth_select([0.1, value, 0.3])
+
+
 def test_split_by_group_reductions():
     g = crossing_graph(seed=6)
     om = sample_initial_opinions(g, MixtureSpec.crossing(),
@@ -359,13 +384,14 @@ def test_building_the_preset_state_leaves_scipy_unloaded():
         "build_initial_state(preset_three_communities())\n")
 
 
-def test_import_and_a_preset_run_leave_scipy_unloaded():
+def test_import_and_a_preset_run_leave_scipy_unloaded(tmp_path):
     # spectral_gap imports scipy.sparse.linalg when called, which would add
     # ~17% to a preset run's peak RSS if anything on the run path called it
     assert not loads_scipy(
+        "from dataclasses import replace\n"
         "import opinet\n"
-        "opinet.run_experiment(opinet.preset_three_communities(),\n"
-        "                      write_outputs=False)\n")
+        "opinet.run_experiment(replace(opinet.preset_three_communities(),\n"
+        "                              output_dir=%r))\n" % str(tmp_path))
 
 
 def test_the_first_preset_state_imports_no_module():

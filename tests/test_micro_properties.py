@@ -15,7 +15,7 @@ from opinet import (DebateOperator, conserved_quantity,  # noqa: E402
 import oracles  # noqa: E402
 
 OPERATORS = {"linear": DebateOperator.linear(),
-             "quartic": DebateOperator.quartic()}
+             "quartic": oracles.QUARTIC}
 
 
 @st.composite

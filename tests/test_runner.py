@@ -1,7 +1,7 @@
 """run_experiment over every subset of model variants: which report columns
 each variant fills, and the snapshot files and columns it writes; the table
-of continuum closures; and the operator and micro step checks that come
-before any set-up."""
+of continuum closures; and the micro step check that comes before any
+set-up."""
 
 import os
 from dataclasses import replace
@@ -14,8 +14,7 @@ import opinet.runner
 from opinet.analysis import REPORT_COLUMNS
 from opinet.config import MODEL_VARIANTS
 from opinet.empirical import MixtureSpec
-from opinet import (ConfigError, ContinuumParams, DebateOperator, Grid,
-                    MicroParams, preset_three_communities, run_experiment,
+from opinet import (ConfigError, ContinuumParams, Grid, MicroParams, preset_three_communities, run_experiment,
                     run_mu_sweep)
 
 MICRO_T_END, CONT_T_END = 3.0, 4.0
@@ -123,7 +122,7 @@ def test_the_closure_table_holds_every_continuum_variant():
         v for v, section in MODEL_VARIANTS.items() if section == "continuum"]
 
 
-def test_closures_look_their_lifts_up_when_called(monkeypatch):
+def test_closures_look_their_lifts_up_when_called(monkeypatch, tmp_path):
     # a table that bound the functions when it was built would call the
     # originals, not these wrappers, and count nothing
     calls = {}
@@ -139,33 +138,16 @@ def test_closures_look_their_lifts_up_when_called(monkeypatch):
     counting(opinet.runner, "empirical_g_kde")
     counting(opinet.runner, "split_by_group")
     counting(MixtureSpec, "cell_averages")
-    config = replace(config_of(("cont_unlabeled", "cont_labeled")),
+    config = replace(config_of(("cont_unlabeled", "cont_labeled"),
+                               str(tmp_path)),
                      continuum=ContinuumParams(t_end=0.5))
-    report = run_experiment(config, write_outputs=False)
+    report = run_experiment(config)
     assert calls == {"empirical_g_kde": 1, "split_by_group": 1,
                      "cell_averages": 1}
     assert set(report.continuum_dts) == {"cont_unlabeled", "cont_labeled"}
 
 
-def test_bad_operator_is_refused_before_set_up(monkeypatch):
-    def no_set_up(config):
-        raise AssertionError("set-up ran before the operator check")
-
-    monkeypatch.setattr(opinet.runner, "build_initial_state", no_set_up)
-    config = replace(preset_three_communities(), output_dir="unused")
-    even = DebateOperator(d=lambda z: np.abs(np.asarray(z, dtype=float)),
-                          w=lambda z: np.abs(z), lipschitz=1.0)
-    increasing = DebateOperator(d=lambda z: np.asarray(z, dtype=float),
-                                w=lambda z: -0.5 * np.square(z),
-                                lipschitz=1.0)
-    for entry in (run_experiment, run_mu_sweep):
-        with pytest.raises(ConfigError, match="odd"):
-            entry(config, operator=even, write_outputs=False)
-        with pytest.raises(ConfigError, match="nonincreasing"):
-            entry(config, operator=increasing, write_outputs=False)
-
-
-def test_a_run_takes_one_velocity_pass_per_step(monkeypatch):
+def test_a_run_takes_one_velocity_pass_per_step(monkeypatch, tmp_path):
     # check returns the speeds of the state it checks, which the runner
     # passes to the step that follows, so each closure pays one pass per
     # step plus its first check
@@ -176,8 +158,9 @@ def test_a_run_takes_one_velocity_pass_per_step(monkeypatch):
     cache = opinet.continuum._cached_stepper
     cache.cache_clear()
     config = replace(preset_three_communities(), seed=3,
-                     model_variants=("cont_unlabeled", "cont_labeled"))
-    report = run_experiment(config, write_outputs=False)
+                     model_variants=("cont_unlabeled", "cont_labeled"),
+                     output_dir=str(tmp_path))
+    report = run_experiment(config)
     steps = sum(dts.size for chunks in report.continuum_dts.values()
                 for dts in chunks)
     assert steps == 889
@@ -191,16 +174,17 @@ class SetUp(Exception):
     pass
 
 
-def micro_step_config(dt):
+def micro_step_config(dt, out):
     # one step per sample interval of 2, so the chunked step is dt itself
     # when dt is 1 or 2
-    return replace(preset_three_communities(), output_dir="unused",
+    return replace(preset_three_communities(), output_dir=str(out),
                    micro=MicroParams(dt=dt, t_end=4.0),
                    continuum=ContinuumParams(t_end=4.0), sample_interval=2.0,
                    snapshot_times=())
 
 
-def test_a_micro_step_past_the_bound_is_refused_before_set_up(monkeypatch):
+def test_a_micro_step_past_the_bound_is_refused_before_set_up(monkeypatch,
+                                                             tmp_path):
     def no_set_up(config):
         raise SetUp
     monkeypatch.setattr(opinet.runner, "build_initial_state", no_set_up)
@@ -209,12 +193,12 @@ def test_a_micro_step_past_the_bound_is_refused_before_set_up(monkeypatch):
         with pytest.raises(ConfigError,
                            match=r"^micro\.dt: 2 gives a step of 2, which "
                                  r"violates 0 < dt <= 1$"):
-            entry(micro_step_config(2.0), write_outputs=False)
+            entry(micro_step_config(2.0, tmp_path))
         # a step equal to the bound passes the check and reaches set-up
         with pytest.raises(SetUp):
-            entry(micro_step_config(1.0), write_outputs=False)
+            entry(micro_step_config(1.0, tmp_path))
     # without the micro variant its step is never checked
-    config = replace(micro_step_config(2.0),
+    config = replace(micro_step_config(2.0, tmp_path),
                      model_variants=("cont_unlabeled",))
     with pytest.raises(SetUp):
-        run_experiment(config, write_outputs=False)
+        run_experiment(config)

@@ -22,11 +22,11 @@ from opinet import (ContinuumParams, DebateOperator, Grid,  # noqa: E402
                     LabeledFields, PairField, ScalarField, step_labeled,
                     step_unlabeled)
 from opinet.continuum import ContinuumStepper, stepper_for  # noqa: E402
-from oracles import (llf_flux_f, llf_flux_g, mirrored_laplacian,  # noqa: E402
-                     three_point_transport)
+from oracles import (QUARTIC, llf_flux_f, llf_flux_g,  # noqa: E402
+                     mirrored_laplacian, three_point_transport)
 
 OPERATORS = {"linear": DebateOperator.linear(),
-             "quartic": DebateOperator.quartic()}
+             "quartic": QUARTIC}
 
 
 def reference_step(f, g, grid, operator, params, dt):

@@ -14,8 +14,7 @@ per step per case.  The table shows the median and quartiles of the
 repeats, in ms per step.  With --ref, the ref is extracted with `git
 archive` and the repeats alternate between its tree and this one, and
 which of them goes first; the table then shows both and the ratio of the
-medians.  A ref whose stepper has no check is timed on its max_dt +
-advance pair.  Stdlib and numpy only.
+medians.  Stdlib and numpy only.
 """
 
 import argparse
@@ -56,16 +55,9 @@ def time_cases(sizes, labels, seconds):
         f /= grid.dx * f.sum()
         g /= grid.dx ** 2 * g.sum()
 
-        if hasattr(stepper, "check"):
-            def step(f, g):
-                bound, a, _ = stepper.check(f, g)
-                return stepper.advance(f, g, SAFETY * bound, a)
-        else:
-            # a --ref tree from before the speeds were explicit, whose
-            # max_dt kept them for the advance of the same g
-            def step(f, g):
-                bound, _ = stepper.max_dt(f, g)
-                return stepper.advance(f, g, SAFETY * bound)
+        def step(f, g):
+            bound, a, _ = stepper.check(f, g)
+            return stepper.advance(f, g, SAFETY * bound, a)
 
         for _ in range(2):
             f, g = step(f, g)
