@@ -26,6 +26,13 @@ from .errors import ConfigError, SimulationError
 
 _SQRT2 = math.sqrt(2.0)
 
+# the smallest bandwidth the lift takes, in cells: every opinion lies
+# within dx / 2 of a midpoint, so an edge's product kernel peaks at no
+# less than exp(-dx^2 / (4 h^2)), which stays a normal double (at least
+# 2^-1022) for h >= dx / (2 sqrt(1022 ln 2)), about dx / 53.2; below it
+# an edge can put no mass, or subnormal mass, on the grid
+_MIN_BANDWIDTH_CELLS = 1.0 / (2.0 * math.sqrt(1022.0 * math.log(2.0)))
+
 # cells of the tails' kernel rows a chunk of edges forms in the lift:
 # 2**18 float64 cells are 2 MiB, max(1, 2**18 // n) edges per chunk
 _CHUNK_CELLS = 2 ** 18
@@ -337,6 +344,12 @@ def _kernel_rows(omega, grid, bandwidth):
     # faster than one broadcast subtract into it, for the same bits.
     if bandwidth <= 0 or not np.isfinite(bandwidth):
         raise ConfigError("kde: bandwidth must be positive and finite")
+    if bandwidth < _MIN_BANDWIDTH_CELLS * grid.dx:
+        raise ConfigError(
+            "kde: bandwidth h = %.3g is below dx / %.1f = %.3g for the grid's "
+            "dx = %.3g, so an edge's kernel could underflow on every cell"
+            % (bandwidth, 1.0 / _MIN_BANDWIDTH_CELLS,
+               _MIN_BANDWIDTH_CELLS * grid.dx, grid.dx))
     scale = -0.5 / bandwidth ** 2
 
     def rows(nodes, out):

@@ -6,8 +6,8 @@ intra-community according to the mixing parameter mu, and the stub pools are
 randomly matched into simple undirected edges.  Realized degrees track the
 targets approximately; self loops and duplicate pairs are rejected during
 matching, leftover stubs are dropped after a few repair rounds.  Each
-matching round and the connected-component labelling are whole-array
-passes.
+matching round is a whole-array pass over its pool; the connected-component
+labelling and the bridge merge pass over the edges a chunk at a time.
 
 A graph is its lexicographically sorted edge list; the micro dynamics
 accumulate over the edges in that order, so a seed fixes the graph and the
@@ -94,14 +94,15 @@ class CommunityGraph:
         if e.size:
             if e.min() < 0 or e.max() >= n:
                 raise ConfigError("graph: edge endpoint out of range")
-            if np.any(self.tail >= self.head):
+            t, h = self.tail, self.head
+            if np.any(t >= h):
                 raise ConfigError("graph: edges must satisfy i < j")
-            # i N + j orders the rows lexicographically, so consecutive
-            # keys must strictly increase
-            step = np.diff(self.tail * n + self.head)
-            if np.any(step < 0):
+            # adjacent rows, compared with boolean temporaries only: the
+            # tails must not fall, nor the heads under an equal tail
+            tie = t[1:] == t[:-1]
+            if np.any(t[1:] < t[:-1]) or np.any(tie & (h[1:] < h[:-1])):
                 raise ConfigError("graph: edges must be lexicographically sorted")
-            if np.any(step == 0):
+            if np.any(tie & (h[1:] == h[:-1])):
                 raise ConfigError("graph: duplicate edge")
         self.degrees = np.bincount(e.ravel(order="K"),
                                    minlength=n).astype(np.int64)
@@ -140,8 +141,11 @@ class CommunityGraph:
 
 
 def _from_keys(n, keys, community):
-    # the graph of sorted unique edge keys i n + j, i < j
-    return CommunityGraph(n, np.stack([keys // n, keys % n]).T, community)
+    # the graph of sorted unique edge keys i n + j, i < j; divmod writes
+    # straight into the two columns of the column-major edge list
+    edges = np.empty((keys.size, 2), dtype=np.int64, order="F")
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    return CommunityGraph(n, edges, community)
 
 
 def graph_from_pairs(n_nodes, pairs, community=None):
@@ -153,50 +157,81 @@ def graph_from_pairs(n_nodes, pairs, community=None):
         raise ConfigError("graph: self loop (%d, %d)" % tuple(p[loops[0]]))
     if p.size and (p.min() < 0 or p.max() >= n):
         raise ConfigError("graph: edge endpoint out of range")
-    keys = np.unique(p.min(axis=1) * n + p.max(axis=1))
+    keys = np.unique(_pair_keys(p, n))
     if community is None:
         community = np.ones(n, dtype=np.int64)
     return _from_keys(n, keys, community)
 
 
-def _greedy_match(stubs, rng, keys, n, ok_pair=None):
-    """Randomly pair stubs into new edges; returns keys with them merged in.
+def _pair_keys(pairs, n):
+    # i n + j of each row (u, v) of pairs, i = min(u, v), j = max(u, v)
+    u, v = pairs[:, 0], pairs[:, 1]
+    keys = np.minimum(u, v)
+    keys *= n
+    keys += np.maximum(u, v)
+    return keys
 
-    keys holds the accepted edges (i, j), i < j, as sorted i n + j.  Each
-    round shuffles the pool and takes consecutive stubs as pairs; a pair is
-    rejected if it is a self loop, fails ok_pair(u, v) (arrays in, bool
-    array out), repeats an accepted edge or repeats an earlier pair of the
-    round.  The odd stub and the rejected pairs, in order, form the next
-    round's pool; whatever is left after _MATCH_ROUNDS rounds is dropped.
+
+def _in_sorted(table, x):
+    # which entries of x occur in the sorted, nonempty array table
+    return np.take(table, np.searchsorted(table, x), mode="clip") == x
+
+
+def _greedy_match(stubs, rng, n, ok_pair=None):
+    """Randomly pair stubs into edges; returns their keys, sorted.
+
+    The key of the edge (i, j), i < j, is i n + j.  Each round shuffles the
+    pool and takes consecutive stubs as pairs; a pair is rejected if it is
+    a self loop, fails ok_pair(u, v) (arrays in, bool array out), repeats
+    an edge of an earlier round or repeats an earlier pair of the round.
+    The odd stub and the rejected pairs, in order, form the next round's
+    pool; whatever is left after _MATCH_ROUNDS rounds is dropped.
+
+    A call checks repeats against its own edges only, which is exact for
+    the generator's calls: an intra-community pair joins two members of
+    one community, so it can only repeat an edge of that community's call,
+    and an inter-community pair can only repeat an inter-community edge.
+    So no call holds or copies another call's keys, and a round holds the
+    pool and a few pool-sized arrays, each dropped after its last use.
     """
     pool = np.asarray(stubs, dtype=np.int64)
+    keys = np.empty(0, dtype=np.int64)
     for _ in range(_MATCH_ROUNDS):
         if pool.size < 2:
             break
         rng.shuffle(pool)
         odd = pool.size % 2
-        work = pool[:pool.size - odd]
-        u, v = work[0::2], work[1::2]
-        cand = np.minimum(u, v) * n + np.maximum(u, v)
-        ok = u != v
+        pairs = pool[:pool.size - odd].reshape(-1, 2)
+        cand = _pair_keys(pairs, n)
+        ok = pairs[:, 0] != pairs[:, 1]
         if ok_pair is not None:
-            ok &= ok_pair(u, v)
+            ok &= ok_pair(pairs[:, 0], pairs[:, 1])
         if keys.size:
-            at = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
-            ok &= keys[at] != cand
-        # the first occurrence of each remaining key is accepted: the
-        # least position in each run of equal sorted keys, which needs no
-        # stable sort
-        live = np.flatnonzero(ok)
-        order = np.argsort(cand[live])
-        sorted_keys = cand[live[order]]
-        starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
-        fresh = sorted_keys[starts]
-        keys = np.insert(keys, np.searchsorted(keys, fresh), fresh)
-        rest = np.ones(cand.size, dtype=bool)
-        rest[live[np.minimum.reduceat(order, starts)]] = False
-        pool = np.concatenate([pool[pool.size - odd:],
-                               np.stack([u[rest], v[rest]], axis=1).ravel()])
+            ok &= ~_in_sorted(keys, cand)
+        # the accepted pairs' keys, sorted, after the rejected pairs' -1s;
+        # a key drawn more than once is kept once, and repeats holds it
+        # once per extra draw; only the first pair that drew it is accepted
+        drawn = np.where(ok, cand, -1)
+        drawn.sort()
+        drawn = drawn[np.searchsorted(drawn, 0):]
+        first = np.empty(drawn.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(drawn[1:], drawn[:-1], out=first[1:])
+        fresh = drawn[first]
+        repeats = drawn[~first]
+        del drawn, first
+        keys = (np.insert(keys, np.searchsorted(keys, fresh), fresh)
+                if keys.size else fresh)
+        rest = ~ok
+        if repeats.size:
+            hit = np.flatnonzero(ok & _in_sorted(repeats, cand))
+            rest[hit] = True
+            rest[hit[np.unique(cand[hit], return_index=True)[1]]] = False
+        del cand, ok
+        nxt = np.empty(odd + 2 * int(np.count_nonzero(rest)), dtype=np.int64)
+        nxt[:odd] = pool[pool.size - odd:]
+        np.compress(rest, pairs, axis=0, out=nxt[odd:].reshape(-1, 2))
+        pool = nxt
     return keys
 
 
@@ -212,16 +247,26 @@ def generate_community_graph(config):
     np.clip(target, 1, n - 1, out=target)
     n_intra = rng.binomial(target, 1.0 - config.mixing_mu)
     n_inter = target - n_intra
+    del target
 
-    keys = np.empty(0, dtype=np.int64)
+    # each call's edges are disjoint from every other call's, so the
+    # parts are sorted once, together
+    parts = []
     for c in range(1, config.n_groups + 1):
         members = np.flatnonzero(community == c)
-        keys = _greedy_match(np.repeat(members, n_intra[members]), rng, keys,
-                             n)
-
-    keys = _greedy_match(np.repeat(np.arange(n), n_inter), rng, keys, n,
-                         lambda u, v: community[u] != community[v])
+        parts.append(_greedy_match(np.repeat(members, n_intra[members]), rng,
+                                   n))
+    del n_intra
+    parts.append(_greedy_match(np.repeat(np.arange(n), n_inter), rng, n,
+                               lambda u, v: community[u] != community[v]))
+    del n_inter
+    keys = np.concatenate(parts)
+    del parts
+    keys.sort()
     return _from_keys(n, keys, community)
+
+
+_CHUNK = 1 << 16    # edges per chunk of the component and rank passes
 
 
 def _component_labels(graph):
@@ -229,27 +274,50 @@ def _component_labels(graph):
     node, which is what ensure_connected's rng draws follow."""
     tail, head = graph.tail, graph.head
     # every node points at a smaller node of its component, or at itself;
-    # hook the root of each endpoint to the other's and jump to the roots
-    # until every edge joins two equal roots
+    # each pass hooks the root of each endpoint to the other's, a chunk of
+    # edges at a time into two reused buffers, then jumps to the roots,
+    # until a pass finds every edge joining two equal roots.  The fixpoint
+    # does not depend on the order of the hooks: the root of a component
+    # is its smallest node.
     root = np.arange(graph.n_nodes, dtype=np.int64)
+    rt = np.empty(min(graph.n_edges, _CHUNK), dtype=np.int64)
+    rh = np.empty_like(rt)
     while True:
-        rt, rh = root[tail], root[head]
-        if np.array_equal(rt, rh):
+        done = True
+        for lo in range(0, graph.n_edges, _CHUNK):
+            m = min(_CHUNK, graph.n_edges - lo)
+            t = np.take(root, tail[lo:lo + m], out=rt[:m])
+            h = np.take(root, head[lo:lo + m], out=rh[:m])
+            if not np.array_equal(t, h):
+                done = False
+                np.minimum.at(root, t, h)
+                np.minimum.at(root, h, t)
+        if done:
             break
-        np.minimum.at(root, rt, rh)
-        np.minimum.at(root, rh, rt)
         while True:
             up = root[root]
             if np.array_equal(up, root):
                 break
             root = up
-    # the root of a component is its smallest node
-    _, label = np.unique(root, return_inverse=True)
-    return label, int(label.max(initial=-1)) + 1
+    # number the roots in order, then give each node its root's number
+    label = np.cumsum(root == np.arange(graph.n_nodes))
+    label -= 1
+    return label[root], int(label[-1]) + 1 if label.size else 0
 
 
 def is_connected(graph):
     return _component_labels(graph)[1] == 1
+
+
+def _rank(graph, keys):
+    # how many of the graph's edge keys lie below each of keys, counted a
+    # chunk of edges at a time, so no E-sized key array is formed
+    n = graph.n_nodes
+    below = np.zeros(keys.size, dtype=np.int64)
+    for lo in range(0, graph.n_edges, _CHUNK):
+        part = graph.edges[lo:lo + _CHUNK]
+        below += np.searchsorted(part[:, 0] * n + part[:, 1], keys)
+    return below
 
 
 def ensure_connected(graph):
@@ -257,8 +325,9 @@ def ensure_connected(graph):
 
     Idempotent on connected input.  The bridge ends are drawn from an rng
     seeded with the node count, so the result depends on the graph alone.
-    A bridge joins two components, so its key is new; the sorted bridge
-    keys are inserted into the graph's sorted keys, not re-sorted with them.
+    A bridge joins two components, so its edge is new; the sorted bridges
+    are merged into the graph's sorted edges column by column, at their
+    ranks among its edge keys, so no key array of the graph is formed.
     """
     label, count = _component_labels(graph)
     if count <= 1:
@@ -278,10 +347,22 @@ def ensure_connected(graph):
         bridges.append((members[rng.integers(members.size)],
                         pool[rng.integers(pool.size)]))
     n = graph.n_nodes
-    bridges = np.sort(np.min(bridges, axis=1) * n + np.max(bridges, axis=1))
-    keys = graph.tail * n + graph.head
-    return _from_keys(n, np.insert(keys, np.searchsorted(keys, bridges),
-                                   bridges), graph.community)
+    del label, by_label, pool
+    bridges = np.sort(bridges, axis=1)
+    keys = bridges[:, 0] * n + bridges[:, 1]
+    order = np.argsort(keys)
+    bridges = bridges[order]
+    # the bridges' rows in the merged list, the graph's edges in the rest
+    at = _rank(graph, keys[order]) + np.arange(keys.size)
+    edges = np.empty((graph.n_edges + keys.size, 2), dtype=np.int64,
+                     order="F")
+    old = np.ones(edges.shape[0], dtype=bool)
+    old[at] = False
+    for col in range(2):
+        column = edges[:, col]
+        column[at] = bridges[:, col]
+        column[old] = graph.edges[:, col]
+    return CommunityGraph(n, edges, graph.community)
 
 
 def measured_mixing(graph):

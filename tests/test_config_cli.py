@@ -315,21 +315,42 @@ def test_wide_mixture_component_is_refused_quickly(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_a_sample_of_equal_opinions_is_refused(tmp_path, capsys):
-    # sigma 1e-300 puts every opinion on the center; at 0.3 their sd came
-    # out nonzero and the lift failed with no mass on the grid
+def one_group_config_file(tmp_path, component, n_nodes=60):
+    """small_config with n_nodes in one group of mixture component w:c:s,
+    saved to tmp_path / cfg.ini."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
     parser.read_string(saved_text(small_config(tmp_path / "out"), tmp_path))
+    parser["graph"]["n_nodes"] = str(n_nodes)
     parser["graph"]["n_groups"] = "1"
     parser.remove_option("mixture", "community_2")
-    parser["mixture"]["community_1"] = "1.0:0.3:1e-300"
+    parser["mixture"]["community_1"] = component
     path = tmp_path / "cfg.ini"
     with open(path, "w") as fh:
         parser.write(fh)
+    return path
+
+
+def test_a_sample_of_equal_opinions_is_refused(tmp_path, capsys):
+    # sigma 1e-300 puts every opinion on the center; at 0.3 their sd came
+    # out nonzero and the lift failed with no mass on the grid
+    path = one_group_config_file(tmp_path, "1.0:0.3:1e-300")
     assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == ("configuration error: bandwidth: "
                                        "sample is degenerate\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sample_narrower_than_the_grid_is_refused(tmp_path, capsys):
+    # sigma 1e-17 leaves a few of 1000 opinions an ulp (5.6e-17) off 0.3,
+    # so the sample is not degenerate, but its bandwidth of about 3e-17 is
+    # far below the grid's; the lift refuses it instead of finding no mass
+    path = one_group_config_file(tmp_path, "1.0:0.3:1e-17", n_nodes=1000)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: kde: bandwidth h = ")
+    assert "dx = 0.0488" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

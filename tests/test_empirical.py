@@ -205,6 +205,21 @@ def test_kde_small_bandwidth_localizes_mass():
     np.testing.assert_allclose(cell_mass, expect, atol=1e-10)
 
 
+def test_kde_refuses_a_bandwidth_below_the_grid_floor():
+    # opinions at -1 and 1 lie dx / 2 from the nearest midpoint, the
+    # farthest any opinion gets, so their product kernel peaks at
+    # exp(-dx^2 / (4 h^2)): a normal double just above h = dx / 53.2
+    g = graph_from_pairs(2, [(0, 1)])
+    om = np.array([-1.0, 1.0])
+    grid = Grid(50)
+    pf = empirical_g_kde(g, om, grid, grid.dx / 53.0)
+    assert np.all(np.isfinite(pf.values))
+    assert pf.mass() == pytest.approx(1.0)
+    with pytest.raises(ConfigError, match=r"h = .* below dx / 53\.2 .*"
+                                          r"dx = 0\.04\b"):
+        empirical_g_kde(g, om, grid, grid.dx / 53.5)
+
+
 def test_silverman_formula_and_equivariance():
     rng = np.random.default_rng(31)
     x = rng.normal(0.0, 0.2, 500)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -141,6 +142,42 @@ def test_a_large_graph_matches_the_set_and_search_references():
     ref_label, ref_count = oracles.component_labels(g)
     assert count == ref_count
     np.testing.assert_array_equal(label, ref_label)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes traced during the call); numpy reports
+    its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the micro_large graph family; seed 26 leaves two components at this size
+WORKING_SET = GraphConfig(n_nodes=50000, n_groups=3, mean_degree=10.0,
+                          mixing_mu=0.05, seed=26)
+
+
+def test_generation_holds_a_bounded_working_set():
+    # peaks measured at 1.90x the final edge list: the sorted keys beside
+    # the edge list they are split into, plus the node arrays; the
+    # generator that matched into one shared key list peaked at 3.21x
+    generate_community_graph(replace(WORKING_SET, n_nodes=3000))   # warm-up
+    g, peak = traced_peak(generate_community_graph, WORKING_SET)
+    assert peak <= 2.3 * g.edges.nbytes
+
+
+def test_bridging_holds_a_bounded_working_set():
+    # peaks measured at 1.43x the final edge list: the merged list, its
+    # row mask and the labels; gathering both endpoint roots as whole
+    # arrays and inserting into a key copy peaked at 3.20x
+    g = generate_community_graph(WORKING_SET)
+    assert _component_labels(g)[1] == 2
+    ensure_connected(graph_from_pairs(4, [(0, 1), (2, 3)]))   # warm-up
+    new, peak = traced_peak(ensure_connected, g)
+    assert new.n_edges == g.n_edges + 1
+    assert peak <= 1.8 * new.edges.nbytes
 
 
 def test_config_validation():
