@@ -266,7 +266,7 @@ def generate_community_graph(config):
     return _from_keys(n, keys, community)
 
 
-_CHUNK = 1 << 16    # edges per chunk of the component and rank passes
+_CHUNK = 1 << 16    # edges per chunk of the component pass
 
 
 def _component_labels(graph):
@@ -309,17 +309,6 @@ def is_connected(graph):
     return _component_labels(graph)[1] == 1
 
 
-def _rank(graph, keys):
-    # how many of the graph's edge keys lie below each of keys, counted a
-    # chunk of edges at a time, so no E-sized key array is formed
-    n = graph.n_nodes
-    below = np.zeros(keys.size, dtype=np.int64)
-    for lo in range(0, graph.n_edges, _CHUNK):
-        part = graph.edges[lo:lo + _CHUNK]
-        below += np.searchsorted(part[:, 0] * n + part[:, 1], keys)
-    return below
-
-
 def ensure_connected(graph):
     """Bridge every stray component into the main one (one edge each).
 
@@ -327,7 +316,8 @@ def ensure_connected(graph):
     seeded with the node count, so the result depends on the graph alone.
     A bridge joins two components, so its edge is new; the sorted bridges
     are merged into the graph's sorted edges column by column, at their
-    ranks among its edge keys, so no key array of the graph is formed.
+    ranks among its edge keys.  That key array is freed before the merged
+    list is allocated, so it stays below the merge's own peak.
     """
     label, count = _component_labels(graph)
     if count <= 1:
@@ -352,8 +342,12 @@ def ensure_connected(graph):
     keys = bridges[:, 0] * n + bridges[:, 1]
     order = np.argsort(keys)
     bridges = bridges[order]
-    # the bridges' rows in the merged list, the graph's edges in the rest
-    at = _rank(graph, keys[order]) + np.arange(keys.size)
+    # the bridges' rows in the merged list, the graph's edges in the rest;
+    # the graph's keys are freed before the merged list is allocated
+    graph_keys = graph.tail * n
+    graph_keys += graph.head
+    at = np.searchsorted(graph_keys, keys[order]) + np.arange(keys.size)
+    del graph_keys
     edges = np.empty((graph.n_edges + keys.size, 2), dtype=np.int64,
                      order="F")
     old = np.ones(edges.shape[0], dtype=bool)

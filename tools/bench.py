@@ -1,38 +1,36 @@
-"""Benchmark this tree against a git ref with the unmodified perfbench.
+"""Benchmark HEAD against a git ref with the unmodified perfbench.
 
-    python tools/bench.py [--ref REF] [--pairs K] [--seconds S]
-                          --out BENCH_<n>.json
+    python tools/bench.py [--ref REF] [--pairs K] --out BENCH_<n>.json
 
-Extracts REF (by default HEAD) with `git archive`, and copies this working
-tree's files (tracked and untracked, not ignored), each into a fresh
-temporary directory, so neither tree starts with a bytecode cache or a
-perfbench output.  For each of K pairs (by default 10) and each workload
-in perfbench/workloads, it runs
+Extracts REF (by default HEAD~1) and HEAD with `git archive`, each into a
+fresh temporary directory, so neither tree starts with a bytecode cache or
+a perfbench output, and the record names the exact commits it measured:
+commit a change before benchmarking it.  For each of K pairs (by default
+10) and each workload in perfbench/workloads, it runs
 
     python3 perfbench/run.py --workload W --seed P --seconds S --trace 0
 
-on both trees, P being the pair's index, the ref's tree first in even
-pairs and this one first in odd pairs, and reads the run's
-.perfbench_out/W/result.json.  The output holds, per workload and tree,
-the median and interquartile range of each end-to-end metric that
-BENCHMARK.json declares (run_s, setup_s, peak_rss_mb, ok_frac) with the
-values per pair, whether perfbench found every output correct, and
-perfbench's env line of the first pair; per workload, the number of pairs
-in which this tree's value is better, in the direction BENCHMARK.json
-gives; and the git sha of the ref and of HEAD, with HEAD's dirty flag.
-Stdlib only.
+on both trees, S being BENCHMARK.json's run_seconds and P the pair's
+index, REF's tree first in even pairs and HEAD's first in odd pairs, and
+reads the run's .perfbench_out/W/result.json.  The output holds, per
+workload and tree, the median and interquartile range of each end-to-end
+metric that BENCHMARK.json declares (run_s, setup_s, peak_rss_mb,
+ok_frac) with the values per pair, whether perfbench found every output
+correct, and perfbench's env line of the first pair; per workload, the
+number of pairs in which HEAD's value is better, in the direction
+BENCHMARK.json gives; and the name and git sha of both commits.  Stdlib
+only.
 """
 
 import argparse
-import io
 import json
-import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from compare_runs import extract
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "opinet-bench/1"
@@ -40,27 +38,11 @@ COMMAND = ("python3 perfbench/run.py --workload W --seed P --seconds S "
            "--trace 0")
 
 
-def git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE,
-                          check=True, text=True).stdout
-
-
-def extract_ref(ref, dest):
-    archive = subprocess.run(["git", "archive", ref], cwd=ROOT,
-                             stdout=subprocess.PIPE, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
-
-
-def copy_tree(dest):
-    """Copy the files git would see in this tree: tracked and untracked,
-    not ignored."""
-    for name in git("ls-files", "-z", "--cached", "--others",
-                    "--exclude-standard").split("\0"):
-        path = ROOT / name
-        if name and path.is_file():
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(path, dest / name)
+def commit(ref):
+    """The name of ref and the sha of the commit it names."""
+    sha = subprocess.run(["git", "rev-parse", ref + "^{commit}"], cwd=ROOT,
+                         stdout=subprocess.PIPE, check=True, text=True)
+    return {"name": ref, "sha": sha.stdout.strip()}
 
 
 def run_once(tree, workload, seed, seconds):
@@ -85,9 +67,8 @@ def summary(values):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--ref", default="HEAD")
+    parser.add_argument("--ref", default="HEAD~1")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -96,28 +77,26 @@ def main(argv=None):
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     workloads = sorted(p.stem for p in
                        (ROOT / "perfbench" / "workloads").glob("*.ini"))
+    seconds = declared["run_seconds"]
     record = {
         "schema": SCHEMA, "command": COMMAND, "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "bytecode": "each tree starts without __pycache__; its first "
                     "child writes it unless PYTHONDONTWRITEBYTECODE is set",
-        "ref": {"name": args.ref,
-                "sha": git("rev-parse", args.ref + "^{commit}").strip()},
-        "change": {"sha": git("rev-parse", "HEAD").strip(),
-                   "dirty": bool(git("status", "--porcelain").strip())},
+        "ref": commit(args.ref), "change": commit("HEAD"),
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"ref": Path(tmp) / "ref", "change": Path(tmp) / "change"}
-        extract_ref(args.ref, trees["ref"])
-        copy_tree(trees["change"])
+        for side, tree in trees.items():
+            extract(record[side]["sha"], tree)
         results = {w: {side: [] for side in trees} for w in workloads}
         for pair in range(args.pairs):
             order = ["ref", "change"] if pair % 2 == 0 else ["change", "ref"]
             for workload in workloads:
                 for side in order:
                     result = run_once(trees[side], workload, pair,
-                                      args.seconds)
+                                      seconds)
                     results[workload][side].append(result)
                     print("pair %d %s %s: %s" % (
                         pair, workload, side,

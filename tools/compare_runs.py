@@ -114,13 +114,18 @@ def largest_difference(old, new):
     return worst
 
 
+def extract(ref, dest):
+    """Write the files of git ref into dest, with `git archive`."""
+    archive = subprocess.run(["git", "archive", ref], cwd=ROOT,
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def main(ref):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "archive", ref], cwd=ROOT,
-                                 stdout=subprocess.PIPE, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "ref", filter="data")
+        extract(ref, tmp / "ref")
         old, old_rss = outputs(tmp / "ref", tmp / "old")
         new, new_rss = outputs(ROOT, tmp / "new")
         sizes = size(tmp / "ref"), size(ROOT)
