@@ -125,11 +125,16 @@ class CommunityGraph:
     def _edge_scratch(self):
         return np.empty(self.n_edges)
 
-    # the micro step's divisor max(degree, 1), held as floats so a step
-    # takes neither an integer max nor a mixed-type divide
+    # the degrees and the micro step's divisor max(degree, 1), held as
+    # floats so a step or a record takes neither an integer max nor a
+    # mixed-type product or divide
+    @cached_property
+    def _degree_float(self):
+        return self.degrees.astype(float)
+
     @cached_property
     def _degree_divisor(self):
-        return np.maximum(self.degrees, 1).astype(float)
+        return np.maximum(self._degree_float, 1.0)
 
     @property
     def n_groups(self):
@@ -157,7 +162,11 @@ def graph_from_pairs(n_nodes, pairs, community=None):
         raise ConfigError("graph: self loop (%d, %d)" % tuple(p[loops[0]]))
     if p.size and (p.min() < 0 or p.max() >= n):
         raise ConfigError("graph: edge endpoint out of range")
-    keys = np.unique(_pair_keys(p, n))
+    # the distinct keys, sorted; np.unique would import numpy.ma (about
+    # 1 MB of RSS) to rule out a masked array
+    keys = _pair_keys(p, n)
+    keys.sort()
+    keys = keys[_run_starts(keys)]
     if community is None:
         community = np.ones(n, dtype=np.int64)
     return _from_keys(n, keys, community)
@@ -170,6 +179,14 @@ def _pair_keys(pairs, n):
     keys *= n
     keys += np.maximum(u, v)
     return keys
+
+
+def _run_starts(keys):
+    # True at the first entry of each run of equal values of sorted keys
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
 
 
 def _in_sorted(table, x):
@@ -214,9 +231,7 @@ def _greedy_match(stubs, rng, n, ok_pair=None):
         drawn = np.where(ok, cand, -1)
         drawn.sort()
         drawn = drawn[np.searchsorted(drawn, 0):]
-        first = np.empty(drawn.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(drawn[1:], drawn[:-1], out=first[1:])
+        first = _run_starts(drawn)
         fresh = drawn[first]
         repeats = drawn[~first]
         del drawn, first

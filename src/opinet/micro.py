@@ -5,6 +5,11 @@ neighbors through an odd, nonincreasing interaction rule D applied to
 opinion differences and averaged over the neighborhood.  D is minus the
 derivative of an even convex potential W, so pairwise potential energy
 decays along trajectories and the degree-weighted opinion sum is conserved.
+
+For the linear rule D(z) = -z a step needs no edge differences: the mean
+of D(omega_i - omega_j) over the neighbours is their mean opinion minus
+omega_i, two gathers of omega, each summed into the nodes by one bincount.
+Any other rule is evaluated once per undirected edge on the differences.
 """
 
 from dataclasses import dataclass
@@ -29,9 +34,35 @@ class DebateOperator:
 
     @classmethod
     def linear(cls):
-        return cls(d=lambda z: -np.asarray(z, dtype=float),
-                   w=lambda z: 0.5 * np.square(z),
-                   lipschitz=1.0)
+        # module-level functions, so every linear operator equals every
+        # other one and micro_rhs can recognise it by value
+        return cls(d=_linear_d, w=_linear_w, lipschitz=1.0)
+
+
+def _linear_d(z):
+    return -np.asarray(z, dtype=float)
+
+
+def _linear_w(z):
+    return 0.5 * np.square(z)
+
+
+_LINEAR = DebateOperator.linear()
+
+
+def _opinions(graph, omega):
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (graph.n_nodes,):
+        raise ConfigError("micro: omega must have one entry per node")
+    return omega
+
+
+def _gather(graph, omega, ends):
+    # omega at one end of every edge, into the graph's per-edge scratch;
+    # every index is in range once omega has one entry per node, and
+    # "clip" only spares take the buffered copy it makes for out= under
+    # "raise"
+    return np.take(omega, ends, out=graph._edge_scratch, mode="clip")
 
 
 def _edge_differences(graph, omega):
@@ -42,20 +73,29 @@ def _edge_differences(graph, omega):
     each step and faulted it in again on the next: ~1050 minor page faults
     per step on a 2.5e5-edge graph, 1.5x its wall time.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (graph.n_nodes,):
-        raise ConfigError("micro: omega must have one entry per node")
-    # every index is in range once omega has one entry per node; "clip"
-    # only spares take the buffered copy it makes for out= under "raise"
-    diff = np.take(omega, graph.tail, out=graph._edge_scratch, mode="clip")
+    omega = _opinions(graph, omega)
+    diff = _gather(graph, omega, graph.tail)
     diff -= np.take(omega, graph.head)
     return diff
 
 
 def micro_rhs(graph, omega, operator):
     """d omega_i / dt = mean over neighbors j of D(omega_i - omega_j)."""
-    # D is odd, so each edge gives D(w_i - w_j) to i and its negative to j
     n = graph.n_nodes
+    if operator == _LINEAR:
+        # (sum_j omega_j - deg_i omega_i) / max(deg_i, 1): each gather
+        # feeds one bincount before the next overwrites the scratch; an
+        # edgeless graph's bincount is integer, hence the cast
+        omega = _opinions(graph, omega)
+        sums = np.bincount(graph.tail, minlength=n,
+                           weights=_gather(graph, omega, graph.head))
+        sums = sums.astype(float, copy=False)
+        sums += np.bincount(graph.head, minlength=n,
+                            weights=_gather(graph, omega, graph.tail))
+        sums -= graph._degree_float * omega
+        sums /= graph._degree_divisor
+        return sums
+    # D is odd, so each edge gives D(w_i - w_j) to i and its negative to j
     d = operator.d(_edge_differences(graph, omega))
     sums = (np.bincount(graph.tail, weights=d, minlength=n)
             - np.bincount(graph.head, weights=d, minlength=n))
@@ -75,7 +115,10 @@ def euler_step(graph, omega, operator, dt):
         raise ConfigError(
             "micro: dt=%g violates 0 < dt <= %g" % (dt, step_size_bound(operator)))
     omega = np.asarray(omega, dtype=float)
-    return omega + dt * micro_rhs(graph, omega, operator)
+    step = micro_rhs(graph, omega, operator)
+    step *= dt
+    step += omega
+    return step
 
 
 def _reflect_unit(x):
@@ -101,8 +144,9 @@ def euler_maruyama_step(graph, omega, operator, dt, sigma, rng):
 
 def conserved_quantity(graph, omega):
     """Degree-weighted opinion sum, invariant under the deterministic flow."""
-    omega = np.asarray(omega, dtype=float)
-    return float(np.dot(graph.degrees.astype(float), omega))
+    # a pairwise sum, not np.dot: BLAS would wake its thread pool for
+    # every record
+    return float(np.sum(graph._degree_float * np.asarray(omega, dtype=float)))
 
 
 def consensus_value(graph, omega):
@@ -115,7 +159,12 @@ def consensus_value(graph, omega):
 
 def potential_v(graph, omega, operator):
     """Total pairwise potential, half the sum of W over ordered neighbor pairs."""
-    return float(np.sum(operator.w(_edge_differences(graph, omega))))
+    diff = _edge_differences(graph, omega)
+    if operator == _LINEAR:
+        # 0.5 sum z^2 is sum 0.5 z^2 bit for bit, squared in the scratch
+        np.square(diff, out=diff)
+        return 0.5 * float(np.sum(diff))
+    return float(np.sum(operator.w(diff)))
 
 
 def e_micro(graph, omega):

@@ -420,6 +420,18 @@ def test_the_first_preset_state_imports_no_module():
         "print(sorted(set(sys.modules) - loaded))\n") == "[]"
 
 
+def test_building_a_graph_from_pairs_imports_no_numpy_ma():
+    # a plain np.unique imports numpy.ma, about 1 MB of RSS, to rule out
+    # a masked array
+    assert run_fresh(
+        "import sys\n"
+        "from opinet import graph_from_pairs\n"
+        "g = graph_from_pairs(4, [(2, 1), (0, 1), (1, 2)])\n"
+        "assert g.edges.tolist() == [[0, 1], [1, 2]]\n"
+        "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])\n"
+        ) == "[]"
+
+
 def test_a_whole_run_and_bridging_leave_scipy_unloaded(tmp_path):
     # every variant, the outputs and a graph with stray components to bridge
     assert not loads_scipy(

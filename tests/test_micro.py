@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ def test_quartic_is_odd_and_even_bit_for_bit():
     np.testing.assert_allclose(op.d(z), -np.power(z, 3), rtol=1e-15, atol=0)
     np.testing.assert_allclose(op.w(z), 0.25 * np.power(z, 4), rtol=1e-15,
                                atol=0)
+
+
+def test_linear_operators_are_equal():
+    # micro_rhs takes its neighbour-sum path for any operator equal to this
+    assert DebateOperator.linear() == DebateOperator.linear()
+    assert hash(DebateOperator.linear()) == hash(DebateOperator.linear())
+    assert DebateOperator.linear() != oracles.QUARTIC
 
 
 def test_step_size_bounds():
@@ -217,3 +225,29 @@ def test_micro_steps_do_not_fault_their_memory_in_again():
     out = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env,
                          check=True, capture_output=True, text=True)
     assert float(out.stdout) < 50
+
+
+def test_the_linear_rhs_allocates_less_than_one_edge_array():
+    # the neighbour sums gather into the graph's per-edge scratch, so a
+    # linear right-hand side allocates only node-sized arrays; the
+    # difference path allocated the head gather and the negated
+    # differences, two edge-sized arrays
+    g = ensure_connected(generate_community_graph(GraphConfig(
+        n_nodes=50000, n_groups=3, mean_degree=10.0, mixing_mu=0.05,
+        seed=1)))
+    assert g.n_edges > 2.4e5
+    om = np.random.default_rng(3).uniform(-1.0, 1.0, g.n_nodes)
+    lin = DebateOperator.linear()
+    micro_rhs(g, om, lin)   # builds the scratch and the float degrees
+    tracemalloc.start()
+    try:
+        rhs = micro_rhs(g, om, lin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.n_edges
+    np.testing.assert_allclose(rhs, oracles.micro_rhs(g, om, lin),
+                               rtol=0, atol=1e-14)
+    quartic = micro_rhs(g, om, oracles.QUARTIC)
+    np.testing.assert_allclose(quartic, oracles.micro_rhs(g, om, oracles.QUARTIC),
+                               rtol=0, atol=1e-14)

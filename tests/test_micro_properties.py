@@ -46,6 +46,24 @@ def test_rhs_matches_the_csr_gather(state):
     assert np.all(rhs[graph.degrees == 0] == 0.0)
 
 
+@settings(max_examples=200)
+@given(states(), st.booleans())
+def test_the_linear_rhs_matches_the_csr_gather_without_edges(state, edgeless):
+    # the linear operator takes the neighbour-sum path; an isolated node
+    # gets exactly 0, and so does every node of an edgeless graph, whose
+    # integer bincounts must not reach the float sums
+    graph, omega, _ = state
+    if edgeless:
+        graph = graph_from_pairs(graph.n_nodes, np.empty((0, 2), int))
+    lin = OPERATORS["linear"]
+    rhs = micro_rhs(graph, omega, lin)
+    assert rhs.dtype == float
+    assert np.all(rhs[graph.degrees == 0] == 0.0)
+    assert np.max(np.abs(rhs - oracles.micro_rhs(graph, omega, lin))) <= 1e-15
+    new = euler_step(graph, omega, lin, 1.0)
+    assert np.array_equal(new[graph.degrees == 0], omega[graph.degrees == 0])
+
+
 @given(states())
 def test_conserved_sum_holds_over_twenty_steps(state):
     graph, omega, name = state

@@ -12,11 +12,18 @@ commit a change before benchmarking it.  For each of K pairs (by default
 
 on both trees, S being BENCHMARK.json's run_seconds and P the pair's
 index, REF's tree first in even pairs and HEAD's first in odd pairs, and
-reads the run's .perfbench_out/W/result.json.  The output holds, per
-workload and tree, the median and interquartile range of each end-to-end
-metric that BENCHMARK.json declares (run_s, setup_s, peak_rss_mb,
-ok_frac) with the values per pair, whether perfbench found every output
-correct, and perfbench's env line of the first pair; per workload, the
+reads the run's .perfbench_out/W/result.json.  After the pairs it runs
+one traced benchmark per workload on both trees, REF's first,
+
+    python3 perfbench/run.py --workload W --seed 0 --seconds S --trace 1
+
+whose per-layer values are medians over its traced children.  The output
+holds, per workload and tree, the median and interquartile range of each
+end-to-end metric that BENCHMARK.json declares (run_s, setup_s,
+peak_rss_mb, ok_frac) with the values per pair, whether perfbench found
+every output correct, and perfbench's env line of the first pair; the
+traced run's per-layer medians (null for a layer the workload does not
+reach) and whether it found every output correct; per workload, the
 number of pairs in which HEAD's value is better, in the direction
 BENCHMARK.json gives; and the name and git sha of both commits.  Stdlib
 only.
@@ -33,9 +40,12 @@ from pathlib import Path
 from compare_runs import extract
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = "opinet-bench/1"
+SCHEMA = "opinet-bench/2"
 COMMAND = ("python3 perfbench/run.py --workload W --seed P --seconds S "
            "--trace 0")
+TRACE_COMMAND = ("python3 perfbench/run.py --workload W --seed 0 "
+                 "--seconds S --trace 1")
+ABSENT = -1   # perfbench's value of a layer that never ran
 
 
 def commit(ref):
@@ -45,11 +55,11 @@ def commit(ref):
     return {"name": ref, "sha": sha.stdout.strip()}
 
 
-def run_once(tree, workload, seed, seconds):
-    """perfbench's result.json of one --trace 0 run on tree."""
+def run_once(tree, workload, seed, seconds, trace=0):
+    """perfbench's result.json of one run on tree."""
     subprocess.run([sys.executable, "perfbench/run.py", "--workload",
                     workload, "--seed", str(seed), "--seconds",
-                    str(seconds), "--trace", "0"], cwd=tree,
+                    str(seconds), "--trace", str(trace)], cwd=tree,
                    stdout=subprocess.DEVNULL, check=True)
     with open(tree / ".perfbench_out" / workload / "result.json") as fh:
         return json.load(fh)
@@ -63,6 +73,10 @@ def summary(values):
         q1 = q3 = values[0]
     return {"median": statistics.median(values), "iqr": q3 - q1,
             "values": values}
+
+
+def shown(value):
+    return "absent" if value is None else "%.4g" % value
 
 
 def main(argv=None):
@@ -79,7 +93,8 @@ def main(argv=None):
                        (ROOT / "perfbench" / "workloads").glob("*.ini"))
     seconds = declared["run_seconds"]
     record = {
-        "schema": SCHEMA, "command": COMMAND, "pairs": args.pairs,
+        "schema": SCHEMA, "command": COMMAND,
+        "trace_command": TRACE_COMMAND, "pairs": args.pairs,
         "seconds": seconds,
         "bytecode": "each tree starts without __pycache__; its first "
                     "child writes it unless PYTHONDONTWRITEBYTECODE is set",
@@ -102,6 +117,14 @@ def main(argv=None):
                         pair, workload, side,
                         {m: result["metrics"][m]["value"] for m in better}),
                         flush=True)
+        traced = {w: {} for w in workloads}
+        for workload in workloads:
+            for side, tree in trees.items():
+                traced[workload][side] = run_once(tree, workload, 0, seconds,
+                                                  trace=1)
+                print("traced %s %s: correct %s" % (
+                    workload, side, traced[workload][side]["correct"]),
+                    flush=True)
     for workload, sides in results.items():
         entry = {}
         for side, runs in sides.items():
@@ -109,7 +132,13 @@ def main(argv=None):
                 "env": runs[0]["env"],
                 "correct": [r["correct"] for r in runs],
                 "metrics": {m: summary([r["metrics"][m]["value"]
-                                        for r in runs]) for m in better}}
+                                        for r in runs]) for m in better},
+                "traced": {
+                    "correct": traced[workload][side]["correct"],
+                    "metrics": {
+                        m: None if v["value"] == ABSENT else v["value"]
+                        for m, v in
+                        traced[workload][side]["metrics"].items()}}}
         entry["change_better"] = {}
         for m, direction in better.items():
             sign = -1 if direction == "lower" else 1
@@ -127,6 +156,11 @@ def main(argv=None):
                   % (workload, m, entry["ref"]["metrics"][m]["median"],
                      entry["change"]["metrics"][m]["median"],
                      entry["change_better"][m], args.pairs))
+        for m, old in entry["ref"]["traced"]["metrics"].items():
+            new = entry["change"]["traced"]["metrics"][m]
+            if old is not None or new is not None:
+                print("%-18s %-27s ref %-10s change %-10s (traced)"
+                      % (workload, m, shown(old), shown(new)))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Time one continuum step on random symmetric states.
+"""Time one continuum step on random symmetric states, and one micro step.
 
     python tools/bench_step.py [--ref REF] [--repeats N] [--seconds S]
                                [--sizes 101,202,404] [--labels 1,3]
@@ -8,34 +8,70 @@ count k (by default 1 and 3), and the physics off (no diffusion, no
 birth-death) or on (diffusion_sigma = 1e-3, birth and death rates 0.1),
 it times a ContinuumStepper's check + advance pair as the runner takes
 them, advance at the speeds that check returns, each step at 0.9 of the realized bound of the state it advances,
-starting from a random state with g[q, p] = g[p, q].T.  Each repeat runs
-every case in a fresh subprocess for about S seconds and gives one time
-per step per case.  The table shows the median and quartiles of the
-repeats, in ms per step.  With --ref, the ref is extracted with `git
-archive` and the repeats alternate between its tree and this one, and
-which of them goes first; the table then shows both and the ratio of the
-medians.  Stdlib and numpy only.
+starting from a random state with g[q, p] = g[p, q].T.  For each node
+count N = 200, 2e3, 2e4 and 2e5, it times one explicit Euler step of the
+linear D on a graph of the preset family (3 communities, mean degree 10,
+mu = 0.05, bridged to one component), from uniform opinions.  Each repeat
+runs every case in a fresh subprocess for about S seconds and gives one
+time per step per case.  The two tables show the median and quartiles of
+the repeats, in ms per step.  With --ref, the ref is extracted as
+tools/compare_runs.py extracts it, and the repeats alternate between its
+tree and this one, and which of them goes first; the tables then show
+both and the ratio of the medians.  Stdlib and numpy only.
 """
 
 import argparse
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
+from compare_runs import extract
+
 ROOT = Path(__file__).resolve().parent.parent
 SAFETY = 0.9
+NODES = (200, 2000, 20000, 200000)   # the micro table's node counts
+
+
+def per_step(step, state, seconds):
+    """ms per call of state = step(state), after two untimed calls."""
+    for _ in range(2):
+        state = step(state)
+    steps = 0
+    start = time.perf_counter()
+    while steps < 3 or time.perf_counter() - start < seconds:
+        state = step(state)
+        steps += 1
+    return 1e3 * (time.perf_counter() - start) / steps
+
+
+def time_micro(seconds):
+    """{N: ms per linear Euler step} for every node count, from the opinet
+    on the path."""
+    import numpy as np
+    from opinet import (DebateOperator, GraphConfig, ensure_connected,
+                        euler_step, generate_community_graph)
+
+    linear = DebateOperator.linear()
+    times = {}
+    for n in NODES:
+        graph = ensure_connected(generate_community_graph(GraphConfig(
+            n_nodes=n, n_groups=3, mean_degree=10.0, mixing_mu=0.05,
+            seed=n)))
+        omega = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        times[str(n)] = per_step(
+            lambda omega: euler_step(graph, omega, linear, 0.01), omega,
+            seconds)
+    return times
 
 
 def time_cases(sizes, labels, seconds):
-    """{case name: ms per step} for every case, from the opinet on the
-    path."""
+    """{case name: ms per step} for every continuum case, from the opinet
+    on the path."""
     import numpy as np
     from opinet import ContinuumParams, DebateOperator, Grid
     from opinet.continuum import ContinuumStepper
@@ -55,19 +91,11 @@ def time_cases(sizes, labels, seconds):
         f /= grid.dx * f.sum()
         g /= grid.dx ** 2 * g.sum()
 
-        def step(f, g):
-            bound, a, _ = stepper.check(f, g)
-            return stepper.advance(f, g, SAFETY * bound, a)
+        def step(state):
+            bound, a, _ = stepper.check(*state)
+            return stepper.advance(*state, SAFETY * bound, a)
 
-        for _ in range(2):
-            f, g = step(f, g)
-        steps = 0
-        start = time.perf_counter()
-        while steps < 3 or time.perf_counter() - start < seconds:
-            f, g = step(f, g)
-            steps += 1
-        times["%d %d %s" % (n, k, physics)] = \
-            1e3 * (time.perf_counter() - start) / steps
+        times["%d %d %s" % (n, k, physics)] = per_step(step, (f, g), seconds)
     return times
 
 
@@ -99,9 +127,11 @@ def main():
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        print(json.dumps(time_cases(
-            [int(v) for v in args.sizes.split(",")],
-            [int(v) for v in args.labels.split(",")], args.seconds)))
+        print(json.dumps({
+            "continuum": time_cases([int(v) for v in args.sizes.split(",")],
+                                    [int(v) for v in args.labels.split(",")],
+                                    args.seconds),
+            "micro": time_micro(args.seconds)}))
         return 0
     if args.repeats < 2:
         parser.error("--repeats must be at least 2")
@@ -109,11 +139,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"this": ROOT}
         if args.ref:
-            archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT,
-                                     stdout=subprocess.PIPE,
-                                     check=True).stdout
-            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-                tar.extractall(Path(tmp) / "ref", filter="data")
+            extract(args.ref, Path(tmp) / "ref")
             trees = {"ref": Path(tmp) / "ref", "this": ROOT}
         runs = {name: [] for name in trees}
         for r in range(args.repeats):
@@ -121,23 +147,25 @@ def main():
             for name in order:
                 runs[name].append(run_child(trees[name], args))
 
-    cols = ["n", "k", "physics"]
-    for name in trees:
-        cols += [name + " median", name + " q1", name + " q3"]
-    if args.ref:
-        cols.append("this/ref")
-    print("ms per step, %d repeats" % args.repeats)
-    print("\t".join(cols))
-    for case in runs["this"][0]:
-        row = case.split()
-        medians = []
+    for table, keys in (("continuum", ["n", "k", "physics"]),
+                        ("micro", ["N"])):
+        cols = list(keys)
         for name in trees:
-            stats = summary([run[case] for run in runs[name]])
-            medians.append(stats[0])
-            row += ["%.3f" % v for v in stats]
+            cols += [name + " median", name + " q1", name + " q3"]
         if args.ref:
-            row.append("%.3f" % (medians[1] / medians[0]))
-        print("\t".join(row))
+            cols.append("this/ref")
+        print("ms per %s step, %d repeats" % (table, args.repeats))
+        print("\t".join(cols))
+        for case in runs["this"][0][table]:
+            row = case.split()
+            medians = []
+            for name in trees:
+                stats = summary([run[table][case] for run in runs[name]])
+                medians.append(stats[0])
+                row += ["%.4f" % v for v in stats]
+            if args.ref:
+                row.append("%.3f" % (medians[1] / medians[0]))
+            print("\t".join(row))
     return 0
 
 
