@@ -72,8 +72,9 @@ class CommunityGraph:
     of its two columns, each contiguous.  community holds labels in
     1..n_groups.  The dynamics accumulate over the edges in this order,
     which pins their round-off and keeps runs bit-reproducible.  The micro
-    step gathers its edge differences into one per-edge buffer held by
-    the graph, so two threads must not step on one graph at once.
+    step gathers opinions at the edges' ends (or their differences) into
+    one per-edge buffer held by the graph, so two threads must not step
+    on one graph at once.
     """
 
     n_nodes: int
