@@ -428,8 +428,8 @@ def test_building_a_graph_from_pairs_imports_no_numpy_ma():
         "from opinet import graph_from_pairs\n"
         "g = graph_from_pairs(4, [(2, 1), (0, 1), (1, 2)])\n"
         "assert g.edges.tolist() == [[0, 1], [1, 2]]\n"
-        "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])\n"
-        ) == "[]"
+        "print([m for m in sys.modules\n"
+        "       if m.split('.')[:2] == ['numpy', 'ma']])\n") == "[]"
 
 
 def test_a_whole_run_and_bridging_leave_scipy_unloaded(tmp_path):

@@ -248,6 +248,7 @@ def test_the_linear_rhs_allocates_less_than_one_edge_array():
     assert peak < 8 * g.n_edges
     np.testing.assert_allclose(rhs, oracles.micro_rhs(g, om, lin),
                                rtol=0, atol=1e-14)
-    quartic = micro_rhs(g, om, oracles.QUARTIC)
-    np.testing.assert_allclose(quartic, oracles.micro_rhs(g, om, oracles.QUARTIC),
+    quartic = oracles.QUARTIC
+    np.testing.assert_allclose(micro_rhs(g, om, quartic),
+                               oracles.micro_rhs(g, om, quartic),
                                rtol=0, atol=1e-14)
