@@ -44,10 +44,10 @@ def _linear_d(z):
 
 
 def _linear_w(z):
-    return 0.5 * np.square(z)
-
-
-_LINEAR = DebateOperator.linear()
+    # squared and halved in one temporary
+    w = np.square(z, dtype=float)
+    w *= 0.5
+    return w
 
 
 def _opinions(graph, omega):
@@ -82,7 +82,7 @@ def _edge_differences(graph, omega):
 def micro_rhs(graph, omega, operator):
     """d omega_i / dt = mean over neighbors j of D(omega_i - omega_j)."""
     n = graph.n_nodes
-    if operator == _LINEAR:
+    if operator == DebateOperator.linear():
         # (sum_j omega_j - deg_i omega_i) / max(deg_i, 1): each gather
         # feeds one bincount before the next overwrites the scratch; an
         # edgeless graph's bincount is integer, hence the cast
@@ -146,7 +146,7 @@ def conserved_quantity(graph, omega):
     """Degree-weighted opinion sum, invariant under the deterministic flow."""
     # a pairwise sum, not np.dot: BLAS would wake its thread pool for
     # every record
-    return float(np.sum(graph._degree_float * np.asarray(omega, dtype=float)))
+    return float(np.sum(graph._degree_float * _opinions(graph, omega)))
 
 
 def consensus_value(graph, omega):
@@ -159,12 +159,7 @@ def consensus_value(graph, omega):
 
 def potential_v(graph, omega, operator):
     """Total pairwise potential, half the sum of W over ordered neighbor pairs."""
-    diff = _edge_differences(graph, omega)
-    if operator == _LINEAR:
-        # 0.5 sum z^2 is sum 0.5 z^2 bit for bit, squared in the scratch
-        np.square(diff, out=diff)
-        return 0.5 * float(np.sum(diff))
-    return float(np.sum(operator.w(diff)))
+    return float(np.sum(operator.w(_edge_differences(graph, omega))))
 
 
 def e_micro(graph, omega):

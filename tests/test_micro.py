@@ -80,6 +80,16 @@ def test_conserved_quantity_and_consensus():
     assert consensus_value(g, om2) == pytest.approx(-0.0625)
 
 
+@pytest.mark.parametrize("omega", [np.zeros(1), np.zeros((3, 1)),
+                                   np.zeros(4)])
+def test_records_refuse_omega_of_the_wrong_shape(omega):
+    # a broadcast against the degrees would return a plausible wrong sum
+    g = path3()
+    for record in (conserved_quantity, consensus_value, e_micro):
+        with pytest.raises(ConfigError):
+            record(g, omega)
+
+
 def test_consensus_needs_edges():
     g = graph_from_pairs(3, [])
     with pytest.raises(ConfigError):
