@@ -35,7 +35,7 @@ class DebateOperator:
     @classmethod
     def linear(cls):
         # module-level functions, so every linear operator equals every
-        # other one and micro_rhs can recognise it by value
+        # other one and micro_rhs can recognise its d
         return cls(d=_linear_d, w=_linear_w, lipschitz=1.0)
 
 
@@ -82,7 +82,7 @@ def _edge_differences(graph, omega):
 def micro_rhs(graph, omega, operator):
     """d omega_i / dt = mean over neighbors j of D(omega_i - omega_j)."""
     n = graph.n_nodes
-    if operator == DebateOperator.linear():
+    if operator.d is _linear_d:
         # (sum_j omega_j - deg_i omega_i) / max(deg_i, 1): each gather
         # feeds one bincount before the next overwrites the scratch; an
         # edgeless graph's bincount is integer, hence the cast
