@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .empirical import ScalarField, PairField, LabeledFields
+from .micro import _linear_d
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,18 @@ def _speeds(g4, dmat, dx, cutoff):
     num = dx * np.einsum("pij,ij->pi", rows, dmat)
     keep = den >= cutoff
     return np.where(keep, num / np.where(keep, den, 1.0), 0.0), den
+
+
+def _moment_speeds(g4, moments, dx, cutoff):
+    # _speeds for D(z) = -z: a[p, i] = sum_{q,j} g[p,q,i,j] mid_j /
+    # sum_{q,j} g[p,q,i,j] - mid_i, both row moments from one matmul with
+    # moments = [mids, 1], summed over q in order
+    rows = np.matmul(g4, moments)
+    rows = sum((rows[:, q] for q in range(1, rows.shape[1])), rows[:, 0])
+    den = dx * rows[..., 1]
+    keep = den >= cutoff
+    mean = rows[..., 0] / np.where(keep, rows[..., 1], 1.0)
+    return np.where(keep, mean - moments[:, 0], 0.0), den
 
 
 def _dt_bound(dx, speed, params):
@@ -155,20 +168,26 @@ class ContinuumStepper:
     the two-dimensional step bound, lam max|a| + 2 nu < 1/2, so every
     weight of U is nonnegative.
 
-    Birth adds dt b f_p f_q to the new block, the outer product formed,
-    scaled and added.  With the death factor in U, the block is
-    (1 - dt d) g + dt b f_p f_q after transport; every term is nonnegative
-    because the step bound keeps dt < 1 / d, and the product, not one of
-    its factors, is scaled, so a diagonal block stays bit-symmetric.  It
-    is g + dt (b f_p f_q - d g) up to round-off.
+    Birth adds dt b f_p f_q to the new block, an outer product whose row
+    factor is prescaled, so no pass scales the product.  A diagonal block
+    takes half of it, (0.5 dt b f_p) f_p, into U before the mirror sum,
+    which adds the two halves symmetrically and so keeps the block
+    bit-symmetric; a block above the diagonal takes (dt b f_p) f_q after
+    the sum, and its mirror block is its transpose.  With the death factor
+    in U, the block is (1 - dt d) g + dt b f_p f_q after transport; every
+    term is nonnegative because the step bound keeps dt < 1 / d.  It is
+    g + dt (b f_p f_q - d g) up to round-off.
 
     The stepper holds one n x n scratch block, used by every k it
     advances, so a step allocates little beyond its outputs; a stepper
-    must not be advanced from two threads at once.  D(mid_i - mid_j)
-    depends only on i - j, so dmat is a read-only n x n view of D's 2n - 1
-    distinct values (Grid.difference_matrix): the stepper holds n^2 + O(n)
-    floats, and the speeds pass streams g against a matrix that stays in
-    cache.
+    must not be advanced from two threads at once.  For the linear D(z) =
+    -z the speeds are two row moments, a = sum_j g_ij mid_j / sum_j g_ij
+    - mid_i, and the row masses come with them, from one matmul of g with
+    the n x 2 matrix [mids, 1].  Any other D(mid_i - mid_j) depends only
+    on i - j, so dmat is a read-only n x n view of D's 2n - 1 distinct
+    values (Grid.difference_matrix), which the speeds pass streams g
+    against, and the row masses take a pass of their own; either way the
+    stepper holds n^2 + O(n) floats.
 
     advance steps at the speeds a that its caller gives it, and check
     returns them with the state's bound, so a caller that checks a state
@@ -179,11 +198,20 @@ class ContinuumStepper:
         self.grid = grid
         self.params = params.validate()
         self.dmat = grid.difference_matrix(operator.d)
+        # the linear D's speeds are two row moments of g, as micro_rhs
+        # takes its neighbour sums
+        self._moments = None
+        if operator.d is _linear_d:
+            self._moments = np.stack([grid.mids, np.ones(grid.n_cells)],
+                                     axis=1)
         # a transposed block, then a birth term
         self._work = np.empty((grid.n_cells, grid.n_cells))
 
     def speeds(self, g):
         """Per-label speeds a (k, n) and row masses (k, n) of g."""
+        if self._moments is not None:
+            return _moment_speeds(g, self._moments, self.grid.dx,
+                                  self.params.eta_cutoff)
         return _speeds(g, self.dmat, self.grid.dx, self.params.eta_cutoff)
 
     def check(self, f, g):
@@ -230,20 +258,25 @@ class ContinuumStepper:
         g_new = np.empty(g.shape)
         _half_update(w, np.ascontiguousarray(g), g_new)
         work = self._work
+        birth = dt * params.birth_rate
         for q in range(k):
             for p in range(q + 1):
                 block = g_new[p, q]
+                if birth > 0 and q == p:
+                    # half the birth term before the mirror sum, which
+                    # adds the two halves symmetrically
+                    np.einsum("i,j->ij", (0.5 * birth) * f_new[p],
+                              f_new[q], out=work)
+                    block += work
                 # U[p, q] + U[q, p].T; the transpose is copied first, as a
                 # ufunc reading a transposed operand buffers it
                 np.copyto(work, g_new[q, p].T)
                 block += work
-                if params.birth_rate > 0:
-                    # the product, not a factor, is scaled, to keep a
-                    # diagonal block symmetric
-                    np.einsum("i,j->ij", f_new[p], f_new[q], out=work)
-                    work *= dt * params.birth_rate
-                    block += work
                 if q != p:
+                    if birth > 0:
+                        np.einsum("i,j->ij", birth * f_new[p], f_new[q],
+                                  out=work)
+                        block += work
                     g_new[q, p] = block.T
         return f_new, g_new
 

@@ -78,8 +78,11 @@ def three_point_transport(f, g, a, dt, dx, params):
     as three row-scaled products of the zero-padded row above, the row and
     the row below, summed in that order; each g block takes c (w - 1/2) of
     its axis-0 stencil w, c = 1 - dt d, as U and becomes U[p, q] + U[q,
-    p].T, then the birth term.  In the stepper's order otherwise, so the
-    result is meant to match the stepper bit for bit."""
+    p].T.  The birth term is an outer product with its row factor
+    prescaled: a diagonal block takes half of it into U before the mirror
+    sum, a block above the diagonal all of it after the sum, and a block
+    below the diagonal is its mirror's transpose.  In the stepper's order
+    otherwise, so the result is meant to match the stepper bit for bit."""
     al, ar = a[:, :-1], a[:, 1:]
     amax = np.maximum(np.abs(al), np.abs(ar))
     lam = dt / dx
@@ -103,10 +106,17 @@ def three_point_transport(f, g, a, dt, dx, params):
     c = 1.0 - dt * params.death_rate
     w[:, 1] -= 0.5
     u = stencil(w * c, g)
+    birth = dt * params.birth_rate
+    k = f.shape[0]
+    if birth > 0:
+        for p in range(k):
+            u[p, p] += np.outer((0.5 * birth) * f_new[p], f_new[p])
     g_new = u + u.transpose(1, 0, 3, 2)
-    if params.birth_rate > 0:
-        g_new += (np.einsum("pi,qj->pqij", f_new, f_new)
-                  * (dt * params.birth_rate))
+    if birth > 0:
+        for q in range(k):
+            for p in range(q):
+                g_new[p, q] += np.outer(birth * f_new[p], f_new[q])
+                g_new[q, p] = g_new[p, q].T
     return f_new, g_new
 
 

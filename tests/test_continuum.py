@@ -255,7 +255,9 @@ def test_diffusion_variance_growth():
 def test_birth_death_exact_update():
     # with D = 0 and sigma = 0 the transport stage is the identity, so one
     # step applies exactly the splitting stage g (1 - dt d) + dt b f x f,
-    # in the stepper's order, and g + dt (b f x f - d g) up to round-off
+    # in the stepper's order (each half of the diagonal block takes half
+    # the birth term, prescaled), and g + dt (b f x f - d g) up to
+    # round-off
     grid = Grid(21)
     mix = MixtureSpec((((1.0, 0.0, 0.2),),))
     f = mix.cell_averages(grid, [1.0])
@@ -264,9 +266,9 @@ def test_birth_death_exact_update():
     params = ContinuumParams(dt=0.01, birth_rate=2.0, death_rate=3.0)
     f1, g1 = step_unlabeled(f, gk, ZERO, params)
     np.testing.assert_array_equal(f1.values, f.values)
-    expect = g0 * (1.0 - 0.01 * 3.0)
-    expect += np.outer(f.values, f.values) * (0.01 * 2.0)
-    np.testing.assert_array_equal(g1.values, expect)
+    half = g0 * (0.5 * (1.0 - 0.01 * 3.0))
+    half += np.outer((0.5 * (0.01 * 2.0)) * f.values, f.values)
+    np.testing.assert_array_equal(g1.values, half + half.T)
     unsplit = g0 + 0.01 * (2.0 * np.outer(f.values, f.values) - 3.0 * g0)
     np.testing.assert_allclose(g1.values, unsplit, rtol=1e-15, atol=0)
 
@@ -282,8 +284,19 @@ def test_birth_death_labeled_blocks():
     out = step_labeled(lab, ZERO, params)
     for p in range(2):
         for q in range(2):
-            expect = gvals[p, q] * (1.0 - 0.05 * 0.5)
-            expect += np.outer(fvals[p], fvals[q]) * (0.05 * 1.5)
+            # a diagonal block takes half the prescaled birth term on each
+            # side of its mirror sum; the block above the diagonal takes
+            # all of it after the sum, and the block below is its transpose
+            if p == q:
+                half = gvals[p, p] * (0.5 * (1.0 - 0.05 * 0.5))
+                half += np.outer((0.5 * (0.05 * 1.5)) * fvals[p], fvals[p])
+                expect = half + half.T
+            else:
+                lo, hi = min(p, q), max(p, q)
+                expect = gvals[lo, hi] * (1.0 - 0.05 * 0.5)
+                expect += np.outer((0.05 * 1.5) * fvals[lo], fvals[hi])
+                if p > q:
+                    expect = expect.T
             np.testing.assert_array_equal(out.g[p, q], expect)
             unsplit = gvals[p, q] + 0.05 * (
                 1.5 * np.outer(fvals[p], fvals[q]) - 0.5 * gvals[p, q])

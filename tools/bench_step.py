@@ -6,18 +6,21 @@
 For each grid size n (by default 101, 202 and 404 cells), each label
 count k (by default 1 and 3), and the physics off (no diffusion, no
 birth-death) or on (diffusion_sigma = 1e-3, birth and death rates 0.1),
-it times a ContinuumStepper's check + advance pair as the runner takes
-them, advance at the speeds that check returns, each step at 0.9 of the realized bound of the state it advances,
-starting from a random state with g[q, p] = g[p, q].T.  For each node
-count N = 200, 2e3, 2e4 and 2e5, it times one explicit Euler step of the
-linear D on a graph of the preset family (3 communities, mean degree 10,
-mu = 0.05, bridged to one component), from uniform opinions.  Each repeat
-runs every case in a fresh subprocess for about S seconds and gives one
-time per step per case.  The two tables show the median and quartiles of
-the repeats, in ms per step.  With --ref, the ref is extracted as
-tools/compare_runs.py extracts it, and the repeats alternate between its
-tree and this one, and which of them goes first; the tables then show
-both and the ratio of the medians.  Stdlib and numpy only.
+it steps a ContinuumStepper as the runner does: check, then advance at
+the speeds that check returns and at 0.9 of the realized bound, starting
+from a random state with g[q, p] = g[p, q].T.  check (the velocity
+layer) and advance (the flux and update layer) are timed apart.  For each
+node count N = 200, 2e3, 2e4 and 2e5, it times one explicit Euler step of
+the linear D on a graph of the preset family (3 communities, mean degree
+10, mu = 0.05, bridged to one component), from uniform opinions.  Each
+repeat runs every case in a fresh subprocess for about S seconds and
+gives one time per call per case.  The two tables show the median and
+quartiles of the repeats, in ms per call: the continuum table a column
+group for check and one for advance, the micro table one for the step.
+With --ref, the ref is extracted as tools/compare_runs.py extracts it,
+and the repeats alternate between its tree and this one, and which of
+them goes first; each column group then shows both and the ratio of the
+medians.  Stdlib and numpy only.
 """
 
 import argparse
@@ -37,16 +40,28 @@ SAFETY = 0.9
 NODES = (200, 2000, 20000, 200000)   # the micro table's node counts
 
 
-def per_step(step, state, seconds):
-    """ms per call of state = step(state), after two untimed calls."""
+def per_part(parts, state, seconds):
+    """{name: ms per call} of the (name, part) calls that one step chains,
+    each timed on its own, after two untimed steps: the first part takes
+    the state tuple, each part returns the argument tuple of the next,
+    and the last returns the next state."""
+    def run(state, elapsed):
+        args = state
+        for name, part in parts:
+            start = time.perf_counter()
+            args = part(*args)
+            elapsed[name] += time.perf_counter() - start
+        return args
+
+    spent = {name: 0.0 for name, _ in parts}
     for _ in range(2):
-        state = step(state)
+        state = run(state, dict(spent))
     steps = 0
     start = time.perf_counter()
     while steps < 3 or time.perf_counter() - start < seconds:
-        state = step(state)
+        state = run(state, spent)
         steps += 1
-    return 1e3 * (time.perf_counter() - start) / steps
+    return {name: 1e3 * t / steps for name, t in spent.items()}
 
 
 def time_micro(seconds):
@@ -63,15 +78,16 @@ def time_micro(seconds):
             n_nodes=n, n_groups=3, mean_degree=10.0, mixing_mu=0.05,
             seed=n)))
         omega = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-        times[str(n)] = per_step(
-            lambda omega: euler_step(graph, omega, linear, 0.01), omega,
-            seconds)
+        times[str(n)] = per_part(
+            [("step",
+              lambda omega: (euler_step(graph, omega, linear, 0.01),))],
+            (omega,), seconds)
     return times
 
 
 def time_cases(sizes, labels, seconds):
-    """{case name: ms per step} for every continuum case, from the opinet
-    on the path."""
+    """{case name: {"check": ms, "advance": ms}} per call for every
+    continuum case, from the opinet on the path."""
     import numpy as np
     from opinet import ContinuumParams, DebateOperator, Grid
     from opinet.continuum import ContinuumStepper
@@ -91,11 +107,13 @@ def time_cases(sizes, labels, seconds):
         f /= grid.dx * f.sum()
         g /= grid.dx ** 2 * g.sum()
 
-        def step(state):
-            bound, a, _ = stepper.check(*state)
-            return stepper.advance(*state, SAFETY * bound, a)
+        def check(f, g):
+            bound, a, _ = stepper.check(f, g)
+            return f, g, SAFETY * bound, a
 
-        times["%d %d %s" % (n, k, physics)] = per_step(step, (f, g), seconds)
+        times["%d %d %s" % (n, k, physics)] = per_part(
+            (("check", check), ("advance", stepper.advance)), (f, g),
+            seconds)
     return times
 
 
@@ -149,22 +167,28 @@ def main():
 
     for table, keys in (("continuum", ["n", "k", "physics"]),
                         ("micro", ["N"])):
+        cases = runs["this"][0][table]
+        parts = list(next(iter(cases.values())))
         cols = list(keys)
-        for name in trees:
-            cols += [name + " median", name + " q1", name + " q3"]
-        if args.ref:
-            cols.append("this/ref")
-        print("ms per %s step, %d repeats" % (table, args.repeats))
-        print("\t".join(cols))
-        for case in runs["this"][0][table]:
-            row = case.split()
-            medians = []
+        for part in parts:
             for name in trees:
-                stats = summary([run[table][case] for run in runs[name]])
-                medians.append(stats[0])
-                row += ["%.4f" % v for v in stats]
+                cols += ["%s %s %s" % (part, name, stat)
+                         for stat in ("median", "q1", "q3")]
             if args.ref:
-                row.append("%.3f" % (medians[1] / medians[0]))
+                cols.append(part + " this/ref")
+        print("ms per %s call, %d repeats" % (table, args.repeats))
+        print("\t".join(cols))
+        for case in cases:
+            row = case.split()
+            for part in parts:
+                medians = []
+                for name in trees:
+                    stats = summary([run[table][case][part]
+                                     for run in runs[name]])
+                    medians.append(stats[0])
+                    row += ["%.4f" % v for v in stats]
+                if args.ref:
+                    row.append("%.3f" % (medians[1] / medians[0]))
             print("\t".join(row))
     return 0
 
