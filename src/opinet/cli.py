@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .config import PRESETS, load_config
-from .runner import run_experiment, run_mu_sweep, RATE_COLUMNS, _ERROR_SERIES
+from .runner import run_experiment, run_mu_sweep, RATE_COLUMNS, ERROR_SERIES
 
 
 def build_parser():
@@ -61,7 +61,7 @@ def _cmd_run(args):
     report = run_experiment(config)
     print("wrote %s/report.tsv (%d samples)"
           % (config.output_dir, report.t.size))
-    for name in _ERROR_SERIES:
+    for name in ERROR_SERIES:
         series = report.series[name]
         finite = np.isfinite(series)
         if finite.any():

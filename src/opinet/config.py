@@ -9,7 +9,7 @@ import configparser
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .graph import GraphConfig
 from .empirical import MixtureSpec
 from .continuum import ContinuumParams
@@ -65,6 +65,8 @@ class ExperimentConfig:
                    for v in self.model_variants)
 
     def validate(self):
+        for key in ("grid_size", "seed"):
+            check_integer("run." + key, getattr(self, key))
         self.graph.validate()
         self.micro.validate()
         self.continuum.validate()

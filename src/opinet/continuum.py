@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .empirical import ScalarField, PairField, LabeledFields
-from .micro import _linear_d
 
 
 @dataclass(frozen=True)
@@ -55,21 +54,11 @@ class ContinuumParams:
         return self
 
 
-def _speeds(g4, dmat, dx, cutoff):
-    # a[p, i] = sum_{q,j} g[p,q,i,j] D(mid_i - mid_j) / sum_{q,j} g[p,q,i,j],
-    # returned with the row masses dx sum_{q,j} g[p,q,i,j]
-    # g4[:, 0] + g4[:, 1] + ...: the sum over q in order, and a view of g4
-    # when k = 1
-    rows = sum((g4[:, q] for q in range(1, g4.shape[1])), g4[:, 0])
-    den = dx * rows.sum(axis=-1)
-    num = dx * np.einsum("pij,ij->pi", rows, dmat)
-    keep = den >= cutoff
-    return np.where(keep, num / np.where(keep, den, 1.0), 0.0), den
-
-
 def _moment_speeds(g4, moments, dx, cutoff):
-    # _speeds for D(z) = -z: a[p, i] = sum_{q,j} g[p,q,i,j] mid_j /
-    # sum_{q,j} g[p,q,i,j] - mid_i, both row moments from one matmul with
+    # a[p, i] = sum_{q,j} g[p,q,i,j] D(mid_i - mid_j) / sum_{q,j}
+    # g[p,q,i,j], which for D(z) = -z is sum_{q,j} g[p,q,i,j] mid_j /
+    # sum_{q,j} g[p,q,i,j] - mid_i, returned with the row masses dx
+    # sum_{q,j} g[p,q,i,j]; both row moments from one matmul with
     # moments = [mids, 1], summed over q in order
     rows = np.matmul(g4, moments)
     rows = sum((rows[:, q] for q in range(1, rows.shape[1])), rows[:, 0])
@@ -141,13 +130,13 @@ class ContinuumStepper:
     """Local Lax-Friedrichs step for k labels on one grid and operator.
 
     f is (k, n) and g is (k, k, n, n); the unlabeled model is k = 1.  The
-    parameters are validated and D evaluated once, when the stepper is
-    built; dt is passed per step.  g must be bit-symmetric, g[q, p] ==
-    g[p, q].T for every p and q, the diagonal blocks included: each block
-    takes its axis-1 update from its mirror block, so an asymmetric g gets
-    a step that is not the LLF scheme, and nothing checks this.  Only the
-    p <= q blocks are advanced and the others are their transposes, so a
-    step keeps the symmetry.
+    parameters are validated once, when the stepper is built; dt is passed
+    per step.  g must be bit-symmetric, g[q, p] == g[p, q].T for every p
+    and q, the diagonal blocks included: each block takes its axis-1
+    update from its mirror block, so an asymmetric g gets a step that is
+    not the LLF scheme, and nothing checks this.  Only the p <= q blocks
+    are advanced and the others are their transposes, so a step keeps the
+    symmetry.
 
     Each face carries one two-point flux: the LLF flux lam (cl u_i +
     cr u_{i+1}), cl >= 0 >= cr, plus the zero-flux diffusion flux
@@ -180,14 +169,11 @@ class ContinuumStepper:
 
     The stepper holds one n x n scratch block, used by every k it
     advances, so a step allocates little beyond its outputs; a stepper
-    must not be advanced from two threads at once.  For the linear D(z) =
-    -z the speeds are two row moments, a = sum_j g_ij mid_j / sum_j g_ij
-    - mid_i, and the row masses come with them, from one matmul of g with
-    the n x 2 matrix [mids, 1].  Any other D(mid_i - mid_j) depends only
-    on i - j, so dmat is a read-only n x n view of D's 2n - 1 distinct
-    values (Grid.difference_matrix), which the speeds pass streams g
-    against, and the row masses take a pass of their own; either way the
-    stepper holds n^2 + O(n) floats.
+    must not be advanced from two threads at once.  For the operator's
+    D(z) = -z the speeds are two row moments, a = sum_j g_ij mid_j /
+    sum_j g_ij - mid_i, and the row masses come with them, from one matmul
+    of g with the n x 2 matrix [mids, 1]; the stepper holds n^2 + O(n)
+    floats.
 
     advance steps at the speeds a that its caller gives it, and check
     returns them with the state's bound, so a caller that checks a state
@@ -197,22 +183,16 @@ class ContinuumStepper:
     def __init__(self, grid, operator, params):
         self.grid = grid
         self.params = params.validate()
-        self.dmat = grid.difference_matrix(operator.d)
-        # the linear D's speeds are two row moments of g, as micro_rhs
-        # takes its neighbour sums
-        self._moments = None
-        if operator.d is _linear_d:
-            self._moments = np.stack([grid.mids, np.ones(grid.n_cells)],
-                                     axis=1)
+        # the speeds are two row moments of g, as micro_rhs takes its
+        # neighbour sums
+        self._moments = np.stack([grid.mids, np.ones(grid.n_cells)], axis=1)
         # a transposed block, then a birth term
         self._work = np.empty((grid.n_cells, grid.n_cells))
 
     def speeds(self, g):
         """Per-label speeds a (k, n) and row masses (k, n) of g."""
-        if self._moments is not None:
-            return _moment_speeds(g, self._moments, self.grid.dx,
-                                  self.params.eta_cutoff)
-        return _speeds(g, self.dmat, self.grid.dx, self.params.eta_cutoff)
+        return _moment_speeds(g, self._moments, self.grid.dx,
+                              self.params.eta_cutoff)
 
     def check(self, f, g):
         """Realized stability bound of a state, its speeds a (k, n) and its
@@ -290,7 +270,7 @@ def stepper_for(grid, operator, params):
     """The ContinuumStepper for grid, operator and params (dt is ignored).
 
     Steppers are cached, so the step functions validate the parameters and
-    evaluate D once per grid, operator and parameter set.
+    build the moment matrix once per grid, operator and parameter set.
     """
     return _cached_stepper(grid, operator, replace(params, dt=None))
 

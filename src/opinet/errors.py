@@ -1,4 +1,7 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the integer check of the
+configuration keys."""
+
+import numbers
 
 
 class ConfigError(ValueError):
@@ -7,3 +10,10 @@ class ConfigError(ValueError):
 
 class SimulationError(RuntimeError):
     """Failure while a computation is underway (solvers, fits, diagnostics)."""
+
+
+def check_integer(key, value):
+    """Refuse a value of key that the INI reader's int() could not give:
+    anything but an integer, numpy's included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError("%s: must be an integer, got %r" % (key, value))

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, check_integer
 
 _MATCH_ROUNDS = 8
 
@@ -42,6 +42,8 @@ class GraphConfig:
         return [q + 1] * r + [q] * (self.n_groups - r)
 
     def validate(self):
+        for key in ("n_nodes", "n_groups"):
+            check_integer("graph." + key, getattr(self, key))
         if self.n_nodes < 2:
             raise ConfigError("graph.n_nodes: need at least two nodes")
         if self.n_groups < 1:

@@ -1,15 +1,15 @@
 """Agent-based opinion dynamics on a community graph.
 
 Each node carries a scalar opinion omega_i and relaxes toward its graph
-neighbors through an odd, nonincreasing interaction rule D applied to
+neighbors through the paper's linear debate rule D(z) = -z, applied to
 opinion differences and averaged over the neighborhood.  D is minus the
-derivative of an even convex potential W, so pairwise potential energy
-decays along trajectories and the degree-weighted opinion sum is conserved.
+derivative of the even convex potential W(z) = z^2 / 2, so pairwise
+potential energy decays along trajectories and the degree-weighted opinion
+sum is conserved.
 
-For the linear rule D(z) = -z a step needs no edge differences: the mean
-of D(omega_i - omega_j) over the neighbours is their mean opinion minus
-omega_i, two gathers of omega, each summed into the nodes by one bincount.
-Any other rule is evaluated once per undirected edge on the differences.
+A step needs no edge differences: the mean of D(omega_i - omega_j) over
+the neighbours is their mean opinion minus omega_i, two gathers of omega,
+each summed into the nodes by one bincount.
 """
 
 from dataclasses import dataclass
@@ -21,33 +21,31 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class DebateOperator:
-    """Interaction rule D with its potential W and a bound on |D'|.
+    """The linear debate rule D(z) = -z with its potential W(z) = z^2 / 2
+    and the bound 1 on |D'|.
 
     d maps arrays of opinion differences to arrays; w is the potential with
-    w(0) = 0 and d = -w'.  lipschitz bounds |d'| on the admissible opinion
-    range and controls the explicit-Euler step bound.
+    w(0) = 0 and d = -w'.  lipschitz bounds |d'| and controls the
+    explicit-Euler step bound.  All three are class constants, so every
+    operator equals every other one.
     """
 
-    d: object
-    w: object
-    lipschitz: float
+    lipschitz = 1.0
+
+    @staticmethod
+    def d(z):
+        return -np.asarray(z, dtype=float)
+
+    @staticmethod
+    def w(z):
+        # squared and halved in one temporary
+        w = np.square(z, dtype=float)
+        w *= 0.5
+        return w
 
     @classmethod
     def linear(cls):
-        # module-level functions, so every linear operator equals every
-        # other one and micro_rhs can recognise its d
-        return cls(d=_linear_d, w=_linear_w, lipschitz=1.0)
-
-
-def _linear_d(z):
-    return -np.asarray(z, dtype=float)
-
-
-def _linear_w(z):
-    # squared and halved in one temporary
-    w = np.square(z, dtype=float)
-    w *= 0.5
-    return w
+        return cls()
 
 
 def _opinions(graph, omega):
@@ -67,12 +65,8 @@ def _gather(graph, omega, ends):
 
 def _edge_differences(graph, omega):
     """omega_i - omega_j over the edges (i, j), in the graph's per-edge
-    scratch, so a micro step frees at most one E-sized temporary at a time.
-
-    When the step freed three, glibc returned the heap top to the OS after
-    each step and faulted it in again on the next: ~1050 minor page faults
-    per step on a 2.5e5-edge graph, 1.5x its wall time.
-    """
+    scratch, so the potential allocates one E-sized temporary, the head
+    gather, beside W's."""
     omega = _opinions(graph, omega)
     diff = _gather(graph, omega, graph.tail)
     diff -= np.take(omega, graph.head)
@@ -81,31 +75,23 @@ def _edge_differences(graph, omega):
 
 def micro_rhs(graph, omega, operator):
     """d omega_i / dt = mean over neighbors j of D(omega_i - omega_j)."""
+    # (sum_j omega_j - deg_i omega_i) / max(deg_i, 1): each gather feeds
+    # one bincount before the next overwrites the scratch; an edgeless
+    # graph's bincount is integer, hence the cast
     n = graph.n_nodes
-    if operator.d is _linear_d:
-        # (sum_j omega_j - deg_i omega_i) / max(deg_i, 1): each gather
-        # feeds one bincount before the next overwrites the scratch; an
-        # edgeless graph's bincount is integer, hence the cast
-        omega = _opinions(graph, omega)
-        sums = np.bincount(graph.tail, minlength=n,
-                           weights=_gather(graph, omega, graph.head))
-        sums = sums.astype(float, copy=False)
-        sums += np.bincount(graph.head, minlength=n,
-                            weights=_gather(graph, omega, graph.tail))
-        sums -= graph._degree_float * omega
-        sums /= graph._degree_divisor
-        return sums
-    # D is odd, so each edge gives D(w_i - w_j) to i and its negative to j
-    d = operator.d(_edge_differences(graph, omega))
-    sums = (np.bincount(graph.tail, weights=d, minlength=n)
-            - np.bincount(graph.head, weights=d, minlength=n))
-    return sums / graph._degree_divisor
+    omega = _opinions(graph, omega)
+    sums = np.bincount(graph.tail, minlength=n,
+                       weights=_gather(graph, omega, graph.head))
+    sums = sums.astype(float, copy=False)
+    sums += np.bincount(graph.head, minlength=n,
+                        weights=_gather(graph, omega, graph.tail))
+    sums -= graph._degree_float * omega
+    sums /= graph._degree_divisor
+    return sums
 
 
 def step_size_bound(operator):
     """Largest stable explicit-Euler step, 1 / sup|D'|."""
-    if operator.lipschitz == 0.0:
-        return np.inf
     return 1.0 / operator.lipschitz
 
 

@@ -28,10 +28,10 @@ from .config import (MODEL_VARIANTS, SNAPSHOT_FILE, SWEEP_DIR,
                      replace_mixing, save_config)
 
 # the report's error series; a sweep fits a decay rate to each of them
-_ERROR_SERIES = tuple(c for c in REPORT_COLUMNS if c.startswith("E_"))
+ERROR_SERIES = tuple(c for c in REPORT_COLUMNS if c.startswith("E_"))
 RATE_COLUMNS = ("mu",) + tuple(prefix + c[2:]
                                for prefix in ("rate_", "fit_err_")
-                               for c in _ERROR_SERIES)
+                               for c in ERROR_SERIES)
 
 # share of the realized stability bound of each state that an adaptive
 # continuum step takes; a configured fixed step is only checked against
@@ -347,7 +347,7 @@ def run_mu_sweep(config):
         try:
             report = run_experiment(sub)
             t_lo = 0.2 * float(report.t[-1])
-            for name in _ERROR_SERIES:
+            for name in ERROR_SERIES:
                 rate, err = _fit_or_nan(report.t, report.series[name], t_lo)
                 row["rate_" + name[2:]] = rate
                 row["fit_err_" + name[2:]] = err
@@ -369,7 +369,7 @@ def _write_gnuplot(path):
     plots = ", \\\n     ".join(
         '"rates.tsv" skip 1 using 1:%d with linespoints title "%s"'
         % (2 + i, name[2:].removeprefix("cont_"))
-        for i, name in enumerate(_ERROR_SERIES))
+        for i, name in enumerate(ERROR_SERIES))
     lines = [
         'set datafile separator "\\t"',
         "set logscale xy",

@@ -4,7 +4,8 @@ Each one computes, by a separate and plainer route, something the package
 computes for its workflows: the local Lax-Friedrichs interface fluxes and
 the padded zero-flux second difference of the continuum step, the step
 with each row's update as three row-scaled products, an operator on the
-dense matrix of midpoint differences, the row-normalized pair density
+dense matrix of midpoint differences, the speeds of any D streamed
+against such a matrix, the row-normalized pair density
 eta, the cell-integrated Gaussian KDE, the
 truncated mixture pdf and its cell averages through scipy's normal CDF, the
 opinion sampler with one scalar draw at a time, the set-based stub matching
@@ -12,15 +13,14 @@ of the graph generator, the depth-first component labels, the lexsorted
 CSR adjacency, the per-component bridging of ensure_connected, the dense
 Laplacian whose eigenvalues check spectral_gap and the micro right-hand
 side gathered over the CSR half-edges.  No workflow calls them.  Besides
-the runs' linear operator, the tests step two more: QUARTIC, with
-W(z) = z^4 / 4, and ZERO, which moves nothing.
+the package's linear rule, the tests take two more as plain functions:
+cubic_d, the D of the potential quartic_w(z) = z^4 / 4, and zero.
 """
 
 import numpy as np
 from scipy.special import ndtr
 
-from opinet import (CommunityGraph, ConfigError, DebateOperator, PairField,
-                    graph_from_pairs)
+from opinet import CommunityGraph, ConfigError, PairField, graph_from_pairs
 from opinet.empirical import _lift_g
 from opinet.graph import _MATCH_ROUNDS
 
@@ -125,6 +125,20 @@ def difference_matrix(grid, fn):
     of midpoint differences."""
     return np.asarray(fn(grid.mids[:, None] - grid.mids[None, :]),
                       dtype=float)
+
+
+def difference_speeds(g4, grid, d, cutoff):
+    """Per-label speeds a (k, n) of g4 (k, k, n, n) under the rule d, and
+    the row masses: a[p, i] = sum_{q,j} g[p,q,i,j] d(mid_i - mid_j) /
+    sum_{q,j} g[p,q,i,j], streamed against the dense difference_matrix of
+    d, and 0 on a row whose mass dx sum_{q,j} g[p,q,i,j] is below
+    cutoff."""
+    # g4[:, 0] + g4[:, 1] + ...: the sum over q in order
+    rows = sum((g4[:, q] for q in range(1, g4.shape[1])), g4[:, 0])
+    den = grid.dx * rows.sum(axis=-1)
+    num = grid.dx * np.einsum("pij,ij->pi", rows, difference_matrix(grid, d))
+    keep = den >= cutoff
+    return np.where(keep, num / np.where(keep, den, 1.0), 0.0), den
 
 
 def eta_discrete(g, dx, cutoff):
@@ -336,18 +350,18 @@ def micro_rhs(graph, omega, operator):
 
 # products, not np.power, which takes the general pow path and is ~100x
 # slower; -z * -z equals z * z, so D stays odd and W even bit for bit
-def _quartic_d(z):
+def cubic_d(z):
+    """D(z) = -z^3 = -quartic_w'(z)."""
     z = np.asarray(z, dtype=float)
     return -(z * z * z)
 
 
-def _quartic_w(z):
+def quartic_w(z):
+    """W(z) = z^4 / 4."""
     z = np.asarray(z, dtype=float)
     return 0.25 * ((z * z) * (z * z))
 
 
-# W(z) = z^4 / 4 on differences in (-2, 2); |W''| <= 12 there
-QUARTIC = DebateOperator(d=_quartic_d, w=_quartic_w, lipschitz=12.0)
-ZERO = DebateOperator(d=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-                      w=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-                      lipschitz=0.0)
+def zero(z):
+    """The rule, and the potential, that move nothing."""
+    return np.zeros_like(np.asarray(z, dtype=float))

@@ -8,10 +8,10 @@ import pytest
 
 from opinet import (ConfigError, ContinuumParams, Grid, SimulationError,
                     preset_three_communities, run_experiment)
+import opinet.continuum
 from opinet import runner
 from opinet.continuum import stepper_for
 from opinet.runner import CFL_SAFETY, _chunked_dt
-from oracles import ZERO
 
 
 def cont_config(out, t_end=1.0, **continuum):
@@ -127,8 +127,15 @@ def test_explicit_dt_keeps_the_chunked_step(monkeypatch, tmp_path):
 ])
 def test_zero_speed_takes_the_fewest_steps(monkeypatch, tmp_path, continuum,
                                            steps):
-    # D = 0 moves nothing, so only the diffusion and death limits bind
-    monkeypatch.setattr(runner, "_OPERATOR", ZERO)
+    # at zero speed, the speeds of D = 0, nothing moves, so only the
+    # diffusion and death limits bind
+    moment_speeds = opinet.continuum._moment_speeds
+
+    def zero_speeds(*args):
+        a, rows = moment_speeds(*args)
+        return np.zeros_like(a), rows
+
+    monkeypatch.setattr(opinet.continuum, "_moment_speeds", zero_speeds)
     report = run_experiment(cont_config(tmp_path, **continuum))
     for chunks in report.continuum_dts.values():
         assert [dts.size for dts in chunks] == [steps] * len(chunks)

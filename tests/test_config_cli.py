@@ -9,7 +9,7 @@ import pytest
 from opinet import (ConfigError, ContinuumParams, ExperimentConfig,
                     GraphConfig, MicroParams, MixtureSpec, PRESETS,
                     load_config, preset_crossing, preset_three_communities,
-                    replace_mixing, save_config)
+                    replace_mixing, run_experiment, save_config)
 import opinet.cli
 import opinet.runner
 from opinet import SimulationError
@@ -256,6 +256,33 @@ def test_a_non_finite_dataclass_float_is_refused_by_name(section, key,
             getattr(config, section), **{key: value})})
     with pytest.raises(ConfigError, match=r"^%s\.%s: " % (section, key)):
         config.validate()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "grid_size", 101.5), ("run", "grid_size", np.nan),
+    ("run", "seed", 1.5), ("graph", "n_nodes", 200.5),
+    ("graph", "n_groups", 3.0)])
+def test_a_non_integer_key_is_refused_by_name(tmp_path, section, key, value):
+    # the INI reader's int() refuses these, so the Python API must too,
+    # before it writes anything; 101.5 cells ran on 101, and the others
+    # ended in a ValueError or TypeError traceback
+    config = replace(preset_three_communities(),
+                     output_dir=str(tmp_path / "out"))
+    if section == "run":
+        config = replace(config, **{key: value})
+    else:
+        config = replace(config, graph=replace(config.graph, **{key: value}))
+    with pytest.raises(ConfigError,
+                       match=r"^%s\.%s: must be an integer" % (section, key)):
+        run_experiment(config)
+    assert not (tmp_path / "out").exists()
+
+
+def test_numpy_integer_keys_are_integers():
+    config = preset_three_communities()
+    replace(config, grid_size=np.int64(101), seed=np.uint8(1),
+            graph=replace(config.graph, n_nodes=np.int32(200),
+                          n_groups=np.int64(3))).validate()
 
 
 @pytest.mark.parametrize("out", ["res%1", "a%%b", "out%20dir"])

@@ -10,7 +10,7 @@ from opinet import (ConfigError, ContinuumParams, DebateOperator, GraphConfig,
                     graph_from_pairs, sample_initial_opinions, split_by_group,
                     step_labeled, step_unlabeled)
 from opinet.continuum import ContinuumStepper, stepper_for
-from oracles import QUARTIC, ZERO, eta_discrete, llf_flux_f, llf_flux_g
+from oracles import difference_matrix, eta_discrete, llf_flux_f, llf_flux_g
 
 LIN = DebateOperator.linear()
 
@@ -52,7 +52,7 @@ def test_speeds_apply_the_eta_cutoff():
     # other row is the eta-weighted mean of D over its label's blocks
     grid = Grid(12)
     params = ContinuumParams(eta_cutoff=1e-10)
-    stepper = stepper_for(grid, QUARTIC, params)
+    stepper = stepper_for(grid, LIN, params)
     rng = np.random.default_rng(4)
     g = rng.uniform(0.0, 1.0, (2, 2, 12, 12))
     g = g + g.transpose(1, 0, 3, 2)
@@ -61,7 +61,8 @@ def test_speeds_apply_the_eta_cutoff():
     assert rows[0, 5] < params.eta_cutoff
     assert a[0, 5] == 0.0
     eta = eta_discrete(g.sum(axis=1), grid.dx, params.eta_cutoff)
-    expect = grid.dx * np.einsum("pij,ij->pi", eta, stepper.dmat)
+    expect = grid.dx * np.einsum("pij,ij->pi", eta,
+                                 difference_matrix(grid, LIN.d))
     np.testing.assert_allclose(a, expect, rtol=1e-13,
                                atol=1e-15 * np.max(np.abs(expect)))
 
@@ -131,10 +132,11 @@ def test_llf_flux_shape_checks():
 def test_cfl_bound_values():
     # linear D spans [-2, 2], so |D| peaks at 2
     assert cfl_max_dt(Grid(303), LIN) == pytest.approx(1 / 606)
-    assert cfl_max_dt(Grid(5), ZERO) == np.inf
+    # diffusion joins the transport limit, dt (2 |D| / dx + 4 sigma / dx^2)
+    # < 1, at dx = 0.4
     p = ContinuumParams(dt=1e-4, diffusion_sigma=0.05)
-    assert cfl_max_dt(Grid(5), ZERO, p) == pytest.approx(
-        0.4 ** 2 / (4 * 0.05))
+    assert cfl_max_dt(Grid(5), LIN, p) == pytest.approx(
+        1 / (2 * 2 / 0.4 + 4 * 0.05 / 0.4 ** 2))
     p2 = ContinuumParams(dt=1e-4, death_rate=100.0)
     assert cfl_max_dt(Grid(5), LIN, p2) == pytest.approx(0.01)
 
@@ -231,8 +233,9 @@ def test_labeled_masses_conserved_per_block():
 
 
 def test_diffusion_variance_growth():
-    """With D = 0 the scheme is a pure heat equation; away from the
-    boundary the discrete second moment grows by exactly 2 sigma t."""
+    """At zero speed, the speeds of D = 0, the scheme is a pure heat
+    equation; away from the boundary the discrete second moment grows by
+    exactly 2 sigma t."""
     grid = Grid(101)
     mix = MixtureSpec((((1.0, 0.0, 0.1),),))
     f = mix.cell_averages(grid, [1.0])
@@ -247,13 +250,13 @@ def test_diffusion_variance_growth():
 
     v0 = variance(f)
     for _ in range(steps):
-        f, gk = step_unlabeled(f, gk, ZERO, params)
+        f, gk = step_unlabeled(f, gk, LIN, params, speeds=np.zeros((1, 101)))
     assert variance(f) - v0 == pytest.approx(2 * sigma * t_end, rel=1e-10)
     assert f.mass() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_birth_death_exact_update():
-    # with D = 0 and sigma = 0 the transport stage is the identity, so one
+    # at zero speed and sigma = 0 the transport stage is the identity, so one
     # step applies exactly the splitting stage g (1 - dt d) + dt b f x f,
     # in the stepper's order (each half of the diagonal block takes half
     # the birth term, prescaled), and g + dt (b f x f - d g) up to
@@ -264,7 +267,7 @@ def test_birth_death_exact_update():
     g0 = np.outer(f.values, f.values)
     gk = PairField(grid, g0.copy())
     params = ContinuumParams(dt=0.01, birth_rate=2.0, death_rate=3.0)
-    f1, g1 = step_unlabeled(f, gk, ZERO, params)
+    f1, g1 = step_unlabeled(f, gk, LIN, params, speeds=np.zeros((1, 21)))
     np.testing.assert_array_equal(f1.values, f.values)
     half = g0 * (0.5 * (1.0 - 0.01 * 3.0))
     half += np.outer((0.5 * (0.01 * 2.0)) * f.values, f.values)
@@ -281,7 +284,7 @@ def test_birth_death_labeled_blocks():
     gvals = np.einsum("pi,qj->pqij", fvals, fvals)
     lab = LabeledFields(grid, fvals, gvals.copy())
     params = ContinuumParams(dt=0.05, birth_rate=1.5, death_rate=0.5)
-    out = step_labeled(lab, ZERO, params)
+    out = step_labeled(lab, LIN, params, speeds=np.zeros((2, 21)))
     for p in range(2):
         for q in range(2):
             # a diagonal block takes half the prescaled birth term on each
@@ -311,7 +314,7 @@ def test_death_rate_tightens_dt_bound():
     gk = PairField(grid, np.outer(f.values, f.values))
     params = ContinuumParams(dt=0.5, death_rate=2.0)
     with pytest.raises(ConfigError):
-        step_unlabeled(f, gk, ZERO, params)
+        step_unlabeled(f, gk, LIN, params, speeds=np.zeros((1, 21)))
 
 
 def random_state(rng, grid, k):
@@ -377,11 +380,10 @@ def test_a_step_allocates_only_its_outputs():
         assert peak < f.nbytes + g.nbytes + 32 * 8 * n, k
 
 
-def test_a_stepper_holds_its_d_matrix_and_one_block():
+def test_a_stepper_holds_one_block():
     n = 200
-    stepper, held, _ = traced(
+    _, held, _ = traced(
         lambda: ContinuumStepper(Grid(n), LIN, ContinuumParams()))
-    assert stepper.dmat.shape == (n, n)
-    # one n x n scratch block, n^2 floats, and O(n) bytes besides: D is a
-    # view of its 2n - 1 distinct values
+    # one n x n scratch block, n^2 floats, and O(n) bytes besides: the
+    # n x 2 matrix of the row moments
     assert held < 8 * n * n + 32 * 8 * n

@@ -4,7 +4,9 @@ Submodules are left out: which of them are attributes of the package
 depends on what else has been imported.
 """
 
+import ast
 import types
+from pathlib import Path
 
 import opinet
 
@@ -39,3 +41,18 @@ def test_exports_are_pinned():
 def test_no_oracle_is_exported():
     assert not [name for name in ORACLES if hasattr(opinet, name)]
     assert not hasattr(opinet.MixtureSpec, "community_pdf")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name that two modules share is part of the package's inside API,
+    # so it has no leading underscore
+    found = []
+    for path in sorted(Path(opinet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += ["%s: from %s%s import %s"
+                          % (path.name, "." * node.level, node.module or "",
+                             alias.name)
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    assert not found

@@ -150,15 +150,11 @@ def test_closures_look_their_lifts_up_when_called(monkeypatch, tmp_path):
 def test_a_run_takes_one_velocity_pass_per_step(monkeypatch, tmp_path):
     # check returns the speeds of the state it checks, which the runner
     # passes to the step that follows, so each closure pays one pass per
-    # step plus its first check; the run's linear D takes the moment pass,
-    # and any other D the difference-matrix one
+    # step plus its first check
     passes = []
-    for name in ("_speeds", "_moment_speeds"):
-        speeds = getattr(opinet.continuum, name)
-        monkeypatch.setattr(
-            opinet.continuum, name,
-            lambda *args, name=name, speeds=speeds: passes.append(name)
-            or speeds(*args))
+    speeds = opinet.continuum._moment_speeds
+    monkeypatch.setattr(opinet.continuum, "_moment_speeds",
+                        lambda *args: passes.append(1) or speeds(*args))
     cache = opinet.continuum._cached_stepper
     cache.cache_clear()
     config = replace(preset_three_communities(), seed=3,
@@ -168,7 +164,7 @@ def test_a_run_takes_one_velocity_pass_per_step(monkeypatch, tmp_path):
     steps = sum(dts.size for chunks in report.continuum_dts.values()
                 for dts in chunks)
     assert steps == 889
-    assert passes == ["_moment_speeds"] * (steps + 2)
+    assert len(passes) == steps + 2
     # one stepper serves both closures, found again on every step
     info = cache.cache_info()
     assert (info.hits, info.misses) == (steps, 1)

@@ -2,10 +2,12 @@
 
 The reference is the k^2 block update assembled from the flux functions
 llf_flux_f / llf_flux_g, the padded zero-flux second difference and the
-birth-death splitting stage in tests/oracles.py, with the stepper's speeds.
-The step must also equal, bit for bit, the one with each row's update
-formed as three row-scaled products, at whatever speeds it is given, and
-keep every cell nonnegative up to 0.99 of the realized bound.  The step
+birth-death splitting stage in tests/oracles.py.  Each state is stepped at
+the stepper's own speeds, those of the linear D, or at the speeds that
+tests/oracles.py takes from the cubic D of the quartic potential.  The
+step must also equal, bit for bit, the one with each row's update formed
+as three row-scaled products, at whatever speeds it is given, and keep
+every cell nonnegative up to 0.99 of the realized bound.  The step
 functions given the speeds that check returns must equal the ones that
 compute them.
 """
@@ -21,16 +23,26 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from opinet import (ContinuumParams, DebateOperator, Grid,  # noqa: E402
                     LabeledFields, PairField, ScalarField, step_labeled,
                     step_unlabeled)
-from opinet.continuum import ContinuumStepper, stepper_for  # noqa: E402
-from oracles import (QUARTIC, llf_flux_f, llf_flux_g,  # noqa: E402
-                     mirrored_laplacian, three_point_transport)
+from opinet.continuum import (ContinuumStepper, _dt_bound,  # noqa: E402
+                              stepper_for)
+from oracles import (cubic_d, difference_speeds, llf_flux_f,  # noqa: E402
+                     llf_flux_g, mirrored_laplacian, three_point_transport)
 
-OPERATORS = {"linear": DebateOperator.linear(),
-             "quartic": QUARTIC}
+LIN = DebateOperator.linear()
 
 
-def reference_step(f, g, grid, operator, params, dt):
-    a = stepper_for(grid, operator, params).speeds(g)[0]
+def speeds_and_dt(name, grid, g, params, share):
+    """The speeds of g under the linear or the cubic D, and share of the
+    realized bound at them, or 0.1 when nothing limits the step."""
+    if name == "linear":
+        a = stepper_for(grid, LIN, params).speeds(g)[0]
+    else:
+        a = difference_speeds(g, grid, cubic_d, params.eta_cutoff)[0]
+    bound = _dt_bound(grid.dx, float(np.max(np.abs(a))), params)
+    return a, share * bound if np.isfinite(bound) else 0.1
+
+
+def reference_step(f, g, grid, a, params, dt):
     lam = dt / grid.dx
     nu = dt * params.diffusion_sigma / grid.dx ** 2
     k = f.shape[0]
@@ -77,20 +89,19 @@ def states(draw):
         diffusion_sigma=draw(st.sampled_from([0.0, 1e-3])),
         birth_rate=draw(st.sampled_from([0.0, 0.2])),
         death_rate=draw(st.sampled_from([0.0, 0.2])))
-    return grid, f, g, draw(st.sampled_from(sorted(OPERATORS))), params
+    return grid, f, g, draw(st.sampled_from(["linear", "quartic"])), params
 
 
 @settings(max_examples=200)
 @given(states())
 def test_stepper_matches_the_flux_reference(state):
     grid, f, g, name, params = state
-    operator = OPERATORS[name]
-    bound, _, _ = stepper_for(grid, operator, params).check(f, g)
-    # 0.9 of the realized bound, or any step when nothing limits it
-    dt = 0.9 * bound if np.isfinite(bound) else 0.1
+    a, dt = speeds_and_dt(name, grid, g, params, 0.9)
     params = replace(params, dt=dt)
-    out = step_labeled(LabeledFields(grid, f, g), operator, params)
-    f_ref, g_ref = reference_step(f, g, grid, operator, params, dt)
+    # the linear D's step computes its own speeds
+    given = None if name == "linear" else a
+    out = step_labeled(LabeledFields(grid, f, g), LIN, params, speeds=given)
+    f_ref, g_ref = reference_step(f, g, grid, a, params, dt)
 
     scale_f = max(float(np.max(np.abs(f_ref))), 1e-300)
     scale_g = max(float(np.max(np.abs(g_ref))), 1e-300)
@@ -117,7 +128,8 @@ def test_stepper_matches_the_flux_reference(state):
 
     if k == 1:
         fu, gu = step_unlabeled(ScalarField(grid, f[0]),
-                                PairField(grid, g[0, 0]), operator, params)
+                                PairField(grid, g[0, 0]), LIN, params,
+                                speeds=given)
         assert np.array_equal(fu.values, out.f[0])
         assert np.array_equal(gu.values, out.g[0, 0])
 
@@ -128,10 +140,8 @@ def test_the_step_matches_three_products_bit_for_bit(state):
     # the einsum over a three-row view of g, and the three products of f,
     # form the same products and sums
     grid, f, g, name, params = state
-    stepper = ContinuumStepper(grid, OPERATORS[name], params)
-    bound, a, _ = stepper.check(f, g)
-    dt = 0.9 * bound if np.isfinite(bound) else 0.1
-    f_new, g_new = stepper.advance(f, g, dt, a)
+    a, dt = speeds_and_dt(name, grid, g, params, 0.9)
+    f_new, g_new = ContinuumStepper(grid, LIN, params).advance(f, g, dt, a)
     f_ref, g_ref = three_point_transport(f, g, a, dt, grid.dx, params)
     assert np.array_equal(f_new.view(np.int64), f_ref.view(np.int64))
     assert np.array_equal(g_new.view(np.int64), g_ref.view(np.int64))
@@ -144,11 +154,10 @@ def test_advance_follows_the_speeds_it_is_given(state, seed):
     # not at speeds of its own
     grid, f, g, name, params = state
     k, n = f.shape
-    stepper = ContinuumStepper(grid, OPERATORS[name], params)
     other = np.random.default_rng(seed).uniform(0.0, 1.0, (k, k, n, n))
-    bound, a, _ = stepper.check(f, other + other.transpose(1, 0, 3, 2))
-    dt = 0.9 * bound if np.isfinite(bound) else 0.1
-    f_new, g_new = stepper.advance(f, g, dt, a)
+    a, dt = speeds_and_dt(name, grid, other + other.transpose(1, 0, 3, 2),
+                          params, 0.9)
+    f_new, g_new = ContinuumStepper(grid, LIN, params).advance(f, g, dt, a)
     f_ref, g_ref = three_point_transport(f, g, a, dt, grid.dx, params)
     assert np.array_equal(f_new.view(np.int64), f_ref.view(np.int64))
     assert np.array_equal(g_new.view(np.int64), g_ref.view(np.int64))
@@ -158,18 +167,17 @@ def test_advance_follows_the_speeds_it_is_given(state, seed):
 @given(states().filter(lambda s: s[1].shape[0] in (1, 3)))
 def test_given_speeds_step_as_computed_ones(state):
     # the runner passes the speeds of check; a one-shot call computes them
-    grid, f, g, name, params = state
-    operator = OPERATORS[name]
-    bound, a, _ = stepper_for(grid, operator, params).check(f, g)
+    grid, f, g, _, params = state
+    bound, a, _ = stepper_for(grid, LIN, params).check(f, g)
     params = replace(params, dt=0.9 * bound if np.isfinite(bound) else 0.1)
     if f.shape[0] == 1:
-        args = (ScalarField(grid, f[0]), PairField(grid, g[0, 0]), operator,
+        args = (ScalarField(grid, f[0]), PairField(grid, g[0, 0]), LIN,
                 params)
         (fa, ga), (fb, gb) = (step_unlabeled(*args, speeds=a),
                               step_unlabeled(*args))
         pairs = [(fa.values, fb.values), (ga.values, gb.values)]
     else:
-        args = (LabeledFields(grid, f, g), operator, params)
+        args = (LabeledFields(grid, f, g), LIN, params)
         explicit, computed = step_labeled(*args, speeds=a), step_labeled(*args)
         pairs = [(explicit.f, computed.f), (explicit.g, computed.g)]
     for x, y in pairs:
@@ -182,10 +190,8 @@ def test_a_step_near_the_bound_stays_positive_and_symmetric(state):
     # each axis takes half of the bound, so a cell's own weight in U stays
     # nonnegative up to the bound
     grid, f, g, name, params = state
-    stepper = ContinuumStepper(grid, OPERATORS[name], params)
-    bound, a, _ = stepper.check(f, g)
-    dt = 0.99 * bound if np.isfinite(bound) else 0.1
-    f_new, g_new = stepper.advance(f, g, dt, a)
+    a, dt = speeds_and_dt(name, grid, g, params, 0.99)
+    f_new, g_new = ContinuumStepper(grid, LIN, params).advance(f, g, dt, a)
     assert f_new.min() >= 0.0 and g_new.min() >= 0.0
     k = f.shape[0]
     for p in range(k):
