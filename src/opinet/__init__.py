@@ -2,8 +2,7 @@
 
 from .errors import ConfigError, SimulationError
 from .graph import (GraphConfig, CommunityGraph, generate_community_graph,
-                    graph_from_pairs, ensure_connected, is_connected,
-                    measured_mixing, spectral_gap)
+                    ensure_connected)
 from .micro import (DebateOperator, micro_rhs, euler_step, step_size_bound,
                     euler_maruyama_step, conserved_quantity, consensus_value,
                     potential_v, e_micro)

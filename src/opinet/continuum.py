@@ -127,7 +127,7 @@ def _half_update(w, g, out):
 
 
 class ContinuumStepper:
-    """Local Lax-Friedrichs step for k labels on one grid and operator.
+    """Local Lax-Friedrichs step for k labels on one grid.
 
     f is (k, n) and g is (k, k, n, n); the unlabeled model is k = 1.  The
     parameters are validated once, when the stepper is built; dt is passed
@@ -169,18 +169,18 @@ class ContinuumStepper:
 
     The stepper holds one n x n scratch block, used by every k it
     advances, so a step allocates little beyond its outputs; a stepper
-    must not be advanced from two threads at once.  For the operator's
-    D(z) = -z the speeds are two row moments, a = sum_j g_ij mid_j /
-    sum_j g_ij - mid_i, and the row masses come with them, from one matmul
-    of g with the n x 2 matrix [mids, 1]; the stepper holds n^2 + O(n)
-    floats.
+    must not be advanced from two threads at once.  For the debate
+    operator's D(z) = -z the speeds are two row moments, a = sum_j g_ij
+    mid_j / sum_j g_ij - mid_i, and the row masses come with them, from one
+    matmul of g with the n x 2 matrix [mids, 1]; the stepper holds n^2 +
+    O(n) floats.
 
     advance steps at the speeds a that its caller gives it, and check
     returns them with the state's bound, so a caller that checks a state
     before stepping it pays for one velocity pass, not two.
     """
 
-    def __init__(self, grid, operator, params):
+    def __init__(self, grid, params):
         self.grid = grid
         self.params = params.validate()
         # the speeds are two row moments of g, as micro_rhs takes its
@@ -262,17 +262,17 @@ class ContinuumStepper:
 
 
 @lru_cache(maxsize=2)
-def _cached_stepper(grid, operator, params):
-    return ContinuumStepper(grid, operator, params)
+def _cached_stepper(grid, params):
+    return ContinuumStepper(grid, params)
 
 
-def stepper_for(grid, operator, params):
-    """The ContinuumStepper for grid, operator and params (dt is ignored).
+def stepper_for(grid, params):
+    """The ContinuumStepper for grid and params (dt is ignored).
 
     Steppers are cached, so the step functions validate the parameters and
-    build the moment matrix once per grid, operator and parameter set.
+    build the moment matrix once per grid and parameter set.
     """
-    return _cached_stepper(grid, operator, replace(params, dt=None))
+    return _cached_stepper(grid, replace(params, dt=None))
 
 
 def step_unlabeled(f, g, operator, params, speeds=None):
@@ -297,7 +297,7 @@ def step_labeled(fields, operator, params, speeds=None):
     ContinuumStepper requires.  speeds, the (k, n) speeds of fields.g, are
     computed from it when not given.
     """
-    stepper = stepper_for(fields.grid, operator, params)
+    stepper = stepper_for(fields.grid, params)
     if speeds is None:
         speeds = stepper.speeds(fields.g)[0]
     f_new, g_new = stepper.advance(fields.f, fields.g, params.dt, speeds)

@@ -1,4 +1,4 @@
-"""Community graphs: planted-partition generation, sparse Laplacian gap.
+"""Community graphs: planted-partition generation and bridging.
 
 The generator follows the usual planted-partition recipe: every node draws a
 target degree near the requested mean, declares a share of its stubs
@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import ConfigError, SimulationError, check_integer
+from .errors import ConfigError, check_integer
 
 _MATCH_ROUNDS = 8
 
@@ -42,8 +42,10 @@ class GraphConfig:
         return [q + 1] * r + [q] * (self.n_groups - r)
 
     def validate(self):
-        for key in ("n_nodes", "n_groups"):
+        for key in ("n_nodes", "n_groups", "seed"):
             check_integer("graph." + key, getattr(self, key))
+        if self.seed < 0:
+            raise ConfigError("graph.seed: must be >= 0")
         if self.n_nodes < 2:
             raise ConfigError("graph.n_nodes: need at least two nodes")
         if self.n_groups < 1:
@@ -154,25 +156,6 @@ def _from_keys(n, keys, community):
     edges = np.empty((keys.size, 2), dtype=np.int64, order="F")
     np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
     return CommunityGraph(n, edges, community)
-
-
-def graph_from_pairs(n_nodes, pairs, community=None):
-    """Build a CommunityGraph from arbitrary (i, j) pairs, canonicalizing."""
-    n = int(n_nodes)
-    p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    loops = np.flatnonzero(p[:, 0] == p[:, 1])
-    if loops.size:
-        raise ConfigError("graph: self loop (%d, %d)" % tuple(p[loops[0]]))
-    if p.size and (p.min() < 0 or p.max() >= n):
-        raise ConfigError("graph: edge endpoint out of range")
-    # the distinct keys, sorted; np.unique would import numpy.ma (about
-    # 1 MB of RSS) to rule out a masked array
-    keys = _pair_keys(p, n)
-    keys.sort()
-    keys = keys[_run_starts(keys)]
-    if community is None:
-        community = np.ones(n, dtype=np.int64)
-    return _from_keys(n, keys, community)
 
 
 def _pair_keys(pairs, n):
@@ -323,10 +306,6 @@ def _component_labels(graph):
     return label[root], int(label[-1]) + 1 if label.size else 0
 
 
-def is_connected(graph):
-    return _component_labels(graph)[1] == 1
-
-
 def ensure_connected(graph):
     """Bridge every stray component into the main one (one edge each).
 
@@ -375,57 +354,3 @@ def ensure_connected(graph):
         column[at] = bridges[:, col]
         column[old] = graph.edges[:, col]
     return CommunityGraph(n, edges, graph.community)
-
-
-def measured_mixing(graph):
-    """Fraction of edges whose endpoints sit in different communities."""
-    if graph.n_edges == 0:
-        raise ConfigError("graph: mixing undefined without edges")
-    c = graph.community
-    inter = c[graph.tail] != c[graph.head]
-    return float(np.mean(inter))
-
-
-def spectral_gap(graph):
-    """Smallest nonzero Laplacian eigenvalue (0 for disconnected graphs).
-
-    The gap is undefined below two nodes, which is refused.  A disconnected
-    graph gets exactly 0 without a solve, at any size.  A connected one
-    takes one sparse Lanczos solve (ARPACK eigsh) at any size: the smallest
-    eigenvalue of L + (s/N) 11^T, s = 2 max degree >= lambda_max(L)
-    (Gershgorin).  The shift moves the kernel's zero exactly to s, so
-    lambda_2 <= s is the smallest and no kernel check is needed.  The start
-    vector is seeded with N, so a graph always gets the same bits.  scipy is
-    imported here only, so a run never loads it; without it the call raises
-    ImportError.  Non-convergence, or a result that is not finite or lies
-    outside (0, s], raises SimulationError.
-    """
-    n = graph.n_nodes
-    if n < 2:
-        raise ConfigError("graph: spectral gap needs at least two nodes")
-    # the solve would give round-off of either sign for the second zero
-    if _component_labels(graph)[1] > 1:
-        return 0.0
-    from scipy.sparse import csr_array
-    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
-                                     eigsh)
-
-    nodes = np.arange(n)
-    lap = csr_array(
-        (np.concatenate([np.full(2 * graph.n_edges, -1.0), graph.degrees]),
-         (np.concatenate([graph.tail, graph.head, nodes]),
-          np.concatenate([graph.head, graph.tail, nodes]))), shape=(n, n))
-    s = 2.0 * float(graph.degrees.max())
-    shifted = LinearOperator((n, n), dtype=float,
-                             matvec=lambda x: lap @ x + s / n * x.sum())
-    try:
-        vals = eigsh(shifted, k=1, which="SA", tol=1e-10,
-                     v0=default_rng(n).standard_normal(n),
-                     return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise SimulationError("graph: eigensolver did not converge: %s" % exc)
-    gap = float(vals[0])
-    if not 0.0 < gap <= s:
-        raise SimulationError("graph: Laplacian gap %r outside (0, %g]"
-                              % (gap, s))
-    return gap

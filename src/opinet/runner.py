@@ -270,7 +270,7 @@ def run_experiment(config):
              if micro_step is not None else [])
     cont = []
     if fields:
-        stepper = stepper_for(grid, _OPERATOR, config.continuum)
+        stepper = stepper_for(grid, config.continuum)
         cont = [_ContinuumVariant(name, state, config.continuum, stepper,
                                   fixed, i == 0)
                 for i, (name, state) in enumerate(fields.items())]

@@ -15,12 +15,19 @@ Laplacian whose eigenvalues check spectral_gap and the micro right-hand
 side gathered over the CSR half-edges.  No workflow calls them.  Besides
 the package's linear rule, the tests take two more as plain functions:
 cubic_d, the D of the potential quartic_w(z) = z^4 / 4, and zero.
+
+Two graph helpers that no workflow needs live here as well, so the
+package imports nothing but numpy and the standard library:
+graph_from_pairs, which builds the tests' hand-made graphs, and
+spectral_gap, the Laplacian gap of criterion 3 by one sparse scipy solve.
 """
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import ndtr
 
-from opinet import CommunityGraph, ConfigError, PairField, graph_from_pairs
+from opinet import CommunityGraph, ConfigError, PairField
 from opinet.empirical import _lift_g
 from opinet.graph import _MATCH_ROUNDS
 
@@ -217,6 +224,19 @@ def sample_initial_opinions(graph, mixture, rng):
     return omega
 
 
+def graph_from_pairs(n_nodes, pairs, community=None):
+    """The CommunityGraph of arbitrary (i, j) pairs: each pair, in either
+    order and however often it repeats, is the one edge (min, max)."""
+    n = int(n_nodes)
+    p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if p.size and (p.min() < 0 or p.max() >= n):
+        raise ConfigError("graph: edge endpoint out of range")
+    keys = np.unique(p.min(axis=1) * n + p.max(axis=1))
+    if community is None:
+        community = np.ones(n, dtype=np.int64)
+    return CommunityGraph(n, np.stack(np.divmod(keys, n), axis=1), community)
+
+
 def csr_adjacency(edges, n_nodes):
     """(heads, indices, offsets) of the half-edges, lexsorted by head and
     then by neighbour."""
@@ -236,6 +256,38 @@ def laplacian(graph):
     lap[graph.head, graph.tail] = -1.0
     lap[np.arange(n), np.arange(n)] = graph.degrees
     return lap
+
+
+def spectral_gap(graph):
+    """Smallest nonzero Laplacian eigenvalue, 0 for a disconnected graph.
+
+    A graph of fewer than two nodes has none, which is refused.  A
+    disconnected graph gets exactly 0 without a solve, at any size.  A
+    connected one takes one sparse Lanczos solve (ARPACK eigsh) at any
+    size: the smallest eigenvalue of L + (s/N) 11^T, s = 2 max degree >=
+    lambda_max(L) (Gershgorin).  The shift moves the kernel's zero exactly
+    to s, so lambda_2 <= s is the smallest and no kernel check is needed.
+    The start vector is seeded with N, so a graph always gets the same bits.
+    """
+    n = graph.n_nodes
+    if n < 2:
+        raise ConfigError("graph: spectral gap needs at least two nodes")
+    # the solve would give round-off of either sign for the second zero
+    if component_labels(graph)[1] > 1:
+        return 0.0
+    nodes = np.arange(n)
+    lap = csr_array(
+        (np.concatenate([np.full(2 * graph.n_edges, -1.0), graph.degrees]),
+         (np.concatenate([graph.tail, graph.head, nodes]),
+          np.concatenate([graph.head, graph.tail, nodes]))), shape=(n, n))
+    s = 2.0 * float(graph.degrees.max())
+    shifted = LinearOperator((n, n), dtype=float,
+                             matvec=lambda x: lap @ x + s / n * x.sum())
+    gap = float(eigsh(shifted, k=1, which="SA", tol=1e-10,
+                      v0=np.random.default_rng(n).standard_normal(n),
+                      return_eigenvectors=False)[0])
+    assert 0.0 < gap <= s, (gap, s)
+    return gap
 
 
 def neighbor_lists(graph):

@@ -15,13 +15,13 @@ from opinet import (ContinuumParams, DebateOperator, GraphConfig, Grid,
                     consensus_value, consensus_value_cont, conserved_quantity,
                     e_micro, empirical_f, empirical_g_kde, ensure_connected,
                     euler_maruyama_step, euler_step, fit_exponential_rate,
-                    generate_community_graph, graph_from_pairs,
-                    lyapunov_tilde, micro_rhs, preset_crossing,
-                    preset_three_communities, run_experiment,
-                    sample_initial_opinions, spectral_gap, split_by_group,
+                    generate_community_graph, lyapunov_tilde, micro_rhs,
+                    preset_crossing, preset_three_communities,
+                    run_experiment, sample_initial_opinions, split_by_group,
                     step_labeled, step_unlabeled)
 from opinet.continuum import stepper_for
-from oracles import eta_discrete, neighbor_lists
+from oracles import (eta_discrete, graph_from_pairs, neighbor_lists,
+                     spectral_gap)
 
 LIN = DebateOperator.linear()
 
@@ -387,7 +387,7 @@ def test_a15_three_node_oracle():
         vals[i, j] = 0.25 / grid.dx ** 2
     eta = eta_discrete(vals, grid.dx, 1e-10)
     assert abs(eta[3, 1] - 2.0) < tol and abs(eta[3, 6] - 2.0) < tol
-    a, _ = stepper_for(grid, LIN, ContinuumParams(dt=1.0)).speeds(
+    a, _ = stepper_for(grid, ContinuumParams(dt=1.0)).speeds(
         vals[None, None])
     expect_a = np.zeros(8)
     expect_a[1], expect_a[3], expect_a[6] = 0.5, 0.125, -0.75

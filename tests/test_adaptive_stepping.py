@@ -31,25 +31,24 @@ def record_steps(monkeypatch):
     seen = []
     step_unlabeled, step_labeled = runner.step_unlabeled, runner.step_labeled
 
-    def speed(g4, grid, operator, params, speeds):
-        a, _ = stepper_for(grid, operator, params).speeds(g4)
+    def speed(g4, grid, params, speeds):
+        a, _ = stepper_for(grid, params).speeds(g4)
         assert np.array_equal(speeds.view(np.int64), a.view(np.int64))
         return float(np.max(np.abs(a)))
 
     def unlabeled(*args, speeds):
         assert len(args) == 4
-        f, g, operator, params = args
+        f, g, _, params = args
         seen.append(("cont_unlabeled", params.dt,
-                     speed(g.values[None, None], f.grid, operator, params,
-                           speeds), params))
+                     speed(g.values[None, None], f.grid, params, speeds),
+                     params))
         return step_unlabeled(*args, speeds=speeds)
 
     def labeled(*args, speeds):
         assert len(args) == 3
-        fields, operator, params = args
+        fields, _, params = args
         seen.append(("cont_labeled", params.dt,
-                     speed(fields.g, fields.grid, operator, params, speeds),
-                     params))
+                     speed(fields.g, fields.grid, params, speeds), params))
         return step_labeled(*args, speeds=speeds)
 
     monkeypatch.setattr(runner, "step_unlabeled", unlabeled)

@@ -7,8 +7,8 @@ from opinet import (ConfigError, ContinuumParams, DebateOperator, GraphConfig,
                     Grid, LabeledFields, MixtureSpec, PairField, ScalarField,
                     bandwidth_select, cfl_max_dt, empirical_g_kde,
                     ensure_connected, generate_community_graph,
-                    graph_from_pairs, sample_initial_opinions, split_by_group,
-                    step_labeled, step_unlabeled)
+                    sample_initial_opinions, split_by_group, step_labeled,
+                    step_unlabeled)
 from opinet.continuum import ContinuumStepper, stepper_for
 from oracles import difference_matrix, eta_discrete, llf_flux_f, llf_flux_g
 
@@ -17,7 +17,7 @@ LIN = DebateOperator.linear()
 
 def speeds(g, grid):
     """Advection speeds of an unlabeled pair density (n, n)."""
-    stepper = stepper_for(grid, LIN, ContinuumParams(dt=1.0))
+    stepper = stepper_for(grid, ContinuumParams(dt=1.0))
     return stepper.speeds(np.asarray(g)[None, None])[0][0]
 
 
@@ -52,7 +52,7 @@ def test_speeds_apply_the_eta_cutoff():
     # other row is the eta-weighted mean of D over its label's blocks
     grid = Grid(12)
     params = ContinuumParams(eta_cutoff=1e-10)
-    stepper = stepper_for(grid, LIN, params)
+    stepper = stepper_for(grid, params)
     rng = np.random.default_rng(4)
     g = rng.uniform(0.0, 1.0, (2, 2, 12, 12))
     g = g + g.transpose(1, 0, 3, 2)
@@ -332,13 +332,13 @@ def test_a_shared_stepper_leaks_nothing_between_states():
     grid = Grid(37)
     params = ContinuumParams(diffusion_sigma=1e-3, birth_rate=0.2,
                              death_rate=0.3)
-    shared = ContinuumStepper(grid, LIN, params)
+    shared = ContinuumStepper(grid, params)
     rng = np.random.default_rng(11)
     for k in (1, 3, 1, 3, 3, 1, 1):
         f, g = random_state(rng, grid, k)
         bound, a, _ = shared.check(f, g)
         f1, g1 = shared.advance(f, g, 0.5 * bound, a)
-        fresh = ContinuumStepper(grid, LIN, params)
+        fresh = ContinuumStepper(grid, params)
         f2, g2 = fresh.advance(f, g, 0.5 * bound, fresh.speeds(g)[0])
         assert np.array_equal(f1.view(np.int64), f2.view(np.int64))
         assert np.array_equal(g1.view(np.int64), g2.view(np.int64))
@@ -366,7 +366,7 @@ def test_a_step_allocates_only_its_outputs():
     grid = Grid(n)
     params = ContinuumParams(diffusion_sigma=1e-3, birth_rate=0.2,
                              death_rate=0.3)
-    stepper = ContinuumStepper(grid, LIN, params)
+    stepper = ContinuumStepper(grid, params)
     # k = 3 covers the off-diagonal blocks, which read their mirror's
     # transpose and are written back transposed
     for k in (1, 3):
@@ -383,7 +383,7 @@ def test_a_step_allocates_only_its_outputs():
 def test_a_stepper_holds_one_block():
     n = 200
     _, held, _ = traced(
-        lambda: ContinuumStepper(Grid(n), LIN, ContinuumParams()))
+        lambda: ContinuumStepper(Grid(n), ContinuumParams()))
     # one n x n scratch block, n^2 floats, and O(n) bytes besides: the
     # n x 2 matrix of the row moments
     assert held < 8 * n * n + 32 * 8 * n

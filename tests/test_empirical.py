@@ -12,9 +12,9 @@ import opinet
 from opinet import (ConfigError, GraphConfig, Grid, LabeledFields, MixtureSpec,
                     PairField, bandwidth_select, empirical_f, empirical_g_kde,
                     ensure_connected, generate_community_graph,
-                    graph_from_pairs, sample_initial_opinions, split_by_group)
+                    sample_initial_opinions, split_by_group)
 from opinet.empirical import _CHUNK_CELLS
-from oracles import cell_averages, community_pdf, exact_g_kde
+from oracles import cell_averages, community_pdf, exact_g_kde, graph_from_pairs
 
 
 def crossing_graph(seed=0, n=120):
@@ -400,8 +400,8 @@ def test_building_the_preset_state_leaves_scipy_unloaded():
 
 
 def test_import_and_a_preset_run_leave_scipy_unloaded(tmp_path):
-    # spectral_gap imports scipy.sparse.linalg when called, which would add
-    # ~17% to a preset run's peak RSS if anything on the run path called it
+    # the package imports no scipy (test_public_api checks its imports),
+    # and scipy.sparse.linalg would add ~17% to a preset run's peak RSS
     assert not loads_scipy(
         "from dataclasses import replace\n"
         "import opinet\n"
@@ -420,14 +420,14 @@ def test_the_first_preset_state_imports_no_module():
         "print(sorted(set(sys.modules) - loaded))\n") == "[]"
 
 
-def test_building_a_graph_from_pairs_imports_no_numpy_ma():
-    # a plain np.unique imports numpy.ma, about 1 MB of RSS, to rule out
-    # a masked array
+def test_bridging_a_graph_imports_no_numpy_ma():
+    # a run bridges a disconnected graph; a plain np.unique there would
+    # import numpy.ma, about 1 MB of RSS, to rule out a masked array
     assert run_fresh(
         "import sys\n"
-        "from opinet import graph_from_pairs\n"
-        "g = graph_from_pairs(4, [(2, 1), (0, 1), (1, 2)])\n"
-        "assert g.edges.tolist() == [[0, 1], [1, 2]]\n"
+        "from opinet import CommunityGraph, ensure_connected\n"
+        "g = ensure_connected(CommunityGraph(6, [[0, 1], [2, 3]], [1] * 6))\n"
+        "assert g.n_edges == 5\n"
         "print([m for m in sys.modules\n"
         "       if m.split('.')[:2] == ['numpy', 'ma']])\n") == "[]"
 
@@ -436,7 +436,7 @@ def test_a_whole_run_and_bridging_leave_scipy_unloaded(tmp_path):
     # every variant, the outputs and a graph with stray components to bridge
     assert not loads_scipy(
         "from dataclasses import replace\n"
-        "from opinet import (ensure_connected, graph_from_pairs,\n"
+        "from opinet import (CommunityGraph, ensure_connected,\n"
         "                    preset_three_communities, run_experiment)\n"
         "config = preset_three_communities()\n"
         "config = replace(config, micro=replace(config.micro, t_end=0.5),\n"
@@ -444,5 +444,5 @@ def test_a_whole_run_and_bridging_leave_scipy_unloaded(tmp_path):
         "                 snapshot_times=(0.5,), output_dir=%r)\n"
         "assert 'micro' in config.model_variants\n"
         "run_experiment(config)\n"
-        "g = ensure_connected(graph_from_pairs(6, [(0, 1), (2, 3)]))\n"
+        "g = ensure_connected(CommunityGraph(6, [[0, 1], [2, 3]], [1] * 6))\n"
         "assert g.n_edges == 5\n" % str(tmp_path))

@@ -9,9 +9,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from opinet import (GraphConfig, ensure_connected,  # noqa: E402
-                    generate_community_graph, graph_from_pairs, spectral_gap)
+                    generate_community_graph)
 from opinet.graph import _component_labels  # noqa: E402
 import oracles  # noqa: E402
+from oracles import graph_from_pairs, spectral_gap  # noqa: E402
 
 
 @st.composite

@@ -13,9 +13,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from opinet import (Grid, empirical_g_kde, graph_from_pairs,  # noqa: E402
-                    split_by_group)
+from opinet import Grid, empirical_g_kde, split_by_group  # noqa: E402
 from opinet import empirical  # noqa: E402
+from oracles import graph_from_pairs  # noqa: E402
 
 
 @st.composite

@@ -9,9 +9,10 @@ import pytest
 import opinet
 from opinet import (ConfigError, DebateOperator, GraphConfig, conserved_quantity,
                     consensus_value, e_micro, ensure_connected, euler_maruyama_step,
-                    euler_step, generate_community_graph, graph_from_pairs,
-                    micro_rhs, potential_v, step_size_bound)
+                    euler_step, generate_community_graph, micro_rhs,
+                    potential_v, step_size_bound)
 import oracles
+from oracles import graph_from_pairs
 
 
 def path3():

@@ -11,8 +11,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from opinet import (DebateOperator, conserved_quantity,  # noqa: E402
-                    euler_step, graph_from_pairs, micro_rhs, step_size_bound)
+                    euler_step, micro_rhs, step_size_bound)
 import oracles  # noqa: E402
+from oracles import graph_from_pairs  # noqa: E402
 
 LIN = DebateOperator.linear()
 

@@ -44,7 +44,7 @@ def pair_densities(draw):
 def test_moment_speeds_match_the_difference_matrix(case):
     grid, g, empty = case
     params = ContinuumParams()
-    a, rows = ContinuumStepper(grid, LIN, params).speeds(g)
+    a, rows = ContinuumStepper(grid, params).speeds(g)
     a_ref, rows_ref = difference_speeds(g, grid, LIN.d, params.eta_cutoff)
     np.testing.assert_allclose(a, a_ref, rtol=0, atol=1e-14)
     np.testing.assert_allclose(rows, rows_ref, rtol=1e-14, atol=0)
@@ -71,7 +71,7 @@ def test_a_non_finite_cell_reaches_the_checked_mass(speeds, bad, k):
     f = rng.uniform(0.0, 1.0, (k, n))
     g = rng.uniform(0.0, 1.0, (k, k, n, n))
     params = ContinuumParams()
-    stepper = ContinuumStepper(grid, LIN, params)
+    stepper = ContinuumStepper(grid, params)
     a = difference_speeds(g, grid, cubic_d, params.eta_cutoff)[0]
     g[k - 1, 0, 7, n // 2] = bad
     with np.errstate(invalid="ignore"):

@@ -35,7 +35,7 @@ def speeds_and_dt(name, grid, g, params, share):
     """The speeds of g under the linear or the cubic D, and share of the
     realized bound at them, or 0.1 when nothing limits the step."""
     if name == "linear":
-        a = stepper_for(grid, LIN, params).speeds(g)[0]
+        a = stepper_for(grid, params).speeds(g)[0]
     else:
         a = difference_speeds(g, grid, cubic_d, params.eta_cutoff)[0]
     bound = _dt_bound(grid.dx, float(np.max(np.abs(a))), params)
@@ -141,7 +141,7 @@ def test_the_step_matches_three_products_bit_for_bit(state):
     # form the same products and sums
     grid, f, g, name, params = state
     a, dt = speeds_and_dt(name, grid, g, params, 0.9)
-    f_new, g_new = ContinuumStepper(grid, LIN, params).advance(f, g, dt, a)
+    f_new, g_new = ContinuumStepper(grid, params).advance(f, g, dt, a)
     f_ref, g_ref = three_point_transport(f, g, a, dt, grid.dx, params)
     assert np.array_equal(f_new.view(np.int64), f_ref.view(np.int64))
     assert np.array_equal(g_new.view(np.int64), g_ref.view(np.int64))
@@ -157,7 +157,7 @@ def test_advance_follows_the_speeds_it_is_given(state, seed):
     other = np.random.default_rng(seed).uniform(0.0, 1.0, (k, k, n, n))
     a, dt = speeds_and_dt(name, grid, other + other.transpose(1, 0, 3, 2),
                           params, 0.9)
-    f_new, g_new = ContinuumStepper(grid, LIN, params).advance(f, g, dt, a)
+    f_new, g_new = ContinuumStepper(grid, params).advance(f, g, dt, a)
     f_ref, g_ref = three_point_transport(f, g, a, dt, grid.dx, params)
     assert np.array_equal(f_new.view(np.int64), f_ref.view(np.int64))
     assert np.array_equal(g_new.view(np.int64), g_ref.view(np.int64))
@@ -168,7 +168,7 @@ def test_advance_follows_the_speeds_it_is_given(state, seed):
 def test_given_speeds_step_as_computed_ones(state):
     # the runner passes the speeds of check; a one-shot call computes them
     grid, f, g, _, params = state
-    bound, a, _ = stepper_for(grid, LIN, params).check(f, g)
+    bound, a, _ = stepper_for(grid, params).check(f, g)
     params = replace(params, dt=0.9 * bound if np.isfinite(bound) else 0.1)
     if f.shape[0] == 1:
         args = (ScalarField(grid, f[0]), PairField(grid, g[0, 0]), LIN,
@@ -191,7 +191,7 @@ def test_a_step_near_the_bound_stays_positive_and_symmetric(state):
     # nonnegative up to the bound
     grid, f, g, name, params = state
     a, dt = speeds_and_dt(name, grid, g, params, 0.99)
-    f_new, g_new = ContinuumStepper(grid, LIN, params).advance(f, g, dt, a)
+    f_new, g_new = ContinuumStepper(grid, params).advance(f, g, dt, a)
     assert f_new.min() >= 0.0 and g_new.min() >= 0.0
     k = f.shape[0]
     for p in range(k):

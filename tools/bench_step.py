@@ -19,11 +19,15 @@ quartiles of the repeats, in ms per call: the continuum table a column
 group for check and one for advance, the micro table one for the step.
 With --ref, the ref is extracted as tools/compare_runs.py extracts it,
 and the repeats alternate between its tree and this one, and which of
-them goes first; each column group then shows both and the ratio of the
-medians.  Stdlib and numpy only.
+them goes first; each column group then shows both, the ratio of the
+medians, and "moved": "yes" when the two trees' interquartile ranges do
+not overlap, "no" when they do.  A ratio marked "no" is not evidence of
+a change.  The child code is this tree's, run on either tree's package.
+Stdlib and numpy only.
 """
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -92,6 +96,9 @@ def time_cases(sizes, labels, seconds):
     from opinet import ContinuumParams, DebateOperator, Grid
     from opinet.continuum import ContinuumStepper
 
+    # a ref whose stepper still takes the (unread) operator gets one
+    operator = ((DebateOperator.linear(),) if "operator" in
+                inspect.signature(ContinuumStepper).parameters else ())
     times = {}
     for n, k, physics in [(n, k, physics) for n in sizes for k in labels
                           for physics in ("off", "on")]:
@@ -99,7 +106,7 @@ def time_cases(sizes, labels, seconds):
         params = (ContinuumParams(diffusion_sigma=1e-3, birth_rate=0.1,
                                   death_rate=0.1) if physics == "on"
                   else ContinuumParams())
-        stepper = ContinuumStepper(grid, DebateOperator.linear(), params)
+        stepper = ContinuumStepper(grid, *operator, params)
         rng = np.random.default_rng(n + k)
         f = rng.uniform(0.0, 1.0, (k, n))
         g = rng.uniform(0.0, 1.0, (k, k, n, n))
@@ -175,20 +182,21 @@ def main():
                 cols += ["%s %s %s" % (part, name, stat)
                          for stat in ("median", "q1", "q3")]
             if args.ref:
-                cols.append(part + " this/ref")
+                cols += [part + " this/ref", part + " moved"]
         print("ms per %s call, %d repeats" % (table, args.repeats))
         print("\t".join(cols))
         for case in cases:
             row = case.split()
             for part in parts:
-                medians = []
+                stats = []
                 for name in trees:
-                    stats = summary([run[table][case][part]
-                                     for run in runs[name]])
-                    medians.append(stats[0])
-                    row += ["%.4f" % v for v in stats]
+                    stats.append(summary([run[table][case][part]
+                                          for run in runs[name]]))
+                    row += ["%.4f" % v for v in stats[-1]]
                 if args.ref:
-                    row.append("%.3f" % (medians[1] / medians[0]))
+                    (ref, ref_q1, ref_q3), (this, q1, q3) = stats
+                    row += ["%.3f" % (this / ref),
+                            "yes" if q3 < ref_q1 or ref_q3 < q1 else "no"]
             print("\t".join(row))
     return 0
 
