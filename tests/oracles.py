@@ -229,6 +229,9 @@ def graph_from_pairs(n_nodes, pairs, community=None):
     order and however often it repeats, is the one edge (min, max)."""
     n = int(n_nodes)
     p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    loops = np.flatnonzero(p[:, 0] == p[:, 1])
+    if loops.size:
+        raise ConfigError("graph: self loop (%d, %d)" % tuple(p[loops[0]]))
     if p.size and (p.min() < 0 or p.max() >= n):
         raise ConfigError("graph: edge endpoint out of range")
     keys = np.unique(p.min(axis=1) * n + p.max(axis=1))

@@ -75,9 +75,8 @@ def test_pairs_match_a_python_set_reference():
         graph_from_pairs(n, [tuple(p) for p in pairs]).edges, reference)
 
 
-def test_pair_errors_are_config_errors():
-    # a self loop reaches the graph as an edge (i, i)
-    with pytest.raises(ConfigError, match="i < j"):
+def test_pair_errors_name_the_pair():
+    with pytest.raises(ConfigError, match=r"self loop \(2, 2\)"):
         graph_from_pairs(4, [(0, 1), (2, 2), (3, 3)])
     with pytest.raises(ConfigError, match="out of range"):
         graph_from_pairs(4, [(0, 4)])
@@ -251,6 +250,12 @@ def test_mixing_extremes():
     inter = generate_community_graph(GraphConfig(
         n_nodes=150, n_groups=3, mean_degree=8.0, mixing_mu=1.0, seed=3))
     assert measured_mixing(inter) == 1.0
+
+
+def test_measured_mixing_hand_value():
+    g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3)],
+                         community=np.array([1, 1, 2, 2]))
+    assert measured_mixing(g) == pytest.approx(1 / 3)
 
 
 def test_measured_mixing_tracks_target():
