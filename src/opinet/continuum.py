@@ -11,11 +11,12 @@ because a step keeps dt < 1 / d.
 
 The LLF flux and the diffusion flux of a face combine into one monotone
 two-point flux, so a row's update is a three-point stencil; g takes it
-along one axis per block, as ContinuumStepper describes.
+along one axis per block, as ContinuumStepper describes.  For D(z) = -z a
+bivariate normal g with correlation rho is an exact solution: it keeps rho,
+its variance decays as exp(-2 (1 - rho) t) and E at rate 1 - rho.
 """
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,21 +262,7 @@ class ContinuumStepper:
         return f_new, g_new
 
 
-@lru_cache(maxsize=2)
-def _cached_stepper(grid, params):
-    return ContinuumStepper(grid, params)
-
-
-def stepper_for(grid, params):
-    """The ContinuumStepper for grid and params (dt is ignored).
-
-    Steppers are cached, so the step functions validate the parameters and
-    build the moment matrix once per grid and parameter set.
-    """
-    return _cached_stepper(grid, replace(params, dt=None))
-
-
-def step_unlabeled(f, g, operator, params, speeds=None):
+def step_unlabeled(f, g, operator, params, speeds=None, stepper=None):
     """Advance (f, g) one step; returns new fields on the same grid.
 
     This is step_labeled with one label, so speeds, when given, are the
@@ -286,18 +273,27 @@ def step_unlabeled(f, g, operator, params, speeds=None):
         raise ConfigError("continuum: f and g live on different grids")
     out = step_labeled(LabeledFields(f.grid, f.values[None],
                                      g.values[None, None]),
-                       operator, params, speeds=speeds)
+                       operator, params, speeds=speeds, stepper=stepper)
     return ScalarField(f.grid, out.f[0]), PairField(f.grid, out.g[0, 0])
 
 
-def step_labeled(fields, operator, params, speeds=None):
+def step_labeled(fields, operator, params, speeds=None, stepper=None):
     """Advance labeled (f, g) one step; label p transports with its own speed.
 
     fields.g must be bit-symmetric, g[q, p] == g[p, q].T, as
     ContinuumStepper requires.  speeds, the (k, n) speeds of fields.g, are
-    computed from it when not given.
+    computed from it when not given.  stepper, the caller's ContinuumStepper,
+    must be built for the fields' cell count and for params up to dt, or
+    ConfigError names the mismatch; without one, the call builds its own.
     """
-    stepper = stepper_for(fields.grid, params)
+    if stepper is None:
+        stepper = ContinuumStepper(fields.grid, params)
+    for key, have, want in [("n_cells", stepper.grid, fields.grid)] + [
+            (key, stepper.params, params) for key in
+            ("eta_cutoff", "diffusion_sigma", "birth_rate", "death_rate")]:
+        if getattr(have, key) != getattr(want, key):
+            raise ConfigError("continuum: stepper built for %s=%g, not %g"
+                              % (key, getattr(have, key), getattr(want, key)))
     if speeds is None:
         speeds = stepper.speeds(fields.g)[0]
     f_new, g_new = stepper.advance(fields.f, fields.g, params.dt, speeds)

@@ -119,8 +119,8 @@ def euler_maruyama_step(graph, omega, operator, dt, sigma, rng):
 
     sigma = 0 reproduces euler_step exactly (no rng draw is made).
     """
-    if sigma < 0:
-        raise ConfigError("micro: noise sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ConfigError("micro: noise sigma must be >= 0 and finite")
     drifted = euler_step(graph, omega, operator, dt)
     if sigma == 0.0:
         return drifted

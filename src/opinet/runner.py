@@ -20,7 +20,8 @@ from .micro import (DebateOperator, euler_maruyama_step, conserved_quantity,
 from .empirical import (Grid, ScalarField, PairField, LabeledFields,
                         empirical_f, empirical_g_kde, split_by_group,
                         bandwidth_select, sample_initial_opinions)
-from .continuum import cfl_max_dt, stepper_for, step_unlabeled, step_labeled
+from .continuum import (ContinuumStepper, cfl_max_dt, step_unlabeled,
+                        step_labeled)
 from .analysis import (REPORT_COLUMNS, RunReport, e_cont, consensus_value_cont,
                        first_moment, lyapunov_tilde, fit_exponential_rate,
                        write_table)
@@ -53,32 +54,33 @@ def _one_group(f, g):
 _OPERATOR = DebateOperator.linear()
 
 # lift: (config, graph, omega, grid, community shares, bandwidth) ->
-# LabeledFields; step: (state, params, speeds) -> state, with the state's
-# speeds from ContinuumStepper.check; per_label: the snapshot adds one
-# f_<name>_<p> column per label
+# LabeledFields; step: (state, params, speeds, stepper) -> state, with the
+# run's ContinuumStepper and the state's speeds from its check; per_label:
+# the snapshot adds one f_<name>_<p> column per label
 _Closure = namedtuple("_Closure", "lift step per_label")
 
 # The continuum closures of config.MODEL_VARIANTS, in the order a run
 # lifts, steps and snapshots them; the first one requested records the
 # pair-density moments.  The entries look the package functions up when
 # called, not when the table is built, so a wrapper set on this module or
-# on MixtureSpec after import sees every call.  The operator goes third
-# and the speeds by keyword, so such a wrapper sees three or four
-# positional arguments, the ones perfbench's trace probes unpack.
+# on MixtureSpec after import sees every call.  The operator goes third,
+# the speeds and the stepper by keyword, so such a wrapper sees three or
+# four positional arguments, the ones perfbench's trace probes unpack.
 _CLOSURES = {
     "cont_unlabeled": _Closure(
         lambda config, graph, omega, grid, shares, bandwidth: _one_group(
             config.mixture.cell_averages(grid, shares),
             empirical_g_kde(graph, omega, grid, bandwidth)),
-        lambda s, p, speeds: _one_group(*step_unlabeled(
+        lambda s, p, speeds, stepper: _one_group(*step_unlabeled(
             ScalarField(s.grid, s.f[0]), PairField(s.grid, s.g[0, 0]),
-            _OPERATOR, p, speeds=speeds)),
+            _OPERATOR, p, speeds=speeds, stepper=stepper)),
         False),
     "cont_labeled": _Closure(
         lambda config, graph, omega, grid, shares, bandwidth: LabeledFields(
             grid, config.mixture.weighted_cell_averages(grid, shares),
             split_by_group(graph, omega, grid, bandwidth).g),
-        lambda s, p, speeds: step_labeled(s, _OPERATOR, p, speeds=speeds),
+        lambda s, p, speeds, stepper: step_labeled(
+            s, _OPERATOR, p, speeds=speeds, stepper=stepper),
         True),
 }
 
@@ -190,9 +192,9 @@ class _ContinuumVariant:
                    t_start + interval))
 
     def _take(self, dt, t, dts):
-        self.state = self._closure.step(self.state,
-                                        replace(self._params, dt=dt),
-                                        self._speeds)
+        self.state = self._closure.step(
+            self.state, replace(self._params, dt=dt), self._speeds,
+            self._stepper)
         self._steps += 1
         dts.append(dt)
         self._bound = self._check(t)
@@ -270,7 +272,7 @@ def run_experiment(config):
              if micro_step is not None else [])
     cont = []
     if fields:
-        stepper = stepper_for(grid, config.continuum)
+        stepper = ContinuumStepper(grid, config.continuum)
         cont = [_ContinuumVariant(name, state, config.continuum, stepper,
                                   fixed, i == 0)
                 for i, (name, state) in enumerate(fields.items())]

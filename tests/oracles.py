@@ -12,7 +12,8 @@ opinion sampler with one scalar draw at a time, the set-based stub matching
 of the graph generator, the depth-first component labels, the lexsorted
 CSR adjacency, the per-component bridging of ensure_connected, the dense
 Laplacian whose eigenvalues check spectral_gap and the micro right-hand
-side gathered over the CSR half-edges.  No workflow calls them.  Besides
+side gathered over the CSR half-edges, and the bivariate normal state
+that the linear closure carries exactly.  No workflow calls them.  Besides
 the package's linear rule, the tests take two more as plain functions:
 cubic_d, the D of the potential quartic_w(z) = z^4 / 4, and zero.
 
@@ -159,6 +160,24 @@ def eta_discrete(g, dx, cutoff):
     keep = den >= cutoff
     safe = np.where(keep, den, 1.0)
     return np.where(keep[..., None], g / safe[..., None], 0.0)
+
+
+def bivariate_normal_state(grid, sd, rho):
+    """A k = 1 state (f, g), (1, n) and (1, 1, n, n): g the density of a
+    bivariate normal with mean 0, standard deviation sd on both axes and
+    correlation rho at the cell midpoints, symmetrized and normalized to
+    mass 1, and f its marginal, dx sum_j g_ij.
+
+    For D(z) = -z it is an exact solution of the closure: g stays normal
+    with correlation rho, and its variance, and f's, decays as
+    exp(-2 (1 - rho) t), up to the tail mass beyond [-1, 1].
+    """
+    x, y = grid.mids[:, None], grid.mids[None, :]
+    g = np.exp(-0.5 * (x * x - 2.0 * rho * x * y + y * y)
+               / (sd * sd * (1.0 - rho * rho)))
+    g = 0.5 * (g + g.T)
+    g /= grid.dx ** 2 * g.sum()
+    return grid.dx * g.sum(axis=1)[None], g[None, None]
 
 
 def exact_g_kde(graph, omega, grid, bandwidth):

@@ -19,7 +19,7 @@ from opinet import (ContinuumParams, DebateOperator, GraphConfig, Grid,
                     preset_crossing, preset_three_communities,
                     run_experiment, sample_initial_opinions, split_by_group,
                     step_labeled, step_unlabeled)
-from opinet.continuum import stepper_for
+from opinet.continuum import ContinuumStepper
 from oracles import (eta_discrete, graph_from_pairs, neighbor_lists,
                      spectral_gap)
 
@@ -387,7 +387,7 @@ def test_a15_three_node_oracle():
         vals[i, j] = 0.25 / grid.dx ** 2
     eta = eta_discrete(vals, grid.dx, 1e-10)
     assert abs(eta[3, 1] - 2.0) < tol and abs(eta[3, 6] - 2.0) < tol
-    a, _ = stepper_for(grid, ContinuumParams(dt=1.0)).speeds(
+    a, _ = ContinuumStepper(grid, ContinuumParams(dt=1.0)).speeds(
         vals[None, None])
     expect_a = np.zeros(8)
     expect_a[1], expect_a[3], expect_a[6] = 0.5, 0.125, -0.75

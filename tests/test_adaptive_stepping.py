@@ -10,7 +10,7 @@ from opinet import (ConfigError, ContinuumParams, Grid, SimulationError,
                     preset_three_communities, run_experiment)
 import opinet.continuum
 from opinet import runner
-from opinet.continuum import stepper_for
+from opinet.continuum import ContinuumStepper
 from opinet.runner import CFL_SAFETY, _chunked_dt
 
 
@@ -25,31 +25,35 @@ def record_steps(monkeypatch):
     """Wrap the runner's step functions; returns the list of
     (variant, dt, max|a| of the state the step advances, params) they see.
 
-    The runner must pass the speeds by keyword, after the 3 or 4
-    positional arguments that perfbench's trace probes unpack, and they
-    must be the speeds of the state, bit for bit."""
+    The runner must pass the speeds and its one stepper by keyword, after
+    the 3 or 4 positional arguments that perfbench's trace probes unpack,
+    and the speeds must be those of the state, bit for bit."""
     seen = []
+    steppers = set()
     step_unlabeled, step_labeled = runner.step_unlabeled, runner.step_labeled
 
-    def speed(g4, grid, params, speeds):
-        a, _ = stepper_for(grid, params).speeds(g4)
+    def speed(g4, grid, params, speeds, stepper):
+        steppers.add(id(stepper))
+        assert len(steppers) == 1
+        a, _ = ContinuumStepper(grid, params).speeds(g4)
         assert np.array_equal(speeds.view(np.int64), a.view(np.int64))
         return float(np.max(np.abs(a)))
 
-    def unlabeled(*args, speeds):
+    def unlabeled(*args, speeds, stepper):
         assert len(args) == 4
         f, g, _, params = args
         seen.append(("cont_unlabeled", params.dt,
-                     speed(g.values[None, None], f.grid, params, speeds),
-                     params))
-        return step_unlabeled(*args, speeds=speeds)
+                     speed(g.values[None, None], f.grid, params, speeds,
+                           stepper), params))
+        return step_unlabeled(*args, speeds=speeds, stepper=stepper)
 
-    def labeled(*args, speeds):
+    def labeled(*args, speeds, stepper):
         assert len(args) == 3
         fields, _, params = args
         seen.append(("cont_labeled", params.dt,
-                     speed(fields.g, fields.grid, params, speeds), params))
-        return step_labeled(*args, speeds=speeds)
+                     speed(fields.g, fields.grid, params, speeds, stepper),
+                     params))
+        return step_labeled(*args, speeds=speeds, stepper=stepper)
 
     monkeypatch.setattr(runner, "step_unlabeled", unlabeled)
     monkeypatch.setattr(runner, "step_labeled", labeled)
@@ -145,8 +149,8 @@ def test_non_finite_state_fails_with_its_step_and_time(monkeypatch,
     step_labeled = runner.step_labeled
     clock = []
 
-    def poisoned(fields, operator, params, speeds):
-        out = step_labeled(fields, operator, params, speeds=speeds)
+    def poisoned(fields, operator, params, **step):
+        out = step_labeled(fields, operator, params, **step)
         clock.append(params.dt)
         if len(clock) == 5:
             out.g[1, 2, 40, 7] = np.nan
@@ -166,8 +170,8 @@ def test_a_negative_cell_fails_the_run_at_its_sample(monkeypatch, tmp_path):
     _, steps = _chunked_dt(config.sample_interval, 0.004)
     clock = []
 
-    def negative(fields, operator, params, speeds):
-        out = step_labeled(fields, operator, params, speeds=speeds)
+    def negative(fields, operator, params, **step):
+        out = step_labeled(fields, operator, params, **step)
         clock.append(params.dt)
         if len(clock) == 2 * steps:
             # the last step of the second interval leaves a mirrored pair

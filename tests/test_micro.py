@@ -189,6 +189,15 @@ def test_noise_negative_sigma_rejected():
                             sigma=-1.0, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+def test_noise_sigma_must_be_nonnegative_and_finite(sigma):
+    # NaN and inf used to return an all-NaN state
+    with pytest.raises(ConfigError, match=r"^micro: noise sigma must be >= 0 "
+                       r"and finite$"):
+        euler_maruyama_step(path3(), np.zeros(3), DebateOperator.linear(),
+                            0.1, sigma=sigma, rng=np.random.default_rng(0))
+
+
 def test_reflection_keeps_domain():
     # large noise exercises the reflecting boundary on both sides
     g = random_graph(2, n=60)

@@ -155,8 +155,10 @@ def test_a_run_takes_one_velocity_pass_per_step(monkeypatch, tmp_path):
     speeds = opinet.continuum._moment_speeds
     monkeypatch.setattr(opinet.continuum, "_moment_speeds",
                         lambda *args: passes.append(1) or speeds(*args))
-    cache = opinet.continuum._cached_stepper
-    cache.cache_clear()
+    built = []
+    init = opinet.continuum.ContinuumStepper.__init__
+    monkeypatch.setattr(opinet.continuum.ContinuumStepper, "__init__",
+                        lambda *args: built.append(1) or init(*args))
     config = replace(preset_three_communities(), seed=3,
                      model_variants=("cont_unlabeled", "cont_labeled"),
                      output_dir=str(tmp_path))
@@ -165,9 +167,8 @@ def test_a_run_takes_one_velocity_pass_per_step(monkeypatch, tmp_path):
                 for dts in chunks)
     assert steps == 889
     assert len(passes) == steps + 2
-    # one stepper serves both closures, found again on every step
-    info = cache.cache_info()
-    assert (info.hits, info.misses) == (steps, 1)
+    # the run builds one stepper, which serves both closures on every step
+    assert len(built) == 1
 
 
 class SetUp(Exception):

@@ -23,8 +23,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from opinet import (ContinuumParams, DebateOperator, Grid,  # noqa: E402
                     LabeledFields, PairField, ScalarField, step_labeled,
                     step_unlabeled)
-from opinet.continuum import (ContinuumStepper, _dt_bound,  # noqa: E402
-                              stepper_for)
+from opinet.continuum import ContinuumStepper, _dt_bound  # noqa: E402
 from oracles import (cubic_d, difference_speeds, llf_flux_f,  # noqa: E402
                      llf_flux_g, mirrored_laplacian, three_point_transport)
 
@@ -35,7 +34,7 @@ def speeds_and_dt(name, grid, g, params, share):
     """The speeds of g under the linear or the cubic D, and share of the
     realized bound at them, or 0.1 when nothing limits the step."""
     if name == "linear":
-        a = stepper_for(grid, params).speeds(g)[0]
+        a = ContinuumStepper(grid, params).speeds(g)[0]
     else:
         a = difference_speeds(g, grid, cubic_d, params.eta_cutoff)[0]
     bound = _dt_bound(grid.dx, float(np.max(np.abs(a))), params)
@@ -168,7 +167,7 @@ def test_advance_follows_the_speeds_it_is_given(state, seed):
 def test_given_speeds_step_as_computed_ones(state):
     # the runner passes the speeds of check; a one-shot call computes them
     grid, f, g, _, params = state
-    bound, a, _ = stepper_for(grid, params).check(f, g)
+    bound, a, _ = ContinuumStepper(grid, params).check(f, g)
     params = replace(params, dt=0.9 * bound if np.isfinite(bound) else 0.1)
     if f.shape[0] == 1:
         args = (ScalarField(grid, f[0]), PairField(grid, g[0, 0]), LIN,

@@ -8,15 +8,18 @@ count k (by default 1 and 3), and the physics off (no diffusion, no
 birth-death) or on (diffusion_sigma = 1e-3, birth and death rates 0.1),
 it steps a ContinuumStepper as the runner does: check, then advance at
 the speeds that check returns and at 0.9 of the realized bound, starting
-from a random state with g[q, p] = g[p, q].T.  check (the velocity
-layer) and advance (the flux and update layer) are timed apart.  For each
+from a random state with g[q, p] = g[p, q].T, and then records what the
+run records for its first closure: e_cont of the state, and first_moment
+and lyapunov_tilde of its summed g.  check (the velocity layer), advance
+(the flux and update layer) and record are timed apart.  For each
 node count N = 200, 2e3, 2e4 and 2e5, it times one explicit Euler step of
 the linear D on a graph of the preset family (3 communities, mean degree
 10, mu = 0.05, bridged to one component), from uniform opinions.  Each
 repeat runs every case in a fresh subprocess for about S seconds and
 gives one time per call per case.  The two tables show the median and
 quartiles of the repeats, in ms per call: the continuum table a column
-group for check and one for advance, the micro table one for the step.
+group each for check, advance and record, the micro table one for the
+step.
 With --ref, the ref is extracted as tools/compare_runs.py extracts it,
 and the repeats alternate between its tree and this one, and which of
 them goes first; each column group then shows both, the ratio of the
@@ -27,7 +30,6 @@ Stdlib and numpy only.
 """
 
 import argparse
-import inspect
 import json
 import os
 import statistics
@@ -90,15 +92,16 @@ def time_micro(seconds):
 
 
 def time_cases(sizes, labels, seconds):
-    """{case name: {"check": ms, "advance": ms}} per call for every
-    continuum case, from the opinet on the path."""
+    """{case name: {"check": ms, "advance": ms, "record": ms}} per call
+    for every continuum case, from the opinet on the path."""
     import numpy as np
-    from opinet import ContinuumParams, DebateOperator, Grid
+    from opinet import (ContinuumParams, DebateOperator, Grid, LabeledFields,
+                        PairField, consensus_value_cont, e_cont,
+                        lyapunov_tilde)
+    from opinet.analysis import first_moment
     from opinet.continuum import ContinuumStepper
 
-    # a ref whose stepper still takes the (unread) operator gets one
-    operator = ((DebateOperator.linear(),) if "operator" in
-                inspect.signature(ContinuumStepper).parameters else ())
+    linear = DebateOperator.linear()
     times = {}
     for n, k, physics in [(n, k, physics) for n in sizes for k in labels
                           for physics in ("off", "on")]:
@@ -106,7 +109,7 @@ def time_cases(sizes, labels, seconds):
         params = (ContinuumParams(diffusion_sigma=1e-3, birth_rate=0.1,
                                   death_rate=0.1) if physics == "on"
                   else ContinuumParams())
-        stepper = ContinuumStepper(grid, *operator, params)
+        stepper = ContinuumStepper(grid, params)
         rng = np.random.default_rng(n + k)
         f = rng.uniform(0.0, 1.0, (k, n))
         g = rng.uniform(0.0, 1.0, (k, k, n, n))
@@ -114,13 +117,23 @@ def time_cases(sizes, labels, seconds):
         f /= grid.dx * f.sum()
         g /= grid.dx ** 2 * g.sum()
 
+        omega_inf = consensus_value_cont(PairField(grid, g.sum(axis=(0, 1))))
+
         def check(f, g):
             bound, a, _ = stepper.check(f, g)
             return f, g, SAFETY * bound, a
 
+        def record(f, g):
+            state = LabeledFields(grid, f, g)
+            e_cont(state, omega_inf)
+            total = PairField(grid, state.g_total())
+            first_moment(total)
+            lyapunov_tilde(total, linear)
+            return f, g
+
         times["%d %d %s" % (n, k, physics)] = per_part(
-            (("check", check), ("advance", stepper.advance)), (f, g),
-            seconds)
+            (("check", check), ("advance", stepper.advance),
+             ("record", record)), (f, g), seconds)
     return times
 
 
