@@ -1,6 +1,6 @@
-from dataclasses import replace
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest

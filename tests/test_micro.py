@@ -191,7 +191,7 @@ def test_noise_negative_sigma_rejected():
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
 def test_noise_sigma_must_be_nonnegative_and_finite(sigma):
-    # NaN and inf used to return an all-NaN state
+    # NaN and inf would otherwise step to an all-NaN state
     with pytest.raises(ConfigError, match=r"^micro: noise sigma must be >= 0 "
                        r"and finite$"):
         euler_maruyama_step(path3(), np.zeros(3), DebateOperator.linear(),
