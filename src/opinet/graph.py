@@ -75,10 +75,13 @@ class CommunityGraph:
     lexicographically sorted, held column-major: tail and head are views
     of its two columns, each contiguous.  community holds labels in
     1..n_groups.  The dynamics accumulate over the edges in this order,
-    which pins their round-off and keeps runs bit-reproducible.  The micro
-    step gathers opinions at the edges' ends (or their differences) into
-    one per-edge buffer held by the graph, so two threads must not step
-    on one graph at once.
+    which pins their round-off and keeps runs bit-reproducible.
+
+    On its first micro step the graph builds the neighbour rows that the
+    step sums along (see _jagged_rows) and keeps them: an index of
+    2 n_edges int32 node numbers, each node's two places in the sums, and
+    the node-sized sums and bounded gather buffer that every step writes.
+    So two threads must not step on one graph at once.
     """
 
     n_nodes: int
@@ -127,8 +130,8 @@ class CommunityGraph:
         return np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees)
 
     @cached_property
-    def _edge_scratch(self):
-        return np.empty(self.n_edges)
+    def _neighbour_rows(self):
+        return _jagged_rows(self)
 
     # the degrees and the micro step's divisor max(degree, 1), held as
     # floats so a step or a record takes neither an integer max nor a
@@ -148,6 +151,78 @@ class CommunityGraph:
     @property
     def n_edges(self):
         return int(self.edges.shape[0])
+
+
+_ROW_CHUNK = 1 << 14   # index entries per gather of the micro step
+
+
+def _jagged_rows(graph):
+    """The micro step's neighbour sums in jagged-diagonal storage (Saad
+    1989): (chunks, sums, at_tail, at_head).
+
+    Slot i < N lists the heads of the edges with tail i and slot N + i the
+    tails of the edges with head i, each in edge order.  The slots, ranked
+    by falling length (stably), form the rows: row r holds the r-th entry
+    of every slot longer than r, in rank order, so it adds into a prefix
+    of sums, which holds one sum per nonempty slot and a last entry that
+    stays 0.0.  The index holds the rows one after another; chunks cuts it
+    into pieces of _ROW_CHUNK entries, each (its index, its gather buffer,
+    adds), and adds, one per row piece, is (gathered, prior, into) for
+    np.add(gathered, prior, out=into).  Row 0's prior is 0.0 and every
+    later row's is its own prefix of sums, so each slot sums from 0.0 in
+    edge order, as np.bincount does.  at_tail and at_head give each node's
+    two slots' places in sums, the last entry for an empty slot.  The
+    index holds int32 node numbers (int64 from 2^31 nodes on): half the
+    memory, for a cast of each chunk to intp as np.take reads it.
+
+    The index is built a chunk of edges at a time: a stable sort of the
+    chunk's slots keeps each slot's entries in edge order, and seen counts
+    the entries each slot got from earlier chunks.
+    """
+    n, tail, head = graph.n_nodes, graph.tail, graph.head
+    counts = np.concatenate([np.bincount(tail, minlength=n),
+                             np.bincount(head, minlength=n)])
+    rank = np.empty(2 * n, dtype=np.int64)
+    rank[np.argsort(-counts, kind="stable")] = np.arange(2 * n)
+    # longer[r] slots are longer than r; row r starts at offsets[r]
+    longer = 2 * n - np.cumsum(np.bincount(counts))[:-1]
+    offsets = np.cumsum(longer) - longer
+    del counts
+    ends = np.empty(2 * graph.n_edges,
+                    dtype=np.int32 if n <= 2 ** 31 else np.int64)
+    seen = np.zeros(2 * n, dtype=np.int64)
+    for lo in range(0, graph.n_edges, _ROW_CHUNK):
+        part = slice(lo, lo + _ROW_CHUNK)
+        slot = np.concatenate([tail[part], head[part] + n])
+        by_slot = np.argsort(slot, kind="stable")
+        slot = slot[by_slot]
+        first = np.flatnonzero(_run_starts(slot))
+        lengths = np.diff(first, append=slot.size)
+        entry = np.arange(slot.size) - np.repeat(first, lengths)
+        entry += seen[slot]
+        seen[slot[first]] += lengths
+        ends[offsets[entry] + rank[slot]] = np.concatenate(
+            [head[part], tail[part]])[by_slot]
+    del seen
+    width = int(longer[0]) if longer.size else 0
+    sums = np.zeros(width + 1)
+    np.minimum(rank, width, out=rank)
+    gathered = np.empty(min(_ROW_CHUNK, ends.size))
+    offsets, longer = offsets.tolist(), longer.tolist()
+    chunks, r = [], 0
+    for lo in range(0, ends.size, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, ends.size)
+        adds = []
+        while r < len(longer) and offsets[r] < hi:
+            start, stop = max(lo, offsets[r]), min(hi, offsets[r] + longer[r])
+            into = sums[start - offsets[r]:stop - offsets[r]]
+            adds.append((gathered[start - lo:stop - lo],
+                         into if r else 0.0, into))
+            if stop < offsets[r] + longer[r]:
+                break   # row r goes on in the next chunk
+            r += 1
+        chunks.append((ends[lo:hi], gathered[:hi - lo], adds))
+    return chunks, sums, rank[:n], rank[n:]
 
 
 def _from_keys(n, keys, community):

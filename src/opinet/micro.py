@@ -8,8 +8,12 @@ potential energy decays along trajectories and the degree-weighted opinion
 sum is conserved.
 
 A step needs no edge differences: the mean of D(omega_i - omega_j) over
-the neighbours is their mean opinion minus omega_i, two gathers of omega,
-each summed into the nodes by one bincount.
+the neighbours is their mean opinion minus omega_i.  The neighbour sums
+run along the graph's jagged-diagonal rows (graph._jagged_rows), which
+keep each node's two sums, over the edges it is the tail of and over
+those it is the head of, from 0.0 in edge order, so the right-hand side
+is that of two np.bincount scatters over the edges, bit for bit.  The
+potential sums W a chunk of edges at a time.
 """
 
 from dataclasses import dataclass
@@ -17,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+
+_CHUNK = 1 << 14    # edges per chunk of the potential
 
 
 @dataclass(frozen=True)
@@ -55,39 +61,22 @@ def _opinions(graph, omega):
     return omega
 
 
-def _gather(graph, omega, ends):
-    # omega at one end of every edge, into the graph's per-edge scratch;
-    # every index is in range once omega has one entry per node, and
-    # "clip" only spares take the buffered copy it makes for out= under
-    # "raise"
-    return np.take(omega, ends, out=graph._edge_scratch, mode="clip")
-
-
-def _edge_differences(graph, omega):
-    """omega_i - omega_j over the edges (i, j), in the graph's per-edge
-    scratch, so the potential allocates one E-sized temporary, the head
-    gather, beside W's."""
-    omega = _opinions(graph, omega)
-    diff = _gather(graph, omega, graph.tail)
-    diff -= np.take(omega, graph.head)
-    return diff
-
-
 def micro_rhs(graph, omega, operator):
     """d omega_i / dt = mean over neighbors j of D(omega_i - omega_j)."""
-    # (sum_j omega_j - deg_i omega_i) / max(deg_i, 1): each gather feeds
-    # one bincount before the next overwrites the scratch; an edgeless
-    # graph's bincount is integer, hence the cast
-    n = graph.n_nodes
+    # (sum_j omega_j - deg_i omega_i) / max(deg_i, 1); every index is in
+    # range once omega has one entry per node, so each take may "clip",
+    # which skips the bounds check and, for out=, the buffered copy
     omega = _opinions(graph, omega)
-    sums = np.bincount(graph.tail, minlength=n,
-                       weights=_gather(graph, omega, graph.head))
-    sums = sums.astype(float, copy=False)
-    sums += np.bincount(graph.head, minlength=n,
-                        weights=_gather(graph, omega, graph.tail))
-    sums -= graph._degree_float * omega
-    sums /= graph._degree_divisor
-    return sums
+    chunks, sums, at_tail, at_head = graph._neighbour_rows
+    for ends, gathered, adds in chunks:
+        np.take(omega, ends, out=gathered, mode="clip")
+        for row, prior, into in adds:
+            np.add(row, prior, into)
+    total = np.take(sums, at_tail, mode="clip")
+    total += np.take(sums, at_head, mode="clip")
+    total -= graph._degree_float * omega
+    total /= graph._degree_divisor
+    return total
 
 
 def step_size_bound(operator):
@@ -145,7 +134,14 @@ def consensus_value(graph, omega):
 
 def potential_v(graph, omega, operator):
     """Total pairwise potential, half the sum of W over ordered neighbor pairs."""
-    return float(np.sum(operator.w(_edge_differences(graph, omega))))
+    # W over the edges, a chunk at a time, so no temporary is edge-sized
+    omega = _opinions(graph, omega)
+    total = 0.0
+    for lo in range(0, graph.n_edges, _CHUNK):
+        diff = np.take(omega, graph.tail[lo:lo + _CHUNK], mode="clip")
+        diff -= np.take(omega, graph.head[lo:lo + _CHUNK], mode="clip")
+        total += float(np.sum(operator.w(diff)))
+    return total
 
 
 def e_micro(graph, omega):

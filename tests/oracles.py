@@ -422,6 +422,29 @@ def micro_rhs(graph, omega, operator):
     return np.where(deg > 0, sums / np.maximum(deg, 1), 0.0)
 
 
+def bincount_rhs(graph, omega):
+    """opinet.micro_rhs as two np.bincount scatters over the edges, the
+    form the jagged-diagonal rows replaced: each node sums its neighbours'
+    opinions from 0.0 in edge order, once over the edges it is the tail of
+    and once over those it is the head of, and adds the two sums.  The
+    package's right-hand side equals it bit for bit."""
+    n = graph.n_nodes
+    # an edgeless graph's bincount is integer, hence the cast
+    sums = np.bincount(graph.tail, minlength=n,
+                       weights=omega[graph.head]).astype(float, copy=False)
+    sums += np.bincount(graph.head, minlength=n, weights=omega[graph.tail])
+    deg = graph.degrees.astype(float)
+    sums -= deg * omega
+    sums /= np.maximum(deg, 1.0)
+    return sums
+
+
+def edge_potential(graph, omega, operator):
+    """opinet.potential_v as one pairwise sum of W over the edges, in edge
+    order."""
+    return float(np.sum(operator.w(omega[graph.tail] - omega[graph.head])))
+
+
 # products, not np.power, which takes the general pow path and is ~100x
 # slower; -z * -z equals z * z, so D stays odd and W even bit for bit
 def cubic_d(z):

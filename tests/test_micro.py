@@ -135,11 +135,17 @@ def test_hull_property_within_bound():
 
 
 def test_potential_hand_values():
+    # every term and every partial sum is a dyadic rational, so exact
     lin = DebateOperator.linear()
-    assert potential_v(path3(), np.array([-0.5, 0.0, 0.5]),
-                       lin) == pytest.approx(0.25)
+    assert potential_v(path3(), np.array([-0.5, 0.0, 0.5]), lin) == 0.25
     g = graph_from_pairs(2, [(0, 1)])
-    assert potential_v(g, np.array([0.0, 1.0]), lin) == pytest.approx(0.5)
+    assert potential_v(g, np.array([0.0, 1.0]), lin) == 0.5
+
+
+def test_potential_of_an_edgeless_graph_is_zero():
+    v = potential_v(graph_from_pairs(3, []), np.array([-0.5, 0.0, 0.5]),
+                    DebateOperator.linear())
+    assert type(v) is float and v == 0.0
 
 
 def test_potential_decreases():
@@ -244,9 +250,10 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts Linux minor page faults")
 def test_micro_steps_do_not_fault_their_memory_in_again():
-    # a step that frees several edge-sized temporaries at the heap top has
+    # a step that freed several edge-sized temporaries at the heap top had
     # glibc hand that memory back and fault it in again on the next step,
-    # ~950 minor faults per step on this 2.5e5-edge graph; in a fresh
+    # ~950 minor faults per step on this 2.5e5-edge graph; a step now
+    # allocates node-sized and chunk-sized arrays only, and in a fresh
     # interpreter, the steps after the first few fault in almost nothing
     src = os.path.dirname(os.path.dirname(opinet.__file__))
     env = dict(os.environ)
@@ -257,18 +264,24 @@ def test_micro_steps_do_not_fault_their_memory_in_again():
     assert float(out.stdout) < 50
 
 
-def test_the_linear_rhs_allocates_less_than_one_edge_array():
-    # the neighbour sums gather into the graph's per-edge scratch, so the
-    # right-hand side allocates only node-sized arrays; a form on the edge
-    # differences allocated the head gather and the negated differences,
-    # two edge-sized arrays
+def large_graph():
     g = ensure_connected(generate_community_graph(GraphConfig(
         n_nodes=50000, n_groups=3, mean_degree=10.0, mixing_mu=0.05,
         seed=1)))
     assert g.n_edges > 2.4e5
+    return g
+
+
+def test_the_linear_rhs_allocates_less_than_one_edge_array():
+    # the neighbour sums gather a chunk of the graph's row index at a time
+    # into the graph's bounded buffer and add into its node-sized sums, so
+    # the right-hand side allocates only node-sized arrays and a chunk's
+    # index cast; a form on the edge differences allocated the head gather
+    # and the negated differences, two edge-sized arrays
+    g = large_graph()
     om = np.random.default_rng(3).uniform(-1.0, 1.0, g.n_nodes)
     lin = DebateOperator.linear()
-    micro_rhs(g, om, lin)   # builds the scratch and the float degrees
+    micro_rhs(g, om, lin)   # builds the rows and the float degrees
     tracemalloc.start()
     try:
         rhs = micro_rhs(g, om, lin)
@@ -278,3 +291,21 @@ def test_the_linear_rhs_allocates_less_than_one_edge_array():
     assert peak < 8 * g.n_edges
     np.testing.assert_allclose(rhs, oracles.micro_rhs(g, om, lin),
                                rtol=0, atol=1e-14)
+
+
+def test_the_potential_allocates_less_than_one_edge_array():
+    # W over a chunk of edges at a time: the form on whole edge columns
+    # allocated the head gather and W, two edge-sized arrays
+    g = large_graph()
+    om = np.random.default_rng(4).uniform(-1.0, 1.0, g.n_nodes)
+    lin = DebateOperator.linear()
+    potential_v(g, om, lin)
+    tracemalloc.start()
+    try:
+        v = potential_v(g, om, lin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.n_edges
+    ref = oracles.edge_potential(g, om, lin)
+    assert abs(v - ref) <= 1e-14 * ref

@@ -12,14 +12,18 @@ from a random state with g[q, p] = g[p, q].T, and then records what the
 run records for its first closure: e_cont of the state, and first_moment
 and lyapunov_tilde of its summed g.  check (the velocity layer), advance
 (the flux and update layer) and record are timed apart.  For each
-node count N = 200, 2e3, 2e4 and 2e5, it times one explicit Euler step of
-the linear D on a graph of the preset family (3 communities, mean degree
-10, mu = 0.05, bridged to one component), from uniform opinions.  Each
-repeat runs every case in a fresh subprocess for about S seconds and
-gives one time per call per case.  The two tables show the median and
-quartiles of the repeats, in ms per call: the continuum table a column
-group each for check, advance and record, the micro table one for the
-step.
+node count N = 200, 2e3, 2e4 and 2e5, on a graph of the preset family
+(3 communities, mean degree 10, mu = 0.05, bridged to one component),
+from uniform opinions, it times one explicit Euler step of the linear D
+(step), the records a run takes of the micro state: e_micro,
+conserved_quantity and potential_v (record), and the first step on a
+fresh copy of the graph, which builds what the graph keeps for the step
+(layout).  Each repeat runs every case in a fresh subprocess for about S
+seconds and gives one time per call per case (for layout, the median
+over fresh copies).  The two tables show the median and quartiles of the
+repeats, in ms per call: the continuum table a column group each for
+check, advance and record, the micro table one each for step, record and
+layout.
 With --ref, the ref is extracted as tools/compare_runs.py extracts it,
 and the repeats alternate between its tree and this one, and which of
 them goes first; each column group then shows both, the ratio of the
@@ -70,12 +74,28 @@ def per_part(parts, state, seconds):
     return {name: 1e3 * t / steps for name, t in spent.items()}
 
 
+def first_call(graph, omega, linear, seconds):
+    """Median ms of the first Euler step on fresh copies of graph: the
+    step and whatever a graph builds for the micro step on first use."""
+    from opinet import CommunityGraph, euler_step
+
+    spent = []
+    start = time.perf_counter()
+    while len(spent) < 3 or time.perf_counter() - start < seconds:
+        fresh = CommunityGraph(graph.n_nodes, graph.edges, graph.community)
+        begin = time.perf_counter()
+        euler_step(fresh, omega, linear, 0.01)
+        spent.append(time.perf_counter() - begin)
+    return 1e3 * statistics.median(spent)
+
+
 def time_micro(seconds):
-    """{N: ms per linear Euler step} for every node count, from the opinet
-    on the path."""
+    """{N: {"step": ms, "record": ms, "layout": ms}} per call for every
+    node count, from the opinet on the path."""
     import numpy as np
-    from opinet import (DebateOperator, GraphConfig, ensure_connected,
-                        euler_step, generate_community_graph)
+    from opinet import (DebateOperator, GraphConfig, conserved_quantity,
+                        e_micro, ensure_connected, euler_step,
+                        generate_community_graph, potential_v)
 
     linear = DebateOperator.linear()
     times = {}
@@ -84,10 +104,18 @@ def time_micro(seconds):
             n_nodes=n, n_groups=3, mean_degree=10.0, mixing_mu=0.05,
             seed=n)))
         omega = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+
+        def record(omega):
+            e_micro(graph, omega)
+            conserved_quantity(graph, omega)
+            potential_v(graph, omega, linear)
+            return (omega,)
+
         times[str(n)] = per_part(
             [("step",
-              lambda omega: (euler_step(graph, omega, linear, 0.01),))],
-            (omega,), seconds)
+              lambda omega: (euler_step(graph, omega, linear, 0.01),)),
+             ("record", record)], (omega,), seconds)
+        times[str(n)]["layout"] = first_call(graph, omega, linear, seconds)
     return times
 
 

@@ -8,8 +8,10 @@ perfbench/workloads/*.ini, `opinet run --seed 15` on micro_large.ini (a
 bridged graph), and `opinet sweep --preset crossing --mus 0.01,0.5
 --seed 3`.  For each output file and each command's stdout, with the
 output path masked, it prints "identical" or the largest relative
-difference of the numbers in which the two differ; each stdout line also
-gives the command's peak RSS on both trees, from os.wait4 of the child.
+difference of the numbers in which the two differ, and for a .tsv table
+with a header line, each column that differs with its own largest
+relative difference; each stdout line also gives the command's peak RSS
+on both trees, from os.wait4 of the child.
 Then it prints, for both trees, the line count of src/opinet/*.py and the
 number of names the package exports, counted as tests/test_public_api.py
 counts them.  Exits 1 unless every output is identical.  Stdlib only,
@@ -95,6 +97,22 @@ def outputs(tree, out):
     return found, rss
 
 
+def relative_difference(a, b):
+    """Relative difference of two number texts, 0.0 for equal texts or
+    values (NaN equals NaN), inf where one is NaN or infinite and the
+    other is not; None if either is not a number."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    diff = abs(x - y) / max(abs(x), abs(y))
+    return math.inf if math.isnan(diff) else diff
+
+
 def largest_difference(old, new):
     """Largest relative difference of two texts that differ only in
     numbers; None if they differ otherwise."""
@@ -103,15 +121,34 @@ def largest_difference(old, new):
         return None
     worst = 0.0
     for a, b in zip(old, new):
-        if a == b:
-            continue
-        try:
-            x, y = float(a), float(b)
-        except ValueError:
+        diff = relative_difference(a, b)
+        if diff is None:
             return None
-        if x != y and not (math.isnan(x) and math.isnan(y)):
-            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+        worst = max(worst, diff)
     return worst
+
+
+def column_differences(old, new):
+    """[(column, largest relative difference)] for each column, in header
+    order, whose text differs between two tab-separated tables with one
+    header line; None unless both have the same header and shape and
+    differ only in numbers."""
+    old = [line.split("\t") for line in old.decode().splitlines()]
+    new = [line.split("\t") for line in new.decode().splitlines()]
+    if not old or old[0] != new[0] or len(old) != len(new):
+        return None
+    header = old[0]
+    worst = {}
+    for a_row, b_row in zip(old[1:], new[1:]):
+        if not len(a_row) == len(b_row) == len(header):
+            return None
+        for name, a, b in zip(header, a_row, b_row):
+            diff = relative_difference(a, b)
+            if diff is None:
+                return None
+            if a != b:
+                worst[name] = max(worst.get(name, 0.0), diff)
+    return [(name, worst[name]) for name in header if name in worst]
 
 
 def extract(ref, dest):
@@ -139,6 +176,11 @@ def main(ref):
             worst = largest_difference(old[key], new[key])
             verdict = ("differs in text" if worst is None
                        else "largest relative difference %.3g" % worst)
+            columns = (column_differences(old[key], new[key])
+                       if key.endswith(".tsv") else None)
+            if worst is not None and columns:
+                verdict += ", by column: " + ", ".join(
+                    "%s %.3g" % column for column in columns)
         same = same and verdict == "identical"
         name, _, what = key.partition("/")
         if what == "stdout":
