@@ -13,7 +13,9 @@ run along the graph's jagged-diagonal rows (graph._jagged_rows), which
 keep each node's two sums, over the edges it is the tail of and over
 those it is the head of, from 0.0 in edge order, so the right-hand side
 is that of two np.bincount scatters over the edges, bit for bit.  The
-potential sums W a chunk of edges at a time.
+potential sums W a chunk of edges at a time and adds the chunks' pairwise
+sums in edge order, which rounds differently from one pairwise sum over
+more than a chunk of edges.
 """
 
 from dataclasses import dataclass
